@@ -42,23 +42,26 @@ def check_prob_vector(p, ndim_ok=(1,)):
     return p
 
 
-def softmax(z):
+def softmax(z, with_log=False):
     """Numerically stable softmax along the last axis.
 
     Stable for |z| up to ~1e4 via max-subtraction; shift-invariant.
+    ``with_log=True`` returns (softmax, log_softmax), the log taken from
+    the same shift and normaliser rather than as log(softmax).
     Raises ValueError on non-finite input.
     """
     z = _as_float_array(z, "logits")
     shifted = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(shifted)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    norm = ez.sum(axis=-1, keepdims=True)
+    if with_log:
+        return ez / norm, shifted - np.log(norm)
+    return ez / norm
 
 
 def log_softmax(z):
-    """log(softmax(z)) computed without forming the softmax explicitly."""
-    z = _as_float_array(z, "logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """log(softmax(z)) as shifted logits minus the log normaliser."""
+    return softmax(z, with_log=True)[1]
 
 
 def log_sum_exp(z):

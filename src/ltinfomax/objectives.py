@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import LOG_EPS, argmax_lowest, check_prob_vector, log_softmax, softmax
+from .numerics import LOG_EPS, argmax_lowest, check_prob_vector, softmax
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,115 @@ def estimate_marginal(all_probs):
     return probs.mean(axis=0)
 
 
+
+
+def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
+    """The composite objective and its gradient w.r.t. every input logit.
+
+    The present branches are stacked as [labeled; weak; strong] rows and
+    go through one softmax, whose shift and normaliser also give the
+    log-probabilities. Weak logits receive gradient only through the
+    marginal estimate; pseudo-labels and the acceptance indicator are
+    constants of the forward pass.
+
+    Args:
+        labeled: LabeledBatch or None.
+        unlabeled: UnlabeledBatch or None.
+        cfg: LossConfig.
+        running_marginal: optional running estimate of pi, blended in when
+            cfg.marginal_momentum > 0.
+
+    Returns (LossBreakdown, LossGradients, batch_marginal) where
+    batch_marginal is the pure batch estimate of pi (before momentum
+    blending), which callers maintaining a running estimate fold in.
+    """
+    n_lab = len(labeled) if labeled is not None else 0
+    n_unl = len(unlabeled) if unlabeled is not None else 0
+    if n_lab == 0 and n_unl == 0:
+        raise ValueError("both batches are empty")
+    stacked = [labeled.logits] if n_lab else []
+    if n_unl:
+        stacked += [unlabeled.weak_logits, unlabeled.strong_logits]
+    probs, logp = softmax(np.concatenate(stacked), with_log=True)
+    lab, weak, strong = (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
+                         slice(n_lab + n_unl, n_lab + 2 * n_unl))
+
+    # pi averages the labeled and weak rows, and the strong rows on request
+    marginal_branches = (lab, weak, strong) if cfg.include_strong_in_marginal else (lab, weak)
+    n_marg = marginal_branches[-1].stop
+    pi_batch = probs[:n_marg].mean(axis=0)
+    m = cfg.marginal_momentum
+    if m > 0 and running_marginal is not None:
+        pi_eval = m * np.asarray(running_marginal, dtype=np.float64) + (1 - m) * pi_batch
+        batch_scale = 1.0 - m
+    else:
+        pi_eval = pi_batch
+        batch_scale = 1.0
+    neg_marg = -tsallis_entropy(pi_eval, cfg.alpha, validate=False)
+
+    grad = np.zeros_like(probs)
+    if cfg.marginal_weight > 0:
+        # d(-H_a)/dpi chained through each participating softmax row. The
+        # row dot products are taken per branch: BLAS may round one
+        # stacked matrix-vector product differently.
+        g_pi = -tsallis_entropy_grad(pi_eval, cfg.alpha, validate=False)
+        inner = np.concatenate([probs[rows] @ g_pi for rows in marginal_branches])
+        coef = cfg.marginal_weight * batch_scale / n_marg
+        grad[:n_marg] += coef * probs[:n_marg] * (g_pi[None, :] - inner[:, None])
+
+    # labeled cross-entropy: (p - onehot) / L
+    labeled_ce = 0.0
+    if n_lab:
+        rows = np.arange(n_lab)
+        labeled_ce = float(-logp[rows, labeled.labels].mean())
+        g = probs[lab].copy()
+        g[rows, labeled.labels] -= 1.0
+        grad[lab] += g / n_lab
+
+    # pseudo cross-entropy: mask * (p_strong - onehot(yhat)) / U, strong only
+    pseudo_ce = accepted_fraction = 0.0
+    if n_unl:
+        weak_p = probs[weak]
+        accepted = weak_p.max(axis=1) >= cfg.tau
+        if accepted.any():
+            rows = np.arange(n_unl)
+            pseudo = argmax_lowest(weak_p)
+            pseudo_ce = float(-(logp[strong][rows, pseudo] * accepted).sum() / n_unl)
+            accepted_fraction = float(accepted.mean())
+            g = probs[strong].copy()
+            g[rows, pseudo] -= 1.0
+            grad[strong] += (accepted[:, None] * g) / n_unl
+
+    breakdown = LossBreakdown(
+        neg_marginal_entropy=neg_marg,
+        labeled_ce=labeled_ce,
+        pseudo_ce=pseudo_ce,
+        total=cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce,
+        accepted_fraction=accepted_fraction,
+    )
+    gradients = LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])
+    return breakdown, gradients, pi_batch
+
+
+def infomax_loss(labeled, unlabeled, cfg, running_marginal=None):
+    """Forward value of the composite objective (see infomax_loss_and_grad).
+
+    Returns a LossBreakdown. With alpha = 1 and marginal_weight = 0 this
+    reduces exactly to the plain semi-supervised baseline.
+    """
+    return infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal)[0]
+
+
+def infomax_loss_grad(labeled, unlabeled, cfg, running_marginal=None):
+    """Analytic gradient of infomax_loss().total w.r.t. every input logit."""
+    return infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal)[1]
+
+
 def cross_entropy(batch):
     """Mean -log softmax(logits)[label] over a labeled batch."""
     if len(batch) == 0:
         raise ValueError("cross_entropy on an empty batch")
-    logp = log_softmax(batch.logits)
-    picked = logp[np.arange(len(batch)), batch.labels]
-    return float(-picked.mean())
+    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0)).labeled_ce
 
 
 def pseudo_cross_entropy(batch, tau):
@@ -205,147 +307,11 @@ def pseudo_cross_entropy(batch, tau):
 
     Returns (loss, accepted_fraction); an empty batch yields (0.0, 0.0).
     """
-    if not (tau > 0):
-        raise ConfigError(f"tau must be > 0, got {tau}")
+    cfg = LossConfig(tau=tau, marginal_weight=0.0)
     if len(batch) == 0:
         return 0.0, 0.0
-    weak_p = softmax(batch.weak_logits)
-    accepted = weak_p.max(axis=1) >= tau
-    if not accepted.any():
-        return 0.0, 0.0
-    pseudo = argmax_lowest(weak_p)
-    logp_strong = log_softmax(batch.strong_logits)
-    picked = logp_strong[np.arange(len(batch)), pseudo]
-    loss = float(-(picked * accepted).sum() / len(batch))
-    return loss, float(accepted.mean())
-
-
-def _marginal_pieces(labeled, unlabeled, cfg):
-    """Participating softmax matrices for the marginal estimate.
-
-    Returns (probs_list, tags) where tags name the branch each matrix
-    belongs to ('labeled', 'weak', 'strong').
-    """
-    pieces, tags = [], []
-    if labeled is not None and len(labeled):
-        pieces.append(softmax(labeled.logits))
-        tags.append("labeled")
-    if unlabeled is not None and len(unlabeled):
-        pieces.append(softmax(unlabeled.weak_logits))
-        tags.append("weak")
-        if cfg.include_strong_in_marginal:
-            pieces.append(softmax(unlabeled.strong_logits))
-            tags.append("strong")
-    return pieces, tags
-
-
-def _loss_and_grads(labeled, unlabeled, cfg, running_marginal=None, want_grads=True):
-    n_lab = len(labeled) if labeled is not None else 0
-    n_unl = len(unlabeled) if unlabeled is not None else 0
-    if n_lab == 0 and n_unl == 0:
-        raise ValueError("both batches are empty")
-
-    pieces, tags = _marginal_pieces(labeled, unlabeled, cfg)
-    n_total = sum(p.shape[0] for p in pieces)
-    pi_batch = np.concatenate(pieces, axis=0).mean(axis=0)
-
-    m = cfg.marginal_momentum
-    if m > 0 and running_marginal is not None:
-        pi_eval = m * np.asarray(running_marginal, dtype=np.float64) + (1 - m) * pi_batch
-        batch_scale = 1.0 - m
-    else:
-        pi_eval = pi_batch
-        batch_scale = 1.0
-
-    neg_marg = -tsallis_entropy(pi_eval, cfg.alpha, validate=False)
-
-    labeled_ce = cross_entropy(labeled) if n_lab else 0.0
-    if n_unl:
-        pseudo_ce, accepted = pseudo_cross_entropy(unlabeled, cfg.tau)
-    else:
-        pseudo_ce, accepted = 0.0, 0.0
-
-    total = cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce
-    breakdown = LossBreakdown(
-        neg_marginal_entropy=neg_marg,
-        labeled_ce=labeled_ce,
-        pseudo_ce=pseudo_ce,
-        total=total,
-        accepted_fraction=accepted,
-    )
-    if not want_grads:
-        return breakdown, None, pi_batch
-
-    K = pi_batch.shape[0]
-    g_lab = np.zeros((n_lab, K))
-    g_weak = np.zeros((n_unl, K))
-    g_strong = np.zeros((n_unl, K))
-
-    # marginal term: d(-H_a)/dpi chained through each participating softmax
-    if cfg.marginal_weight > 0:
-        g_pi = -tsallis_entropy_grad(pi_eval, cfg.alpha, validate=False)
-        coef = cfg.marginal_weight * batch_scale / n_total
-        targets = {"labeled": g_lab, "weak": g_weak, "strong": g_strong}
-        for probs, tag in zip(pieces, tags):
-            inner = probs @ g_pi                      # <g, p_i> per row
-            targets[tag] += coef * probs * (g_pi[None, :] - inner[:, None])
-
-    # labeled cross-entropy: (p - onehot) / L
-    if n_lab:
-        p_lab = softmax(labeled.logits)
-        g = p_lab.copy()
-        g[np.arange(n_lab), labeled.labels] -= 1.0
-        g_lab += g / n_lab
-
-    # pseudo cross-entropy: mask * (p_strong - onehot(yhat)) / U, strong only
-    if n_unl:
-        weak_p = softmax(unlabeled.weak_logits)
-        mask = weak_p.max(axis=1) >= cfg.tau
-        if mask.any():
-            pseudo = argmax_lowest(weak_p)
-            p_str = softmax(unlabeled.strong_logits)
-            g = p_str.copy()
-            g[np.arange(n_unl), pseudo] -= 1.0
-            g_strong += (mask[:, None] * g) / n_unl
-
-    return breakdown, LossGradients(labeled=g_lab, weak=g_weak, strong=g_strong), pi_batch
-
-
-def infomax_loss(labeled, unlabeled, cfg, running_marginal=None):
-    """Forward pass of the composite objective.
-
-    Args:
-        labeled: LabeledBatch or None.
-        unlabeled: UnlabeledBatch or None.
-        cfg: LossConfig.
-        running_marginal: optional running estimate of pi, blended in when
-            cfg.marginal_momentum > 0.
-
-    Returns a LossBreakdown. With alpha = 1 and marginal_weight = 0 this
-    reduces exactly to the plain semi-supervised baseline.
-    """
-    breakdown, _, _ = _loss_and_grads(labeled, unlabeled, cfg, running_marginal, want_grads=False)
-    return breakdown
-
-
-def infomax_loss_grad(labeled, unlabeled, cfg, running_marginal=None):
-    """Analytic gradient of infomax_loss().total w.r.t. every input logit.
-
-    Weak logits receive gradient only through the marginal estimate;
-    pseudo-labels and the acceptance indicator are treated as constants.
-    """
-    _, grads, _ = _loss_and_grads(labeled, unlabeled, cfg, running_marginal)
-    return grads
-
-
-def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
-    """Forward and backward in one pass.
-
-    Returns (LossBreakdown, LossGradients, batch_marginal) where
-    batch_marginal is the pure batch estimate of pi (before momentum
-    blending), which callers maintaining a running estimate fold in.
-    """
-    return _loss_and_grads(labeled, unlabeled, cfg, running_marginal)
+    breakdown = infomax_loss(None, batch, cfg)
+    return breakdown.pseudo_ce, breakdown.accepted_fraction
 
 
 def pseudo_cross_entropy_grad(batch, tau):
@@ -353,19 +319,8 @@ def pseudo_cross_entropy_grad(batch, tau):
 
     The weak gradient is identically zero (stop-gradient semantics).
     """
-    if not (tau > 0):
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    n = len(batch)
-    if n == 0:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    weak_p = softmax(batch.weak_logits)
-    g_weak = np.zeros_like(weak_p)
-    g_strong = np.zeros_like(weak_p)
-    mask = weak_p.max(axis=1) >= tau
-    if mask.any():
-        pseudo = argmax_lowest(weak_p)
-        p_str = softmax(batch.strong_logits)
-        g = p_str.copy()
-        g[np.arange(n), pseudo] -= 1.0
-        g_strong = (mask[:, None] * g) / n
-    return g_weak, g_strong
+    cfg = LossConfig(tau=tau, marginal_weight=0.0)
+    if len(batch) == 0:
+        return np.zeros_like(batch.weak_logits), np.zeros_like(batch.strong_logits)
+    grads = infomax_loss_grad(None, batch, cfg)
+    return grads.weak, grads.strong

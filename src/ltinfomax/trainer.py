@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentConfig, augment_pair
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .numerics import argmax_lowest, softmax
 from .objectives import (
     LabeledBatch,
@@ -58,12 +58,16 @@ class TrainerConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be > 0")
         if not (0 <= self.momentum < 1):
-            raise ValueError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
+        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
+            raise ConfigError("labeled_batch and unlabeled_batch must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -119,30 +123,18 @@ def _forward_cached(model, x):
     return acts[-1], (pre, acts)
 
 
-def _backprop(model, cache, dlogits):
-    """Parameter gradients given d(loss)/d(logits)."""
+def _backprop(model, cache, rows, dlogits):
+    """Parameter gradients of the cached ``rows`` given d(loss)/d(logits)."""
     pre, acts = cache
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
+        grads_w[i] = acts[i][rows].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+            delta = (delta @ model.weights[i].T) * (pre[i - 1][rows] > 0)
     return grads_w, grads_b
-
-
-def _zero_grads(model):
-    return ([np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases])
-
-
-def _accumulate(target, extra):
-    for t, e in zip(target[0], extra[0]):
-        t += e
-    for t, e in zip(target[1], extra[1]):
-        t += e
 
 
 def make_state(config, input_dim, num_classes, seed):
@@ -158,63 +150,86 @@ def make_state(config, input_dim, num_classes, seed):
     }
     sizes = [input_dim, *config.hidden, num_classes]
     model = init_mlp(sizes, rngs["init"])
-    velocities = _zero_grads(model)
+    velocities = ([np.zeros_like(w) for w in model.weights],
+                  [np.zeros_like(b) for b in model.biases])
     return TrainState(model=model, config=config, seed=int(seed),
                       velocities=velocities, rngs=rngs)
+
+
+def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
+                         running_marginal):
+    """One pass of the objective through the network on fixed inputs.
+
+    Stacks the present [labeled; weak; strong] rows, runs one forward
+    pass, checks the logits once, evaluates the loss and every logit
+    gradient in one infomax_loss_and_grad call and backpropagates each
+    branch on its rows of the shared cache. An unlabeled branch whose
+    logit gradient is all zero is skipped once another branch has
+    contributed.
+
+    Returns (LossBreakdown, (weight grads, bias grads), batch marginal).
+    Raises DivergenceError on non-finite logits or loss.
+    """
+    n_lab = len(labeled_x) if labeled_x is not None else 0
+    n_unl = len(weak_x) if weak_x is not None else 0
+    stacked = [labeled_x] if n_lab else []
+    if n_unl:
+        stacked += [weak_x, strong_x]
+    if not stacked:
+        raise ValueError("both batches are empty")
+    logits, cache = _forward_cached(model, np.concatenate(stacked))
+    if not np.isfinite(logits).all():
+        raise DivergenceError(
+            "non-finite logits; max |param| = "
+            f"{max(float(np.abs(w).max()) for w in model.weights):.3g}"
+        )
+    lab, weak, strong = (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
+                         slice(n_lab + n_unl, n_lab + 2 * n_unl))
+    labeled_batch = LabeledBatch(logits[lab], labeled_y) if n_lab else None
+    unlabeled_batch = UnlabeledBatch(logits[weak], logits[strong]) if n_unl else None
+    breakdown, grads, pi_batch = infomax_loss_and_grad(
+        labeled_batch, unlabeled_batch, loss_cfg, running_marginal
+    )
+    if not np.isfinite(breakdown.total):
+        raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
+
+    # Backprop stays per branch, summed labeled, weak, strong: BLAS may
+    # round a product over the stacked rows differently from the same
+    # product over one branch's rows, which would change the trained bits.
+    param_grads = None
+    for rows, dlogits in ((lab, grads.labeled), (weak, grads.weak), (strong, grads.strong)):
+        if param_grads is None:
+            if len(dlogits):
+                param_grads = _backprop(model, cache, rows, dlogits)
+        elif np.any(dlogits):
+            for total, extra in zip(param_grads, _backprop(model, cache, rows, dlogits)):
+                for t, e in zip(total, extra):
+                    t += e
+    return breakdown, param_grads, pi_batch
 
 
 def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
     """One SGD step on a mixed mini-batch.
 
-    Builds weak/strong views of the unlabeled features, runs the three
-    forward branches, backpropagates the analytic objective gradient and
-    applies the momentum update. Pass unlabeled_x=None (or empty) for a
-    purely supervised step. Returns the forward LossBreakdown.
+    Builds weak/strong views of the unlabeled features, then runs the
+    stacked forward, the objective kernel and the per-branch backprop of
+    _objective_gradients and applies the momentum update. Pass
+    unlabeled_x=None (or empty) for a purely supervised step. Returns the
+    forward LossBreakdown.
     """
     cfg = state.config
     loss_cfg = loss_cfg or cfg.loss
     model = state.model
 
-    def checked(logits, branch):
-        if not np.all(np.isfinite(logits)):
-            raise DivergenceError(
-                f"non-finite {branch} logits at epoch {state.epoch} "
-                f"(seed {state.seed}); max |param| = "
-                f"{max(float(np.abs(w).max()) for w in model.weights):.3g}"
-            )
-        return logits
-
-    labeled_batch = None
-    lab_cache = None
-    if labeled_x is not None and len(labeled_x):
-        lab_logits, lab_cache = _forward_cached(model, labeled_x)
-        labeled_batch = LabeledBatch(checked(lab_logits, "labeled"), labeled_y)
-
-    unlabeled_batch = None
-    weak_cache = strong_cache = None
+    weak_x = strong_x = None
     if unlabeled_x is not None and len(unlabeled_x):
         weak_x, strong_x = augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment)
-        weak_logits, weak_cache = _forward_cached(model, weak_x)
-        strong_logits, strong_cache = _forward_cached(model, strong_x)
-        unlabeled_batch = UnlabeledBatch(checked(weak_logits, "weak"),
-                                         checked(strong_logits, "strong"))
-
-    breakdown, grads, pi_batch = infomax_loss_and_grad(
-        labeled_batch, unlabeled_batch, loss_cfg, state.running_marginal
-    )
-    if not np.isfinite(breakdown.total):
-        raise DivergenceError(
-            f"non-finite loss at epoch {state.epoch} (seed {state.seed}): {breakdown.to_dict()}"
+    try:
+        breakdown, param_grads, pi_batch = _objective_gradients(
+            model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg, state.running_marginal
         )
-
-    param_grads = _zero_grads(model)
-    if labeled_batch is not None:
-        _accumulate(param_grads, _backprop(model, lab_cache, grads.labeled))
-    if unlabeled_batch is not None:
-        if np.any(grads.weak):
-            _accumulate(param_grads, _backprop(model, weak_cache, grads.weak))
-        if np.any(grads.strong):
-            _accumulate(param_grads, _backprop(model, strong_cache, grads.strong))
+    except DivergenceError as exc:
+        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): {exc}") from None
 
     lr, mu = cfg.learning_rate, cfg.momentum
     vw, vb = state.velocities
@@ -344,38 +359,17 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
                         running_marginal=None):
     """Objective gradient w.r.t. every network parameter, flattened.
 
-    Runs the three forward branches on fixed (already augmented) inputs
-    and backpropagates the analytic objective gradient; the verification
-    path for finite-difference checks through the whole network.
+    Runs the step core of train_step (stacked forward, objective kernel,
+    per-branch backprop) on fixed, already augmented inputs, without the
+    update; the verification path for finite-difference checks through
+    the whole network.
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """
-    labeled_batch = None
-    lab_cache = None
-    if labeled_x is not None and len(labeled_x):
-        lab_logits, lab_cache = _forward_cached(model, labeled_x)
-        labeled_batch = LabeledBatch(lab_logits, labeled_y)
-    unlabeled_batch = None
-    weak_cache = strong_cache = None
-    if weak_x is not None and len(weak_x):
-        weak_logits, weak_cache = _forward_cached(model, weak_x)
-        strong_logits, strong_cache = _forward_cached(model, strong_x)
-        unlabeled_batch = UnlabeledBatch(weak_logits, strong_logits)
-
-    breakdown, grads, _ = infomax_loss_and_grad(
-        labeled_batch, unlabeled_batch, loss_cfg, running_marginal
+    breakdown, param_grads, _ = _objective_gradients(
+        model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg, running_marginal
     )
-    param_grads = _zero_grads(model)
-    if labeled_batch is not None:
-        _accumulate(param_grads, _backprop(model, lab_cache, grads.labeled))
-    if unlabeled_batch is not None:
-        _accumulate(param_grads, _backprop(model, weak_cache, grads.weak))
-        _accumulate(param_grads, _backprop(model, strong_cache, grads.strong))
-    flat = np.concatenate(
-        [np.concatenate([w.ravel(), b.ravel()])
-         for w, b in zip(param_grads[0], param_grads[1])]
-    )
-    return breakdown, flat
+    return breakdown, flatten_params(MlpModel(*param_grads))
 
 
 def flatten_params(model):

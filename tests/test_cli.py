@@ -102,6 +102,13 @@ class TestExitCodes:
                        "--set", "alpha=-3", "run")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", ["unlabeled_batch=0", "hidden=0",
+                                          "labeled_batch=0", "learning_rate=0"])
+    def test_bad_trainer_value(self, tmp_path, override):
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+                       "--set", override, "run")
+        assert code == EXIT_CONFIG
+
     def test_divergence(self, tmp_path):
         with np.errstate(all="ignore"):
             code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",

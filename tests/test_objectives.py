@@ -225,6 +225,8 @@ class TestPseudoCrossEntropy:
     def test_empty_batch_defined(self):
         batch = UnlabeledBatch(np.zeros((0, 3)), np.zeros((0, 3)))
         assert pseudo_cross_entropy(batch, 0.9) == (0.0, 0.0)
+        g_weak, g_strong = pseudo_cross_entropy_grad(batch, 0.9)
+        assert g_weak.shape == g_strong.shape == (0, 3)
 
     def test_gradient_stop_on_weak_branch(self):
         rng = np.random.default_rng(10)

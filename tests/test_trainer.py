@@ -7,11 +7,12 @@ from ltinfomax.data import (
     AugmentConfig,
     DomainSpec,
     LongTailSpec,
+    augment_pair,
     generate_domain,
     split_labeled_unlabeled,
 )
 from ltinfomax.errors import DivergenceError
-from ltinfomax.numerics import finite_diff_gradient, relative_error
+from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error
 from ltinfomax.objectives import LossConfig
 from ltinfomax.trainer import (
     EvalReport,
@@ -158,6 +159,118 @@ class TestTrainStep:
             with np.errstate(all="ignore"):
                 for _ in range(60):
                     train_step(state, x, y, rng.normal(size=(8, 4)))
+
+
+def reference_step(state, lab_x, lab_y, unl_x, loss):
+    """Straight-line SGD step: a forward pass, a softmax and a backprop per
+    branch, with the composite logit gradient written out term by term."""
+    model, cfg = state.model, state.config
+    n_layers = len(model.weights)
+
+    def forward_branch(x):
+        pre, acts = [], [x]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = acts[-1] @ w + b
+            pre.append(z)
+            acts.append(np.maximum(z, 0.0) if i < n_layers - 1 else z)
+        return pre, acts
+
+    def softmax_rows(z):
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        return ez / ez.sum(axis=1, keepdims=True)
+
+    branches = {"labeled": forward_branch(lab_x)}
+    if unl_x is not None:
+        weak_x, strong_x = augment_pair(unl_x, state.rngs["augment"], cfg.augment)
+        branches["weak"] = forward_branch(weak_x)
+        branches["strong"] = forward_branch(strong_x)
+    probs = {name: softmax_rows(acts[-1]) for name, (_, acts) in branches.items()}
+    dlogits = {name: np.zeros_like(p) for name, p in probs.items()}
+
+    marginal = [name for name in probs
+                if name != "strong" or loss.include_strong_in_marginal]
+    pi_batch = np.concatenate([probs[name] for name in marginal]).mean(axis=0)
+    pi, scale = pi_batch, 1.0
+    m = loss.marginal_momentum
+    if m > 0 and state.running_marginal is not None:
+        pi, scale = m * state.running_marginal + (1 - m) * pi_batch, 1.0 - m
+    if loss.marginal_weight > 0:
+        a, p = loss.alpha, np.maximum(pi, LOG_EPS)
+        d_entropy = -(np.log(p) + 1.0) if a == 1 else -a / (a - 1.0) * p ** (a - 1.0)
+        g_pi = -d_entropy
+        coef = loss.marginal_weight * scale / sum(len(probs[name]) for name in marginal)
+        for name in marginal:
+            inner = probs[name] @ g_pi
+            dlogits[name] += coef * probs[name] * (g_pi[None, :] - inner[:, None])
+    g = probs["labeled"].copy()
+    g[np.arange(len(lab_y)), lab_y] -= 1.0
+    dlogits["labeled"] += g / len(lab_y)
+    if unl_x is not None:
+        accepted = probs["weak"].max(axis=1) >= loss.tau
+        if accepted.any():
+            g = probs["strong"].copy()
+            g[np.arange(len(unl_x)), np.argmax(probs["weak"], axis=1)] -= 1.0
+            dlogits["strong"] += (accepted[:, None] * g) / len(unl_x)
+
+    grads_w = [np.zeros_like(w) for w in model.weights]
+    grads_b = [np.zeros_like(b) for b in model.biases]
+    for name, (pre, acts) in branches.items():
+        delta = dlogits[name]
+        if name != "labeled" and not np.any(delta):
+            continue
+        for i in range(n_layers - 1, -1, -1):
+            grads_w[i] += acts[i].T @ delta
+            grads_b[i] += delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+
+    vw, vb = state.velocities
+    for params, velocities, grads in ((model.weights, vw, grads_w), (model.biases, vb, grads_b)):
+        for w, v, g in zip(params, velocities, grads):
+            v *= cfg.momentum
+            v -= cfg.learning_rate * g
+            w += v
+    if m > 0:
+        state.running_marginal = (pi_batch if state.running_marginal is None
+                                  else m * state.running_marginal + (1 - m) * pi_batch)
+
+
+PARITY_CASES = {
+    "no-marginal": (LossConfig(marginal_weight=0.0, tau=0.7), False),
+    "shannon": (LossConfig(alpha=1.0, tau=0.7), False),
+    "tsallis": (LossConfig(alpha=1.5, tau=0.7), False),
+    "strong-in-marginal": (LossConfig(include_strong_in_marginal=True, tau=0.7), False),
+    "marginal-momentum": (LossConfig(marginal_momentum=0.5, tau=0.7), False),
+    "supervised-only": (LossConfig(tau=0.7), True),
+}
+
+
+class TestStepParity:
+    @pytest.mark.parametrize("name", list(PARITY_CASES))
+    def test_bit_identical_to_per_branch_reference(self, name):
+        """The stacked step lands on exactly the parameters of the
+        per-branch reference after three epochs of steps."""
+        loss, supervised = PARITY_CASES[name]
+        sources = toy_sources()
+        lab_x = np.concatenate([d.labeled()[0] for d in sources])
+        lab_y = np.concatenate([d.labeled()[1] for d in sources])
+        unl_x = np.concatenate([d.unlabeled() for d in sources])
+        cfg = TrainerConfig(hidden=(16, 16), learning_rate=0.1, labeled_batch=12,
+                            unlabeled_batch=24, loss=loss)
+        fused = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
+        reference = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
+        rng = np.random.default_rng(6)
+        accepted = []
+        for _ in range(3 * (len(unl_x) // cfg.unlabeled_batch)):
+            lab = rng.choice(len(lab_x), size=cfg.labeled_batch)
+            unl = None if supervised else unl_x[rng.choice(len(unl_x), cfg.unlabeled_batch)]
+            accepted.append(train_step(fused, lab_x[lab], lab_y[lab], unl).accepted_fraction)
+            reference_step(reference, lab_x[lab], lab_y[lab], unl, loss)
+        for got, want in zip(fused.model.weights + fused.model.biases,
+                             reference.model.weights + reference.model.biases):
+            assert np.array_equal(got, want)
+        if not supervised:
+            assert max(accepted) > 0  # the strong branch took part
 
 
 class TestTrain:
