@@ -1,12 +1,12 @@
 """Experiment orchestration: leave-one-domain-out suites, sweeps, ablation.
 
 A suite is |seeds| x |hold-outs| runs. Every run is a pure function of
-(config, seed, held-out domain): the synthetic world is rebuilt from the
-config's data seed, the long-tail split is drawn from the run seed with
-one class order shared across that run's source domains, and training
-uses isolated per-run RNG streams. Results land in runs.csv (one row per
-run), aggregate.csv (mean and population std) and one JSON log per run
-with the per-epoch loss breakdown.
+(config, seed, held-out domain): the synthetic world depends only on the
+config's data fields and is built once per suite, the long-tail split is
+drawn from the run seed with one class order shared across that run's
+source domains, and training uses isolated per-run RNG streams. Results
+land in runs.csv (one row per run), aggregate.csv (mean and population
+std) and one JSON log per run with the per-epoch loss breakdown.
 """
 
 import csv
@@ -24,6 +24,7 @@ from .data import (
     DomainSpec,
     LongTailSpec,
     generate_domain,
+    long_tail_counts,
     split_labeled_unlabeled,
 )
 from .errors import ConfigError
@@ -32,6 +33,8 @@ from .trainer import TrainerConfig, evaluate, train
 
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
 SWEEP_AXES = ("alpha", "gamma", "ml")
+# a balanced unlabeled pool must hold at least this many rows per labeled row
+MIN_UNLABELED_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.num_domains < 2:
             raise ConfigError("need at least 2 domains")
+        if self.num_classes < 2:
+            raise ConfigError("need at least 2 classes")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.held_out is not None and not (0 <= self.held_out < self.num_domains):
             raise ConfigError(f"held_out must be in [0, {self.num_domains}) or None")
         if not self.seeds:
@@ -86,11 +93,25 @@ class ExperimentConfig:
             raise ConfigError("m_l must be >= 1")
         if self.gamma < 1:
             raise ConfigError("gamma must be >= 1")
+        self._check_split_feasible()
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         # constructing the sub-configs validates the remaining fields
         self.loss_config()
         self.trainer_config()
+
+    def _check_split_feasible(self):
+        """The checks split_labeled_unlabeled makes, before any world is built."""
+        counts = long_tail_counts(LongTailSpec(self.num_classes, self.m_l, self.gamma))
+        head = int(counts.max())
+        if head + 1 > self.n_per_class:
+            raise ConfigError(f"the head class needs {head} labeled samples plus a spare, "
+                              f"but n_per_class is {self.n_per_class}")
+        labeled = int(counts.sum())
+        unlabeled = self.num_classes * self.n_per_class - labeled
+        if not self.longtail_unlabeled and unlabeled < MIN_UNLABELED_RATIO * labeled:
+            raise ConfigError(f"unlabeled pool ({unlabeled}) below {MIN_UNLABELED_RATIO:g}x "
+                              f"the labeled set ({labeled}) per domain")
 
     def loss_config(self):
         return LossConfig(
@@ -190,6 +211,7 @@ def split_sources(config, domains, seed, heldout):
             continue
         split_seed = int(np.random.SeedSequence([int(seed), 101, d]).generate_state(1)[0])
         split = split_labeled_unlabeled(domains[d], spec, split_seed,
+                                        min_unlabeled_ratio=MIN_UNLABELED_RATIO,
                                         longtail_unlabeled=config.longtail_unlabeled)
         hasher.update(np.ascontiguousarray(split.labeled_indices).tobytes())
         sources.append(split)
@@ -221,9 +243,19 @@ def execute_run(config, seed, heldout, domains=None, supervised_only=False):
     )
 
 
+# A pool worker's copy of the suite's world, set once by _init_worker; it
+# stays None in the process that calls run_suite.
+_worker_domains = None
+
+
+def _init_worker(domains):
+    global _worker_domains
+    _worker_domains = domains
+
+
 def _run_worker(args):
     config, seed, heldout = args
-    return execute_run(config, seed, heldout)
+    return execute_run(config, seed, heldout, _worker_domains)
 
 
 def ensure_writable(out_dir):
@@ -239,16 +271,21 @@ def ensure_writable(out_dir):
 def run_suite(config, write=True):
     """Execute |seeds| x |hold-outs| runs and persist the results.
 
+    The world is built once and shared by every run: the serial loop
+    passes it to execute_run, and with jobs > 1 each pool worker receives
+    it once at start-up (inherited, not pickled, under fork).
+
     Returns the list of RunRecords (ordered by seed, then held-out id).
     """
     out = ensure_writable(config.out_dir) if write else None
     heldouts = range(config.num_domains) if config.held_out is None else [config.held_out]
     tasks = [(config, s, h) for s in config.seeds for h in heldouts]
+    domains = build_domains(config)
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
+                                 initargs=(domains,)) as pool:
             records = list(pool.map(_run_worker, tasks))
     else:
-        domains = build_domains(config)
         records = [execute_run(config, s, h, domains) for _, s, h in tasks]
     records.sort(key=lambda r: (r.seed, r.heldout))
     if write:
@@ -276,31 +313,24 @@ def suite_aggregate(config, records):
 def sweep(config, axis, values):
     """run_suite per value of one axis; returns [(value, mean, std), ...].
 
-    Axis is one of 'alpha', 'gamma', 'ml'. Every value is validated
-    before any run starts.
+    Axis is one of 'alpha', 'gamma', 'ml'. Every value's config is built,
+    and so validated, before any run starts.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    for v in values:
-        if axis == "alpha" and not (v > 0):
-            raise ConfigError(f"alpha must be > 0, got {v}")
-        if axis == "gamma" and not (v >= 1):
-            raise ConfigError(f"gamma must be >= 1, got {v}")
-        if axis == "ml" and (int(v) != v or v < 1):
-            raise ConfigError(f"m_l must be a positive integer, got {v}")
+    if axis == "ml" and any(int(v) != v for v in values):
+        raise ConfigError(f"m_l must be an integer, got {values}")
 
-    out = ensure_writable(config.out_dir)
+    field, cast = {"alpha": ("alpha", float), "gamma": ("gamma", float),
+                   "ml": ("m_l", int)}[axis]
+    out = Path(config.out_dir)
+    configs = [replace(config, **{field: cast(v)}, out_dir=str(out / f"{axis}_{v:g}"))
+               for v in values]
+    ensure_writable(out)
     table = []
-    for v in values:
-        if axis == "alpha":
-            cfg_v = replace(config, alpha=float(v))
-        elif axis == "gamma":
-            cfg_v = replace(config, gamma=float(v))
-        else:
-            cfg_v = replace(config, m_l=int(v))
-        cfg_v = replace(cfg_v, out_dir=str(out / f"{axis}_{v:g}"))
+    for v, cfg_v in zip(values, configs):
         records = run_suite(cfg_v)
         agg = suite_aggregate(cfg_v, records)
         table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))

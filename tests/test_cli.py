@@ -109,6 +109,24 @@ class TestExitCodes:
                        "--set", override, "run")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+                       "--jobs", jobs, "run")
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", ["num_classes=1", "m_l=100", "n_per_class=10"])
+    def test_infeasible_data_config(self, tmp_path, override):
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+                       "--set", override, "run")
+        assert code == EXIT_CONFIG
+
+    def test_infeasible_sweep_value_before_any_run(self, tmp_path):
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+                       "sweep", "--axis", "ml", "--values", "1,100")
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_divergence(self, tmp_path):
         with np.errstate(all="ignore"):
             code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ltinfomax.experiments as experiments
 from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import (
     ExperimentConfig,
@@ -18,6 +21,7 @@ from ltinfomax.experiments import (
     parse_config_file,
     parse_plot_data,
     run_suite,
+    split_sources,
     suite_aggregate,
     sweep,
 )
@@ -105,6 +109,23 @@ class TestRunSuite:
         parallel = run_suite(cfg2)
         assert [r.accuracy for r in serial] == [r.accuracy for r in parallel]
         assert [r.split_hash for r in serial] == [r.split_hash for r in parallel]
+        assert [r.epochs for r in serial] == [r.epochs for r in parallel]
+        assert [r.report for r in serial] == [r.report for r in parallel]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched build_domains only when forked")
+    def test_pool_workers_never_rebuild_the_world(self, tmp_path, monkeypatch):
+        parent_pid = os.getpid()
+        original = experiments.build_domains
+
+        def parent_only(config):
+            if os.getpid() != parent_pid:
+                raise RuntimeError("a pool worker rebuilt the world")
+            return original(config)
+
+        monkeypatch.setattr(experiments, "build_domains", parent_only)
+        records = run_suite(fast_config(tmp_path, seeds=(0, 1), held_out=0, jobs=2))
+        assert len(records) == 2
 
     def test_runs_csv_column_contract(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
@@ -227,6 +248,32 @@ class TestConfig:
             ExperimentConfig(seeds=())
         with pytest.raises(ConfigError):
             ExperimentConfig(gamma=0.2)
+
+    def test_large_jobs_accepted_by_validation(self):
+        # validation only: no pool is started
+        assert ExperimentConfig(jobs=10**6).jobs == 10**6
+
+    @pytest.mark.parametrize("override,match", [
+        ({"num_classes": 1}, "2 classes"),
+        ({"m_l": 100}, "head class"),
+        # K=5, m_l=5: head count 11 + 1 spare fits in 12 rows per class
+        ({"n_per_class": 12}, "unlabeled pool"),
+    ])
+    def test_infeasible_split_rejected(self, override, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**override)
+
+    def test_feasibility_mirrors_split(self):
+        # 30 rows per class leave exactly 5x the labeled set unlabeled: the
+        # config and the split both accept it; one row fewer is rejected early
+        ok = ExperimentConfig(n_per_class=30)
+        sources, _ = split_sources(ok, build_domains(ok), seed=0, heldout=0)
+        assert all(len(s.unlabeled_indices) >= 5 * len(s.labeled_indices) for s in sources)
+        with pytest.raises(ConfigError, match="unlabeled pool"):
+            ExperimentConfig(n_per_class=29)
+
+    def test_longtail_unlabeled_skips_the_balanced_pool_check(self):
+        assert ExperimentConfig(n_per_class=12, longtail_unlabeled=True).n_per_class == 12
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "exp.cfg"
