@@ -18,6 +18,7 @@ import sys
 from .errors import ConfigError, DivergenceError
 from .experiments import (
     SWEEP_AXES,
+    _coerce,
     ablation,
     config_from_overrides,
     emit_plot_data,
@@ -80,14 +81,9 @@ def _config_from_args(args):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (t.strip() for t in item.split("=", 1))
-        flags[key] = _coerce_cli(key, value)
+        flags[key] = _coerce(key, value)
     layers.append(flags)
     return config_from_overrides(*layers)
-
-
-def _coerce_cli(key, value):
-    from .experiments import _coerce
-    return _coerce(key, value)
 
 
 def _cmd_run(args):

@@ -184,8 +184,6 @@ def estimate_marginal(all_probs):
     return probs.mean(axis=0)
 
 
-
-
 def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
     """The composite objective and its gradient w.r.t. every input logit.
 
@@ -220,7 +218,7 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
     # pi averages the labeled and weak rows, and the strong rows on request
     marginal_branches = (lab, weak, strong) if cfg.include_strong_in_marginal else (lab, weak)
     n_marg = marginal_branches[-1].stop
-    pi_batch = probs[:n_marg].mean(axis=0)
+    pi_batch = np.add.reduce(probs[:n_marg], axis=0) / n_marg
     m = cfg.marginal_momentum
     if m > 0 and running_marginal is not None:
         pi_eval = m * np.asarray(running_marginal, dtype=np.float64) + (1 - m) * pi_batch
@@ -244,7 +242,7 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
     labeled_ce = 0.0
     if n_lab:
         rows = np.arange(n_lab)
-        labeled_ce = float(-logp[rows, labeled.labels].mean())
+        labeled_ce = -float(np.add.reduce(logp[rows, labeled.labels])) / n_lab
         g = probs[lab].copy()
         g[rows, labeled.labels] -= 1.0
         grad[lab] += g / n_lab
@@ -258,7 +256,7 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
             rows = np.arange(n_unl)
             pseudo = argmax_lowest(weak_p)
             pseudo_ce = float(-(logp[strong][rows, pseudo] * accepted).sum() / n_unl)
-            accepted_fraction = float(accepted.mean())
+            accepted_fraction = np.count_nonzero(accepted) / n_unl
             g = probs[strong].copy()
             g[rows, pseudo] -= 1.0
             grad[strong] += (accepted[:, None] * g) / n_unl

@@ -8,7 +8,8 @@ the unlabeled side of training leaves every other draw untouched; that
 is what makes the supervised-only reduction bit-identical.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,20 +18,36 @@ from .errors import ConfigError, DivergenceError
 from .numerics import argmax_lowest, softmax
 from .objectives import (
     LabeledBatch,
+    LossBreakdown,
     LossConfig,
     UnlabeledBatch,
     infomax_loss_and_grad,
 )
 
-_STREAM_INIT, _STREAM_LABELED, _STREAM_UNLABELED, _STREAM_AUGMENT = range(4)
+# RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
+_STREAMS = ("init", "labeled", "unlabeled", "augment")
+_LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
 
 
 @dataclass
 class MlpModel:
-    """Dense rectifier network; weights[i] maps layer i to i+1."""
+    """Dense rectifier network; weights[i] maps layer i to i+1.
+
+    ``weights`` and ``biases`` are views of one float64 buffer ``flat``
+    (weight then bias per layer), the only array training updates. Write
+    into a view in place; a rebound element (``weights[i] = arr``) is
+    detached from ``flat``. copy(), deepcopy and pickling rebuild it."""
 
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        given = [np.asarray(a) for pair in zip(self.weights, self.biases) for a in pair]
+        self.flat = np.concatenate([a.ravel() for a in given], dtype=np.float64)
+        parts = np.split(self.flat, np.cumsum([a.size for a in given])[:-1])
+        views = [part.reshape(a.shape) for part, a in zip(parts, given)]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def layer_sizes(self):
@@ -41,7 +58,10 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
     def copy(self):
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpModel(self.weights, self.biases)
+
+    def __reduce__(self):
+        return MlpModel, (self.weights, self.biases)
 
 
 @dataclass(frozen=True)
@@ -72,16 +92,24 @@ class TrainerConfig:
 
 @dataclass
 class TrainState:
-    """Mutable state of one training run (single-writer)."""
+    """Mutable state of one training run (single-writer); ``velocity`` and the
+    work buffers ``grads`` and ``scratch`` are shaped like the model. The first
+    train_step allocates the work buffers and train releases them."""
 
     model: MlpModel
     config: TrainerConfig
     seed: int
     epoch: int = 0
-    velocities: tuple = None
+    velocity: MlpModel = None
+    grads: MlpModel = None
+    scratch: MlpModel = None
     running_marginal: np.ndarray = None
     history: list = field(default_factory=list)
     rngs: dict = field(default_factory=dict)
+
+    @property
+    def velocities(self):
+        return self.velocity.weights, self.velocity.biases
 
 
 def init_mlp(layer_sizes, rng):
@@ -100,64 +128,54 @@ def forward(model, x):
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != model.weights[0].shape[0]:
-        raise ValueError(
-            f"input dim {a.shape[1]} does not match model dim {model.weights[0].shape[0]}"
-        )
-    n_layers = len(model.weights)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w + b
-        if i < n_layers - 1:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+        raise ValueError(f"input dim {a.shape[1]} does not match model dim "
+                         f"{model.weights[0].shape[0]}")
+    logits = _forward_cached(model, a)[0]
+    return logits[0] if single else logits
 
 
 def _forward_cached(model, x):
-    """Forward pass keeping pre-activations for backprop."""
-    a = np.asarray(x, dtype=np.float64)
-    pre, acts = [], [a]
-    n_layers = len(model.weights)
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if i < n_layers - 1 else z)
-    return acts[-1], (pre, acts)
+    """Forward pass keeping every layer's input and every hidden ReLU mask.
+
+    The bias add and the ReLU run in place on each product, and each mask
+    is taken once for all stacked rows.
+    """
+    acts, masks = [np.asarray(x, dtype=np.float64)], []
+    for w, b in zip(model.weights, model.biases):
+        z = acts[-1] @ w
+        z += b
+        if len(acts) < len(model.weights):
+            masks.append(z > 0)
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts[-1], (acts, masks)
 
 
-def _backprop(model, cache, rows, dlogits):
-    """Parameter gradients of the cached ``rows`` given d(loss)/d(logits)."""
-    pre, acts = cache
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+def _backprop(model, cache, rows, dlogits, out):
+    """Write the parameter gradients of the cached ``rows`` into ``out``."""
+    acts, masks = cache
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i][rows].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i][rows].T, delta, out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1][rows] > 0)
-    return grads_w, grads_b
+            delta = delta @ model.weights[i].T
+            delta *= masks[i - 1][rows]
 
 
 def make_state(config, input_dim, num_classes, seed):
     """Fresh TrainState with isolated RNG streams derived from the seed."""
-    rngs = {
-        name: np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
-        for name, stream in (
-            ("init", _STREAM_INIT),
-            ("labeled", _STREAM_LABELED),
-            ("unlabeled", _STREAM_UNLABELED),
-            ("augment", _STREAM_AUGMENT),
-        )
-    }
+    rngs = {name: np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
+            for stream, name in enumerate(_STREAMS)}
     sizes = [input_dim, *config.hidden, num_classes]
     model = init_mlp(sizes, rngs["init"])
-    velocities = ([np.zeros_like(w) for w in model.weights],
-                  [np.zeros_like(b) for b in model.biases])
-    return TrainState(model=model, config=config, seed=int(seed),
-                      velocities=velocities, rngs=rngs)
+    velocity = model.copy()
+    velocity.flat.fill(0.0)
+    return TrainState(model=model, config=config, seed=int(seed), velocity=velocity, rngs=rngs)
 
 
 def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
-                         running_marginal):
+                         running_marginal, out, scratch):
     """One pass of the objective through the network on fixed inputs.
 
     Stacks the present [labeled; weak; strong] rows, runs one forward
@@ -165,9 +183,10 @@ def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg
     gradient in one infomax_loss_and_grad call and backpropagates each
     branch on its rows of the shared cache. An unlabeled branch whose
     logit gradient is all zero is skipped once another branch has
-    contributed.
+    contributed. The parameter gradient is written to the model-shaped
+    ``out``; ``scratch`` is overwritten.
 
-    Returns (LossBreakdown, (weight grads, bias grads), batch marginal).
+    Returns (LossBreakdown, batch marginal).
     Raises DivergenceError on non-finite logits or loss.
     """
     n_lab = len(labeled_x) if labeled_x is not None else 0
@@ -180,32 +199,27 @@ def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg
     logits, cache = _forward_cached(model, np.concatenate(stacked))
     if not np.isfinite(logits).all():
         raise DivergenceError(
-            "non-finite logits; max |param| = "
-            f"{max(float(np.abs(w).max()) for w in model.weights):.3g}"
-        )
+            f"non-finite logits; max |param| = {float(np.abs(model.flat).max()):.3g}")
     lab, weak, strong = (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
                          slice(n_lab + n_unl, n_lab + 2 * n_unl))
     labeled_batch = LabeledBatch(logits[lab], labeled_y) if n_lab else None
     unlabeled_batch = UnlabeledBatch(logits[weak], logits[strong]) if n_unl else None
-    breakdown, grads, pi_batch = infomax_loss_and_grad(
-        labeled_batch, unlabeled_batch, loss_cfg, running_marginal
-    )
-    if not np.isfinite(breakdown.total):
+    breakdown, grads, pi_batch = infomax_loss_and_grad(labeled_batch, unlabeled_batch,
+                                                       loss_cfg, running_marginal)
+    if not math.isfinite(breakdown.total):
         raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
     # product over one branch's rows, which would change the trained bits.
-    param_grads = None
-    for rows, dlogits in ((lab, grads.labeled), (weak, grads.weak), (strong, grads.strong)):
-        if param_grads is None:
-            if len(dlogits):
-                param_grads = _backprop(model, cache, rows, dlogits)
-        elif np.any(dlogits):
-            for total, extra in zip(param_grads, _backprop(model, cache, rows, dlogits)):
-                for t, e in zip(total, extra):
-                    t += e
-    return breakdown, param_grads, pi_batch
+    branches = ((lab, grads.labeled), (weak, grads.weak), (strong, grads.strong))
+    branches = [(rows, dlogits) for rows, dlogits in branches if len(dlogits)]
+    _backprop(model, cache, *branches[0], out)
+    for rows, dlogits in branches[1:]:
+        if dlogits.any():
+            _backprop(model, cache, rows, dlogits, scratch)
+            out.flat += scratch.flat
+    return breakdown, pi_batch
 
 
 def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
@@ -213,34 +227,31 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
 
     Builds weak/strong views of the unlabeled features, then runs the
     stacked forward, the objective kernel and the per-branch backprop of
-    _objective_gradients and applies the momentum update. Pass
-    unlabeled_x=None (or empty) for a purely supervised step. Returns the
-    forward LossBreakdown.
+    _objective_gradients into ``state.grads`` and applies the momentum
+    update in place on the flat buffers. Pass unlabeled_x=None (or empty)
+    for a purely supervised step. Returns the forward LossBreakdown.
     """
     cfg = state.config
     loss_cfg = loss_cfg or cfg.loss
-    model = state.model
 
+    if state.grads is None:
+        state.grads, state.scratch = state.model.copy(), state.model.copy()
     weak_x = strong_x = None
     if unlabeled_x is not None and len(unlabeled_x):
         weak_x, strong_x = augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment)
     try:
-        breakdown, param_grads, pi_batch = _objective_gradients(
-            model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg, state.running_marginal
+        breakdown, pi_batch = _objective_gradients(
+            state.model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
+            state.running_marginal, state.grads, state.scratch
         )
     except DivergenceError as exc:
         raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): {exc}") from None
 
-    lr, mu = cfg.learning_rate, cfg.momentum
-    vw, vb = state.velocities
-    for w, v, g in zip(model.weights, vw, param_grads[0]):
-        v *= mu
-        v -= lr * g
-        w += v
-    for b, v, g in zip(model.biases, vb, param_grads[1]):
-        v *= mu
-        v -= lr * g
-        b += v
+    velocity, step = state.velocity.flat, state.scratch.flat
+    velocity *= cfg.momentum
+    np.multiply(state.grads.flat, cfg.learning_rate, out=step)
+    velocity -= step
+    state.model.flat += velocity
 
     if loss_cfg.marginal_momentum > 0:
         m = loss_cfg.marginal_momentum
@@ -257,14 +268,9 @@ def _pool_sources(sources):
     ks = {d.num_classes for d in sources}
     if len(dims) != 1 or len(ks) != 1:
         raise ValueError("source domains must share feature dim and class count")
-    xs, ys, us = [], [], []
-    for d in sources:
-        x, y = d.labeled()
-        xs.append(x)
-        ys.append(y)
-        us.append(d.unlabeled())
-    return (np.concatenate(xs), np.concatenate(ys), np.concatenate(us),
-            dims.pop(), ks.pop())
+    xs, ys = zip(*(d.labeled() for d in sources))
+    return (np.concatenate(xs), np.concatenate(ys),
+            np.concatenate([d.unlabeled() for d in sources]), dims.pop(), ks.pop())
 
 
 def train(config, sources, seed, supervised_only=False):
@@ -275,7 +281,8 @@ def train(config, sources, seed, supervised_only=False):
     unlabeled features. ``supervised_only`` skips the unlabeled side
     entirely but keeps the same step schedule and labeled draws, so a
     run with marginal_weight = 0 and tau > 1 lands on bit-identical
-    parameters.
+    parameters. Overflow warnings are silenced: non-finite logits, loss
+    or final parameters raise DivergenceError instead.
     """
     if len(sources) < 2:
         raise ValueError("need at least 2 source domains")
@@ -285,32 +292,34 @@ def train(config, sources, seed, supervised_only=False):
 
     state = make_state(config, dim, num_classes, seed)
     n_unl = len(unl_x)
-    if n_unl:
-        steps = max(1, n_unl // config.unlabeled_batch)
-    else:
-        steps = max(1, len(lab_x) // config.labeled_batch)
+    steps = max(1, n_unl // config.unlabeled_batch if n_unl
+                else len(lab_x) // config.labeled_batch)
 
-    for epoch in range(config.epochs):
-        state.epoch = epoch
-        if n_unl and not supervised_only:
-            order = state.rngs["unlabeled"].permutation(n_unl)
-        step_records = []
-        for s in range(steps):
-            lab_idx = state.rngs["labeled"].choice(len(lab_x), size=config.labeled_batch,
-                                                   replace=True)
+    terms = np.empty((len(_LOSS_TERMS), steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            state.epoch = epoch
             if n_unl and not supervised_only:
-                chunk = order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
-                if len(chunk) == 0:
-                    chunk = order[:config.unlabeled_batch]
-                batch_unl = unl_x[chunk]
-            else:
-                batch_unl = None
-            breakdown = train_step(state, lab_x[lab_idx], lab_y[lab_idx], batch_unl)
-            step_records.append(breakdown.to_dict())
-        means = {k: float(np.mean([r[k] for r in step_records])) for k in step_records[0]}
-        means["epoch"] = epoch
-        state.history.append(means)
-        state.epoch = epoch + 1
+                order = state.rngs["unlabeled"].permutation(n_unl)
+            for s in range(steps):
+                # the same draws as choice(len(lab_x), size, replace=True), at half the cost
+                lab_idx = state.rngs["labeled"].integers(len(lab_x), size=config.labeled_batch)
+                if n_unl and not supervised_only:
+                    chunk = order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
+                    if len(chunk) == 0:
+                        chunk = order[:config.unlabeled_batch]
+                    batch_unl = unl_x[chunk]
+                else:
+                    batch_unl = None
+                breakdown = train_step(state, lab_x[lab_idx], lab_y[lab_idx], batch_unl)
+                terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
+            means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
+            state.history.append({**means, "epoch": epoch})
+            state.epoch = epoch + 1
+    state.grads = state.scratch = None
+    if not np.isfinite(state.model.flat).all():
+        raise DivergenceError(f"at epoch {state.epoch - 1} (seed {state.seed}): "
+                              "non-finite parameters after the last update")
     return state
 
 
@@ -339,7 +348,10 @@ def evaluate(model, target):
     k = target.num_classes
     if model.num_classes != k:
         raise ValueError("model and target disagree on the number of classes")
-    logits = forward(model, target.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(model, target.features)
+    if not np.isfinite(logits).all():
+        raise DivergenceError("non-finite logits on the target domain")
     probs = softmax(logits)
     preds = argmax_lowest(logits)
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -366,33 +378,25 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """
-    breakdown, param_grads, _ = _objective_gradients(
-        model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg, running_marginal
-    )
-    return breakdown, flatten_params(MlpModel(*param_grads))
+    out = model.copy()
+    breakdown, _ = _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x,
+                                        loss_cfg, running_marginal, out, model.copy())
+    return breakdown, out.flat
 
 
 def flatten_params(model):
     """All parameters as one flat vector (weights then bias per layer)."""
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return model.flat.copy()
 
 
 def model_from_flat(template, flat):
-    """Rebuild a model shaped like ``template`` from a flat vector."""
+    """A model shaped like ``template`` holding a copy of a flat vector."""
     flat = np.asarray(flat, dtype=np.float64)
-    weights, biases, pos = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos:pos + b.size].copy())
-        pos += b.size
-    if pos != flat.size:
+    if flat.shape != template.flat.shape:
         raise ValueError("flat vector length does not match the template")
-    return MlpModel(weights, biases)
+    model = template.copy()
+    model.flat[...] = flat
+    return model
 
 
 def save_model(model, path):
@@ -401,7 +405,7 @@ def save_model(model, path):
     with open(path, "w") as fh:
         fh.write("# ltinfomax-mlp v1\n")
         fh.write(f"# layers={sizes}\n")
-        for v in flatten_params(model):
+        for v in model.flat:
             fh.write(format(v, ".17g") + "\n")
 
 

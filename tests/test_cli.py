@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltinfomax
 from ltinfomax.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 
 FAST_ARGS = [
@@ -133,6 +138,18 @@ class TestExitCodes:
                            "--set", "learning_rate=1e150",
                            "--set", "momentum=0.9", "run")
         assert code == EXIT_DIVERGENCE
+
+    def test_divergence_prints_one_line(self, tmp_path):
+        """No numpy overflow warning comes first, even when warnings are errors."""
+        src = Path(ltinfomax.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ltinfomax.cli",
+                "--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
+                "--set", "learning_rate=50", "run"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_DIVERGENCE, proc.stderr
+        assert proc.stderr.startswith("run diverged: at epoch")
+        assert proc.stderr.count("\n") == 1
 
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "file"

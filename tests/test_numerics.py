@@ -63,6 +63,16 @@ class TestSoftmax:
         for i in range(4):
             np.testing.assert_array_equal(batched[i], softmax(z[i]))
 
+    def test_any_rank_shifts_by_the_row_max(self):
+        rng = np.random.default_rng(6)
+        for z in (rng.normal(size=5), rng.normal(size=(4, 12)), rng.normal(size=(2, 3, 5))):
+            p, logp = softmax(z, with_log=True)
+            shifted = z - z.max(axis=-1, keepdims=True)
+            ez = np.exp(shifted)
+            norm = ez.sum(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(p, ez / norm)
+            np.testing.assert_array_equal(logp, shifted - np.log(norm))
+
 
 class TestLogSumExp:
     def test_two_zeros_is_ln2(self):

@@ -1,8 +1,12 @@
 """Network forward/backward, SGD training loop, evaluation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import ltinfomax.trainer as trainer_module
 from ltinfomax.data import (
     AugmentConfig,
     DomainSpec,
@@ -272,6 +276,94 @@ class TestStepParity:
         if not supervised:
             assert max(accepted) > 0  # the strong branch took part
 
+    @pytest.mark.parametrize("k", [5, 12])
+    def test_bit_identical_at_benchmark_shapes(self, k):
+        """The default run's shapes (16 features, hidden 64x64, batches
+        16/64); K=12 takes the >= 8-wide pairwise path of row reductions."""
+        sources = toy_sources(k=k, d=16, n_per_class=40, seed0=200)
+        lab_x = np.concatenate([d.labeled()[0] for d in sources])
+        lab_y = np.concatenate([d.labeled()[1] for d in sources])
+        unl_x = np.concatenate([d.unlabeled() for d in sources])
+        loss = LossConfig(tau=0.7)
+        cfg = TrainerConfig(hidden=(64, 64), loss=loss)
+        fused = make_state(cfg, sources[0].dim, k, seed=3)
+        reference = make_state(cfg, sources[0].dim, k, seed=3)
+        rng = np.random.default_rng(8)
+        accepted = []
+        for _ in range(40):
+            lab = rng.choice(len(lab_x), size=cfg.labeled_batch)
+            unl = unl_x[rng.choice(len(unl_x), cfg.unlabeled_batch)]
+            accepted.append(train_step(fused, lab_x[lab], lab_y[lab], unl).accepted_fraction)
+            reference_step(reference, lab_x[lab], lab_y[lab], unl, loss)
+        for got, want in zip(fused.model.weights + fused.model.biases,
+                             reference.model.weights + reference.model.biases):
+            assert np.array_equal(got, want)
+        assert max(accepted) > 0
+
+
+class TestFlatLayout:
+    def test_parameters_and_velocities_are_views_of_one_buffer(self):
+        state = make_state(TrainerConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
+        for owner, views in ((state.model, state.model.weights + state.model.biases),
+                             (state.velocity, state.velocities[0] + state.velocities[1])):
+            assert all(v.base is owner.flat for v in views)
+            assert sum(v.size for v in views) == owner.flat.size == 24 + 6 + 30 + 5 + 15 + 3
+
+    def test_copies_do_not_alias_the_source(self):
+        model = init_mlp([4, 6, 3], np.random.default_rng(0))
+        for other in (model.copy(), model_from_flat(model, model.flat),
+                      MlpModel(model.weights, model.biases)):
+            np.testing.assert_array_equal(other.flat, model.flat)
+            other.weights[0][0, 0] += 1.0
+            other.biases[-1][-1] += 1.0
+            assert not np.shares_memory(other.flat, model.flat)
+            assert other.flat[0] != model.flat[0] and other.flat[-1] != model.flat[-1]
+
+    def test_deepcopy_and_pickle_keep_one_buffer(self):
+        model = init_mlp([4, 6, 3], np.random.default_rng(0))
+        for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            np.testing.assert_array_equal(other.flat, model.flat)
+            assert all(v.base is other.flat for v in other.weights + other.biases)
+            assert not np.shares_memory(other.flat, model.flat)
+
+    def test_flatten_params_is_a_copy_of_the_buffer(self):
+        cfg = TrainerConfig(hidden=(6,), loss=LossConfig(tau=0.7))
+        state = make_state(cfg, input_dim=4, num_classes=3, seed=2)
+        rng = np.random.default_rng(3)
+        train_step(state, rng.normal(size=(5, 4)), rng.integers(0, 3, 5), rng.normal(size=(7, 4)))
+        flat = flatten_params(state.model)
+        np.testing.assert_array_equal(flat, state.model.flat)
+        assert not np.shares_memory(flat, state.model.flat)
+        assert np.array_equal(flat[:24], state.model.weights[0].ravel())
+
+    def test_train_releases_the_work_buffers(self):
+        sources = toy_sources()
+        state = train(TrainerConfig(hidden=(8,), epochs=1), sources, seed=0)
+        assert state.grads is None and state.scratch is None
+        x, y = sources[0].labeled()
+        train_step(state, x[:4], y[:4], sources[0].unlabeled()[:6])
+        assert state.grads.flat.shape == state.scratch.flat.shape == state.model.flat.shape
+
+    def test_history_is_the_per_step_mean_of_the_loss_terms(self, monkeypatch):
+        records = []
+
+        def recording_step(*args, **kwargs):
+            breakdown = train_step(*args, **kwargs)
+            records.append(breakdown.to_dict())
+            return breakdown
+
+        monkeypatch.setattr(trainer_module, "train_step", recording_step)
+        sources = toy_sources()
+        state = train(TrainerConfig(hidden=(8,), epochs=3, unlabeled_batch=40,
+                                    loss=LossConfig(tau=0.6)), sources, seed=4)
+        steps = len(records) // 3
+        assert steps > 1 and len(records) == 3 * steps
+        for epoch, history in enumerate(state.history):
+            epoch_records = records[epoch * steps:(epoch + 1) * steps]
+            want = {k: float(np.mean([r[k] for r in epoch_records])) for k in records[0]}
+            assert history == {**want, "epoch": epoch}
+        assert any(h["accepted_fraction"] > 0 for h in state.history)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_state(self):
@@ -327,6 +419,14 @@ class TestTrain:
         for h in state.history:
             assert set(h) >= {"neg_marginal_entropy", "labeled_ce", "pseudo_ce",
                               "total", "accepted_fraction"}
+
+    def test_divergence_on_the_last_update_raises(self):
+        """One step whose update overflows: no later logits check sees it."""
+        sources = toy_sources()
+        assert sum(len(d.unlabeled()) for d in sources) < 1000  # a single step
+        cfg = TrainerConfig(hidden=(32,), epochs=1, learning_rate=1e308, unlabeled_batch=1000)
+        with pytest.raises(DivergenceError, match=r"epoch 0 \(seed 4\).*non-finite param"):
+            train(cfg, sources, seed=4)
 
     def test_needs_two_sources(self):
         sources = toy_sources(num_domains=1)
@@ -384,6 +484,14 @@ class TestEvaluate:
         np.testing.assert_array_equal(flatten_params(model), before)
         assert r1.accuracy == r2.accuracy
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
+
+    def test_overflowing_logits_are_a_divergence(self):
+        """Finite but huge parameters overflow the target logits."""
+        sources = toy_sources()
+        model = init_mlp([sources[0].dim, 8, sources[0].num_classes], np.random.default_rng(1))
+        model.flat *= 1e200
+        with pytest.raises(DivergenceError, match="target"):
+            evaluate(model, sources[0])
 
     def test_report_invariants(self):
         sources = toy_sources()
