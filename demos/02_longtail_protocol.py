@@ -2,15 +2,11 @@
 """The long-tail labeling protocol on synthetic multi-domain data.
 
 Shows the exponentially decaying per-class labeled counts for several
-imbalance factors, builds a four-domain synthetic world, carves the
-long-tailed labeled subset out of one domain and round-trips it through
-the columnar text format.
+imbalance factors, builds a four-domain synthetic world and carves the
+long-tailed labeled subset out of one domain.
 
 Run: python3 demos/02_longtail_protocol.py
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +14,7 @@ from ltinfomax import (
     ExperimentConfig,
     LongTailSpec,
     build_domains,
-    load_dataset,
     long_tail_counts,
-    save_dataset,
     split_labeled_unlabeled,
 )
 
@@ -64,19 +58,3 @@ for seed in (0, 1):
 unl_hist = np.bincount(split.labels[split.unlabeled_indices],
                        minlength=config.num_classes)
 print(f"unlabeled pool stays (approximately) balanced: {unl_hist.tolist()}")
-
-print()
-print("=" * 70)
-print("4. Columnar text serialization round-trip")
-print("=" * 70)
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "domain0.txt"
-    save_dataset(split, path)
-    lines = path.read_text().splitlines()
-    print("header:")
-    for line in lines[:3]:
-        print(f"  {line}")
-    back = load_dataset(path)
-    same = (np.array_equal(back.features, split.features)
-            and np.array_equal(back.labeled_indices, split.labeled_indices))
-    print(f"bit-identical after round trip: {same}")

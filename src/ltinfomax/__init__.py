@@ -2,63 +2,20 @@
 plus the long-tail data protocol and a leave-one-domain-out experiment
 harness on synthetic multi-domain data."""
 
-from .data import (
-    AugmentConfig,
-    DomainDataset,
-    DomainSpec,
-    LongTailSpec,
-    augment,
-    augment_pair,
-    generate_domain,
-    load_dataset,
-    long_tail_counts,
-    save_dataset,
-    split_labeled_unlabeled,
-)
+from .data import LongTailSpec, long_tail_counts, split_labeled_unlabeled
 from .errors import ConfigError, DivergenceError
-from .experiments import (
-    ExperimentConfig,
-    RunRecord,
-    ablation,
-    build_domains,
-    emit_plot_data,
-    execute_run,
-    parse_plot_data,
-    run_suite,
-    suite_aggregate,
-    sweep,
-)
-from .numerics import finite_diff_gradient, log_sum_exp, relative_error, softmax
+from .experiments import ExperimentConfig, ablation, build_domains, run_suite, sweep
+from .numerics import finite_diff_gradient, relative_error
 from .objectives import (
     LabeledBatch,
-    LossBreakdown,
     LossConfig,
-    LossGradients,
     UnlabeledBatch,
-    cross_entropy,
-    estimate_marginal,
     infomax_loss,
-    infomax_loss_and_grad,
     infomax_loss_grad,
-    pseudo_cross_entropy,
-    pseudo_cross_entropy_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,
 )
-from .trainer import (
-    EvalReport,
-    MlpModel,
-    TrainerConfig,
-    TrainState,
-    evaluate,
-    forward,
-    init_mlp,
-    load_model,
-    make_state,
-    save_model,
-    train,
-    train_step,
-)
+from .trainer import evaluate, train
 
 __version__ = "0.1.0"

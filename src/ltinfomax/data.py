@@ -37,7 +37,7 @@ class LongTailSpec:
             raise ValueError("need at least 2 classes")
         if self.per_class < 1:
             raise ValueError("per_class must be >= 1")
-        if self.gamma < 1:
+        if not (self.gamma >= 1):
             raise ValueError("gamma must be >= 1")
         if self.class_order is not None:
             order = tuple(int(c) for c in self.class_order)
@@ -85,6 +85,8 @@ class DomainDataset:
         if feats.ndim != 2 or labels.shape != (feats.shape[0],):
             raise ValueError("features must be (N, d) with matching labels")
         n = feats.shape[0]
+        if n and (labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         merged = np.concatenate([lab, unl])
         if len(np.unique(merged)) != len(merged):
             raise ValueError("labeled and unlabeled index sets overlap")
@@ -332,70 +334,3 @@ def augment_pair(X, rng, cfg=AugmentConfig()):
     weak = augment(X, "weak", rng, cfg)
     strong = augment(X, "strong", rng, cfg)
     return weak, strong
-
-
-def save_dataset(data, path):
-    """Write a dataset in the columnar text format.
-
-    Header comments record d, K, N, the split seed and the domain id;
-    each row is the feature vector followed by the label and a 0/1
-    labeled flag. Floats use repr-exact formatting, so a round trip
-    through load_dataset is bit-identical.
-    """
-    flags = np.zeros(data.n_samples, dtype=np.int64)
-    flags[data.labeled_indices] = 1
-    with open(path, "w") as fh:
-        fh.write("# ltinfomax-domain v1\n")
-        fh.write(
-            f"# d={data.dim} K={data.num_classes} N={data.n_samples} "
-            f"seed={data.seed} domain_id={data.domain_id}\n"
-        )
-        fh.write(f"# columns: f0..f{data.dim - 1} label labeled_flag\n")
-        for i in range(data.n_samples):
-            cols = [format(v, ".17g") for v in data.features[i]]
-            cols += [str(int(data.labels[i])), str(int(flags[i]))]
-            fh.write(" ".join(cols) + "\n")
-
-
-def load_dataset(path):
-    """Inverse of save_dataset."""
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        header[k] = int(v)
-                continue
-            rows.append(line.split())
-    for key in ("d", "K", "N", "seed", "domain_id"):
-        if key not in header:
-            raise ValueError(f"missing header field {key!r}")
-    d, n = header["d"], header["N"]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
-    features = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    flags = np.empty(n, dtype=np.int64)
-    for i, cols in enumerate(rows):
-        if len(cols) != d + 2:
-            raise ValueError(f"row {i}: expected {d + 2} columns, got {len(cols)}")
-        features[i] = [float(c) for c in cols[:d]]
-        labels[i] = int(cols[d])
-        flags[i] = int(cols[d + 1])
-    labeled_idx = np.nonzero(flags == 1)[0]
-    unlabeled_idx = np.nonzero(flags == 0)[0]
-    return DomainDataset(
-        features=features,
-        labels=labels,
-        labeled_indices=labeled_idx,
-        unlabeled_indices=unlabeled_idx,
-        num_classes=header["K"],
-        domain_id=header["domain_id"],
-        seed=header["seed"],
-    )

@@ -12,6 +12,7 @@ std) and one JSON log per run with the per-epoch loss breakdown.
 import csv
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -79,6 +80,9 @@ class ExperimentConfig:
     out_dir: str = "runs_out"
 
     def __post_init__(self):
+        for name in sorted(_FLOAT_FIELDS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.num_domains < 2:
             raise ConfigError("need at least 2 domains")
         if self.num_classes < 2:

@@ -22,22 +22,20 @@ def _as_float_array(z, name="input"):
     return z
 
 
-def check_prob_vector(p, ndim_ok=(1,)):
-    """Validate that ``p`` is on the probability simplex (K >= 2).
+def check_prob_vector(p):
+    """Validate that the 1-D ``p`` is on the probability simplex (K >= 2).
 
-    Returns the validated float64 array. Raises ValueError for negative
-    entries, sums off by more than SIMPLEX_ATOL, or K < 2. For 2-D input
-    each row is checked.
+    Returns the validated float64 array. Raises ValueError for other
+    ranks, negative entries, a sum off by more than SIMPLEX_ATOL, or K < 2.
     """
     p = _as_float_array(p, "probability vector")
-    if p.ndim not in ndim_ok:
-        raise ValueError(f"expected array with ndim in {ndim_ok}, got {p.ndim}")
+    if p.ndim != 1:
+        raise ValueError(f"expected a 1-D probability vector, got ndim {p.ndim}")
     if p.shape[-1] < 2:
         raise ValueError("probability vectors need at least 2 classes")
     if np.any(p < 0):
         raise ValueError("probability vector has negative entries")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > SIMPLEX_ATOL):
+    if abs(p.sum() - 1.0) > SIMPLEX_ATOL:
         raise ValueError("probability vector does not sum to 1")
     return p
 
@@ -64,19 +62,6 @@ def softmax(z, with_log=False):
 def log_softmax(z):
     """log(softmax(z)) as shifted logits minus the log normaliser."""
     return softmax(z, with_log=True)[1]
-
-
-def log_sum_exp(z):
-    """log(sum(exp(z))) over the last axis, overflow-safe."""
-    z = _as_float_array(z, "logits")
-    m = z.max(axis=-1, keepdims=True)
-    out = m.squeeze(-1) + np.log(np.exp(z - m).sum(axis=-1))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def argmax_lowest(p):
-    """Argmax along the last axis, ties broken by the lowest index."""
-    return np.argmax(np.asarray(p), axis=-1)
 
 
 def finite_diff_gradient(f, x, h=FD_STEP):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import LOG_EPS, argmax_lowest, check_prob_vector, softmax
+from .numerics import LOG_EPS, check_prob_vector, softmax
 
 
 @dataclass(frozen=True)
@@ -173,47 +173,50 @@ def tsallis_entropy_grad(p, alpha, validate=True):
     return -alpha / (alpha - 1.0) * p ** (alpha - 1.0)
 
 
-def estimate_marginal(all_probs):
-    """Mean of the given probability vectors: pi_k = (1/N) sum_i p_ik."""
-    probs = np.asarray(all_probs, dtype=np.float64)
-    if probs.size == 0:
-        raise ValueError("cannot estimate a marginal from an empty batch")
-    if probs.ndim == 1:
-        probs = probs[None, :]
-    check_prob_vector(probs, ndim_ok=(2,))
-    return probs.mean(axis=0)
+def branch_rows(n_lab, n_unl):
+    """Row slices of the labeled, weak and strong branches in stacked logits."""
+    return (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
+            slice(n_lab + n_unl, n_lab + 2 * n_unl))
 
 
-def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
-    """The composite objective and its gradient w.r.t. every input logit.
+def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
+    """The composite objective and its gradient w.r.t. stacked logits.
 
-    The present branches are stacked as [labeled; weak; strong] rows and
-    go through one softmax, whose shift and normaliser also give the
+    ``logits`` stacks the rows [labeled; weak; strong]: len(labels)
+    labeled rows, then the weak and the strong view of n_unl unlabeled
+    samples (branch_rows gives the slices). One softmax gives the
+    probabilities, and its shift and normaliser also give the
     log-probabilities. Weak logits receive gradient only through the
     marginal estimate; pseudo-labels and the acceptance indicator are
     constants of the forward pass.
 
     Args:
-        labeled: LabeledBatch or None.
-        unlabeled: UnlabeledBatch or None.
+        logits: (len(labels) + 2 * n_unl, K) stacked logits.
+        labels: integer labels in [0, K) of the labeled rows.
+        n_unl: number of unlabeled samples.
         cfg: LossConfig.
         running_marginal: optional running estimate of pi, blended in when
             cfg.marginal_momentum > 0.
 
-    Returns (LossBreakdown, LossGradients, batch_marginal) where
-    batch_marginal is the pure batch estimate of pi (before momentum
+    Returns (LossBreakdown, gradient shaped like ``logits``, batch_marginal)
+    where batch_marginal is the pure batch estimate of pi (before momentum
     blending), which callers maintaining a running estimate fold in.
+    Raises ValueError when both branches are empty, the logits are not
+    2-D or have the wrong row count, or a label is out of range.
     """
-    n_lab = len(labeled) if labeled is not None else 0
-    n_unl = len(unlabeled) if unlabeled is not None else 0
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_lab = len(labels)
     if n_lab == 0 and n_unl == 0:
         raise ValueError("both batches are empty")
-    stacked = [labeled.logits] if n_lab else []
-    if n_unl:
-        stacked += [unlabeled.weak_logits, unlabeled.strong_logits]
-    probs, logp = softmax(np.concatenate(stacked), with_log=True)
-    lab, weak, strong = (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
-                         slice(n_lab + n_unl, n_lab + 2 * n_unl))
+    if logits.ndim != 2:
+        raise ValueError("logits must be 2-D (rows, classes)")
+    if logits.shape[0] != n_lab + 2 * n_unl:
+        raise ValueError(f"expected {n_lab} + 2 * {n_unl} logit rows, got {logits.shape[0]}")
+    if n_lab and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ValueError("labels out of range")
+    probs, logp = softmax(logits, with_log=True)
+    lab, weak, strong = branch_rows(n_lab, n_unl)
 
     # pi averages the labeled and weak rows, and the strong rows on request
     marginal_branches = (lab, weak, strong) if cfg.include_strong_in_marginal else (lab, weak)
@@ -242,9 +245,9 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
     labeled_ce = 0.0
     if n_lab:
         rows = np.arange(n_lab)
-        labeled_ce = -float(np.add.reduce(logp[rows, labeled.labels])) / n_lab
+        labeled_ce = -float(np.add.reduce(logp[rows, labels])) / n_lab
         g = probs[lab].copy()
-        g[rows, labeled.labels] -= 1.0
+        g[rows, labels] -= 1.0
         grad[lab] += g / n_lab
 
     # pseudo cross-entropy: mask * (p_strong - onehot(yhat)) / U, strong only
@@ -254,7 +257,7 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
         accepted = weak_p.max(axis=1) >= cfg.tau
         if accepted.any():
             rows = np.arange(n_unl)
-            pseudo = argmax_lowest(weak_p)
+            pseudo = np.argmax(weak_p, axis=-1)
             pseudo_ce = float(-(logp[strong][rows, pseudo] * accepted).sum() / n_unl)
             accepted_fraction = np.count_nonzero(accepted) / n_unl
             g = probs[strong].copy()
@@ -268,22 +271,36 @@ def infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal=None):
         total=cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce,
         accepted_fraction=accepted_fraction,
     )
-    gradients = LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])
-    return breakdown, gradients, pi_batch
+    return breakdown, grad, pi_batch
+
+
+def _stack(labeled, unlabeled):
+    """Kernel arguments (stacked logits, labels, n_unl) for the batch API."""
+    n_lab = len(labeled) if labeled is not None else 0
+    n_unl = len(unlabeled) if unlabeled is not None else 0
+    stacked = [labeled.logits] if n_lab else []
+    if n_unl:
+        stacked += [unlabeled.weak_logits, unlabeled.strong_logits]
+    logits = np.concatenate(stacked) if stacked else np.empty((0, 0))
+    return logits, labeled.labels if n_lab else (), n_unl
 
 
 def infomax_loss(labeled, unlabeled, cfg, running_marginal=None):
-    """Forward value of the composite objective (see infomax_loss_and_grad).
+    """Forward value of the composite objective on a LabeledBatch and an
+    UnlabeledBatch, either of which may be None (see infomax_loss_and_grad).
 
     Returns a LossBreakdown. With alpha = 1 and marginal_weight = 0 this
     reduces exactly to the plain semi-supervised baseline.
     """
-    return infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal)[0]
+    return infomax_loss_and_grad(*_stack(labeled, unlabeled), cfg, running_marginal)[0]
 
 
 def infomax_loss_grad(labeled, unlabeled, cfg, running_marginal=None):
     """Analytic gradient of infomax_loss().total w.r.t. every input logit."""
-    return infomax_loss_and_grad(labeled, unlabeled, cfg, running_marginal)[1]
+    logits, labels, n_unl = _stack(labeled, unlabeled)
+    grad = infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal)[1]
+    lab, weak, strong = branch_rows(len(labels), n_unl)
+    return LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])
 
 
 def cross_entropy(batch):

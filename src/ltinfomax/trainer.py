@@ -15,14 +15,8 @@ import numpy as np
 
 from .data import AugmentConfig, augment_pair
 from .errors import ConfigError, DivergenceError
-from .numerics import argmax_lowest, softmax
-from .objectives import (
-    LabeledBatch,
-    LossBreakdown,
-    LossConfig,
-    UnlabeledBatch,
-    infomax_loss_and_grad,
-)
+from .numerics import softmax
+from .objectives import LossBreakdown, LossConfig, branch_rows, infomax_loss_and_grad
 
 # RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
@@ -200,20 +194,16 @@ def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg
     if not np.isfinite(logits).all():
         raise DivergenceError(
             f"non-finite logits; max |param| = {float(np.abs(model.flat).max()):.3g}")
-    lab, weak, strong = (slice(0, n_lab), slice(n_lab, n_lab + n_unl),
-                         slice(n_lab + n_unl, n_lab + 2 * n_unl))
-    labeled_batch = LabeledBatch(logits[lab], labeled_y) if n_lab else None
-    unlabeled_batch = UnlabeledBatch(logits[weak], logits[strong]) if n_unl else None
-    breakdown, grads, pi_batch = infomax_loss_and_grad(labeled_batch, unlabeled_batch,
-                                                       loss_cfg, running_marginal)
+    breakdown, grad, pi_batch = infomax_loss_and_grad(
+        logits, labeled_y if n_lab else (), n_unl, loss_cfg, running_marginal)
     if not math.isfinite(breakdown.total):
         raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
     # product over one branch's rows, which would change the trained bits.
-    branches = ((lab, grads.labeled), (weak, grads.weak), (strong, grads.strong))
-    branches = [(rows, dlogits) for rows, dlogits in branches if len(dlogits)]
+    branches = [(rows, grad[rows]) for rows in branch_rows(n_lab, n_unl)
+                if rows.stop > rows.start]
     _backprop(model, cache, *branches[0], out)
     for rows, dlogits in branches[1:]:
         if dlogits.any():
@@ -353,7 +343,7 @@ def evaluate(model, target):
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits on the target domain")
     probs = softmax(logits)
-    preds = argmax_lowest(logits)
+    preds = np.argmax(logits, axis=-1)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (target.labels, preds), 1)
     row_sums = confusion.sum(axis=1)
@@ -397,33 +387,3 @@ def model_from_flat(template, flat):
     model = template.copy()
     model.flat[...] = flat
     return model
-
-
-def save_model(model, path):
-    """Flat text dump with a dimension header; repr-exact floats."""
-    sizes = ",".join(str(s) for s in model.layer_sizes)
-    with open(path, "w") as fh:
-        fh.write("# ltinfomax-mlp v1\n")
-        fh.write(f"# layers={sizes}\n")
-        for v in model.flat:
-            fh.write(format(v, ".17g") + "\n")
-
-
-def load_model(path):
-    """Inverse of save_model."""
-    sizes = None
-    values = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "layers=" in line:
-                    sizes = [int(t) for t in line.split("layers=")[1].split(",")]
-                continue
-            values.append(float(line))
-    if sizes is None:
-        raise ValueError("missing layers= header")
-    template = init_mlp(sizes, np.random.default_rng(0))
-    return model_from_flat(template, np.asarray(values))

@@ -120,11 +120,16 @@ class TestExitCodes:
                        "--jobs", jobs, "run")
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("override", ["num_classes=1", "m_l=100", "n_per_class=10"])
+    @pytest.mark.parametrize("override", [
+        "num_classes=1", "m_l=100", "n_per_class=10",
+        # non-finite floats: NaN slips past every `x < bound` check
+        "gamma=nan", "marginal_weight=nan", "sigma_weak=nan", "noise_scale=nan",
+        "centroid_scale=nan", "rotation_strength=nan", "shift_scale=inf"])
     def test_infeasible_data_config(self, tmp_path, override):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "--set", override, "run")
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_sweep_value_before_any_run(self, tmp_path):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",

@@ -1,4 +1,4 @@
-"""Long-tail protocol, synthetic domains, augmentation, serialization."""
+"""Long-tail protocol, synthetic domains, augmentation."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from ltinfomax.data import (
     augment_pair,
     domain_rotation,
     generate_domain,
-    load_dataset,
     long_tail_counts,
-    save_dataset,
     split_labeled_unlabeled,
 )
 
@@ -252,38 +250,6 @@ class TestAugment:
             AugmentConfig(0.1, 0.5, dropout_frac=1.0)
 
 
-class TestSerialization:
-    def test_round_trip_bit_identical(self, tmp_path):
-        data, _ = small_world(k=3, n_per_class=20)
-        split = split_labeled_unlabeled(data, LongTailSpec(3, 2, 5.0), seed=8)
-        path = tmp_path / "domain.txt"
-        save_dataset(split, path)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.features, split.features)
-        np.testing.assert_array_equal(back.labels, split.labels)
-        np.testing.assert_array_equal(back.labeled_indices, split.labeled_indices)
-        np.testing.assert_array_equal(back.unlabeled_indices, split.unlabeled_indices)
-        assert back.num_classes == split.num_classes
-        assert back.seed == split.seed and back.domain_id == split.domain_id
-
-    def test_header_recorded(self, tmp_path):
-        data, _ = small_world(k=3, n_per_class=20, seed=55)
-        path = tmp_path / "d.txt"
-        save_dataset(data, path)
-        head = path.read_text().splitlines()[:3]
-        assert head[0].startswith("#")
-        assert "seed=55" in head[1] and "K=3" in head[1]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        data, _ = small_world(k=3, n_per_class=20)
-        path = tmp_path / "d.txt"
-        save_dataset(data, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-5]) + "\n")
-        with pytest.raises(ValueError):
-            load_dataset(path)
-
-
 class TestDomainDataset:
     def test_immutable_arrays(self):
         data, _ = small_world()
@@ -297,5 +263,16 @@ class TestDomainDataset:
                 labels=np.zeros(4, dtype=int),
                 labeled_indices=np.array([0, 1]),
                 unlabeled_indices=np.array([1, 2, 3]),
+                num_classes=2,
+            )
+
+    @pytest.mark.parametrize("bad_label", [-1, 2])
+    def test_label_out_of_range_rejected(self, bad_label):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            DomainDataset(
+                features=np.zeros((4, 2)),
+                labels=np.array([0, 1, bad_label, 0]),
+                labeled_indices=np.array([0, 1]),
+                unlabeled_indices=np.array([2, 3]),
                 num_classes=2,
             )

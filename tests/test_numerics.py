@@ -1,19 +1,15 @@
-"""Elementary numerics: softmax, log-sum-exp, finite differences."""
+"""Elementary numerics: softmax, log-softmax, finite differences."""
 
 import numpy as np
 import pytest
 
 from ltinfomax.numerics import (
-    argmax_lowest,
     check_prob_vector,
     finite_diff_gradient,
     log_softmax,
-    log_sum_exp,
     relative_error,
     softmax,
 )
-
-LN2 = 0.6931471805599453
 
 
 class TestSoftmax:
@@ -75,25 +71,7 @@ class TestSoftmax:
 
 
 class TestLogSumExp:
-    def test_two_zeros_is_ln2(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(LN2, rel=1e-15)
-
-    def test_singleton_identity(self):
-        assert log_sum_exp([3.25]) == pytest.approx(3.25, rel=1e-15)
-
-    def test_no_overflow(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + LN2, rel=1e-15)
-
-    def test_shift_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            z = rng.normal(size=5) * 3
-            c = rng.normal() * 50
-            assert log_sum_exp(z + c) == pytest.approx(log_sum_exp(z) + c, rel=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([np.nan, 1.0])
+    """log_softmax subtracts the log-sum-exp of the shifted logits."""
 
     def test_log_softmax_consistency(self):
         z = np.array([0.3, -1.2, 2.0])
@@ -138,9 +116,6 @@ class TestFiniteDiff:
 
 
 class TestHelpers:
-    def test_argmax_tie_lowest_index(self):
-        assert argmax_lowest([1.0, 3.0, 3.0, 0.0]) == 1
-
     def test_check_prob_vector_rejections(self):
         with pytest.raises(ValueError):
             check_prob_vector([0.5, 0.6])

@@ -1,4 +1,4 @@
-"""Loss mathematics: entropies, marginal estimation, composite objective.
+"""Loss mathematics: entropies, composite objective and its stacked kernel.
 
 Every analytic gradient is checked against central finite differences;
 the composite loss is additionally checked against a straight-line
@@ -16,8 +16,8 @@ from ltinfomax.objectives import (
     LabeledBatch,
     LossConfig,
     UnlabeledBatch,
+    branch_rows,
     cross_entropy,
-    estimate_marginal,
     infomax_loss,
     infomax_loss_and_grad,
     infomax_loss_grad,
@@ -129,26 +129,6 @@ class TestTsallisGradient:
             )
             analytic = tsallis_entropy_grad(p, alpha, validate=False)
             assert relative_error(analytic, fd) < 1e-5
-
-
-class TestMarginalEstimate:
-    def test_single_vector_identity(self):
-        p = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_array_equal(estimate_marginal([p]), p)
-
-    def test_two_one_hots(self):
-        np.testing.assert_allclose(
-            estimate_marginal([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5], atol=1e-15
-        )
-
-    def test_arithmetic_mean(self):
-        np.testing.assert_allclose(
-            estimate_marginal([[0.8, 0.2], [0.4, 0.6]]), [0.6, 0.4], rtol=1e-15
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_marginal([])
 
 
 class TestCrossEntropy:
@@ -321,9 +301,7 @@ class TestInfomaxLoss:
     def test_alpha_one_marginal_is_shannon(self):
         lab, unl = tiny_fixed_batches()
         b = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
-        pi = estimate_marginal(
-            np.concatenate([softmax(lab.logits), softmax(unl.weak_logits)])
-        )
+        pi = np.concatenate([softmax(lab.logits), softmax(unl.weak_logits)]).mean(axis=0)
         assert b.neg_marginal_entropy == pytest.approx(-shannon_entropy(pi), abs=1e-15)
 
     def test_shannon_special_case_of_general_objective(self):
@@ -457,16 +435,34 @@ class TestInfomaxGradients:
         assert relative_error(analytic, fd) < 1e-5
 
     def test_loss_and_grad_consistent_with_parts(self):
+        """The stacked kernel equals the batch API bit for bit on every branch."""
         rng = np.random.default_rng(37)
         lab, unl = sample_safe_instance(rng)
         cfg = LossConfig(alpha=2.0, tau=0.8)
-        b1, g1, pi = infomax_loss_and_grad(lab, unl, cfg)
+        logits = np.concatenate([lab.logits, unl.weak_logits, unl.strong_logits])
+        b1, g1, pi = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
         b2 = infomax_loss(lab, unl, cfg)
         g2 = infomax_loss_grad(lab, unl, cfg)
         assert b1 == b2
-        np.testing.assert_array_equal(g1.labeled, g2.labeled)
-        np.testing.assert_array_equal(g1.strong, g2.strong)
+        assert g1.shape == logits.shape
+        for rows, part in zip(branch_rows(len(lab), len(unl)), (g2.labeled, g2.weak, g2.strong)):
+            np.testing.assert_array_equal(g1[rows], part)
         np.testing.assert_allclose(pi.sum(), 1.0, atol=1e-12)
+
+    # (stacked logits, labels, n_unl, expected message) with 2 labeled rows,
+    # 3 unlabeled samples and K = 4
+    MALFORMED = {
+        "row-count": (np.zeros((7, 4)), [0, 3], 3, "logit rows"),
+        "label-negative": (np.zeros((8, 4)), [-1, 3], 3, "out of range"),
+        "label-K": (np.zeros((8, 4)), [0, 4], 3, "out of range"),
+        "logits-1d": (np.zeros(8), [0, 3], 3, "2-D"),
+    }
+
+    @pytest.mark.parametrize("logits, labels, n_unl, message", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_kernel_rejects_malformed_input(self, logits, labels, n_unl, message):
+        with pytest.raises(ValueError, match=message):
+            infomax_loss_and_grad(logits, labels, n_unl, LossConfig())
 
 
 class TestLossConfigValidation:

@@ -26,11 +26,9 @@ from ltinfomax.trainer import (
     flatten_params,
     forward,
     init_mlp,
-    load_model,
     make_state,
     model_from_flat,
     parameter_gradients,
-    save_model,
     train,
     train_step,
 )
@@ -503,19 +501,3 @@ class TestEvaluate:
         )
         np.testing.assert_allclose(report.predicted_marginal.sum(), 1.0, atol=1e-9)
         assert report.confusion.sum() == sources[0].n_samples
-
-
-class TestModelSerialization:
-    def test_round_trip(self, tmp_path):
-        model = init_mlp([5, 7, 3], np.random.default_rng(3))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.layer_sizes == model.layer_sizes
-        np.testing.assert_array_equal(flatten_params(back), flatten_params(model))
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1.0\n2.0\n")
-        with pytest.raises(ValueError):
-            load_model(path)
