@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import require_finite
+
 
 @dataclass(frozen=True)
 class LongTailSpec:
@@ -57,11 +59,14 @@ class DomainSpec:
     rotation_strength: float = 0.15
 
     def __post_init__(self):
+        require_finite(self, ValueError)
         if self.noise_scale <= 0:
             raise ValueError("noise_scale must be > 0")
         if self.rotation_strength < 0:
             raise ValueError("rotation_strength must be >= 0")
         object.__setattr__(self, "mean_shift", np.asarray(self.mean_shift, dtype=np.float64))
+        if not np.isfinite(self.mean_shift).all():
+            raise ValueError("mean_shift must be finite")
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,7 @@ class AugmentConfig:
     dropout_frac: float = 0.1
 
     def __post_init__(self):
+        require_finite(self, ValueError)
         if self.sigma_weak < 0 or self.sigma_strong < 0:
             raise ValueError("sigmas must be >= 0")
         if self.sigma_weak >= self.sigma_strong:
@@ -327,10 +333,23 @@ def augment(x, strength, rng, cfg=AugmentConfig()):
     raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
 
 
-def augment_pair(X, rng, cfg=AugmentConfig()):
-    """Weak and strong views of a batch, in one call."""
+def augment_pair(X, rng, cfg=AugmentConfig(), out=None):
+    """Weak and strong views of a batch: the draws of augment(X, 'weak')
+    then augment(X, 'strong') on one generator, both noise draws in one call.
+
+    With ``out`` (2 * len(X) rows, shaped like X otherwise) the weak view
+    is written to its first half and the strong view to its second.
+    Returns the two views.
+    """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     X = np.asarray(X, dtype=np.float64)
-    weak = augment(X, "weak", rng, cfg)
-    strong = augment(X, "strong", rng, cfg)
+    noise = rng.standard_normal((2, *X.shape))
+    if out is None:
+        out = np.empty((2 * len(X), *X.shape[1:]))
+    weak, strong = out[:len(X)], out[len(X):]
+    noise[0] *= cfg.sigma_weak
+    noise[1] *= cfg.sigma_strong
+    np.add(X, noise[0], out=weak)
+    np.add(X, noise[1], out=strong)
+    strong[rng.random(X.shape) < cfg.dropout_frac] = 0.0
     return weak, strong

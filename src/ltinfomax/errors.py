@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+every config dataclass runs first."""
+
+import math
+from dataclasses import fields
 
 
 class ConfigError(ValueError):
@@ -7,3 +11,12 @@ class ConfigError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss; carries a diagnostic message."""
+
+
+def require_finite(config, error=ConfigError):
+    """Raise ``error`` for the first float field of a config dataclass that
+    is NaN or infinite; NaN slips past every ``x < bound`` check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value}")

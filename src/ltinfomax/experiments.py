@@ -2,19 +2,21 @@
 
 A suite is |seeds| x |hold-outs| runs. Every run is a pure function of
 (config, seed, held-out domain): the synthetic world depends only on the
-config's data fields and is built once per suite, the long-tail split is
-drawn from the run seed with one class order shared across that run's
-source domains, and training uses isolated per-run RNG streams. Results
-land in runs.csv (one row per run), aggregate.csv (mean and population
-std) and one JSON log per run with the per-epoch loss breakdown.
+config's data fields and is built once per sweep/ablation, one pool for
+all its suites (once per suite when run_suite is called directly); the
+long-tail split is drawn from the run seed with one class order shared
+across that run's source domains, and training uses isolated per-run RNG
+streams. Results land in runs.csv (one row per run), aggregate.csv (mean
+and population std) and one JSON log per run with the per-epoch loss
+breakdown.
 """
 
 import csv
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .data import (
     long_tail_counts,
     split_labeled_unlabeled,
 )
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .objectives import LossConfig
 from .trainer import TrainerConfig, evaluate, train
 
@@ -80,9 +82,7 @@ class ExperimentConfig:
     out_dir: str = "runs_out"
 
     def __post_init__(self):
-        for name in sorted(_FLOAT_FIELDS):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(self)
         if self.num_domains < 2:
             raise ConfigError("need at least 2 domains")
         if self.num_classes < 2:
@@ -247,8 +247,8 @@ def execute_run(config, seed, heldout, domains=None, supervised_only=False):
     )
 
 
-# A pool worker's copy of the suite's world, set once by _init_worker; it
-# stays None in the process that calls run_suite.
+# A pool worker's copy of the world, set once by _init_worker; it stays
+# None in the process that opens the runner.
 _worker_domains = None
 
 
@@ -262,6 +262,44 @@ def _run_worker(args):
     return execute_run(config, seed, heldout, _worker_domains)
 
 
+def _suite_tasks(config):
+    """A suite's runs as (config, seed, heldout), by seed, then held-out id."""
+    heldouts = range(config.num_domains) if config.held_out is None else [config.held_out]
+    return [(config, s, h) for s in config.seeds for h in heldouts]
+
+
+@contextmanager
+def open_runner(config, queued=()):
+    """Build the world once and yield a runner: tasks -> RunRecords.
+
+    A task is (config, seed, heldout); every task's config must share
+    ``config``'s data fields, since all of them run on its world. With
+    config.jobs == 1 a runner call runs its tasks serially in this process.
+    Otherwise the tasks go to one process pool whose workers receive the
+    world once at start-up (inherited, not pickled, under fork). The pool
+    starts on the ``queued`` tasks at once, so its workers keep busy while
+    the caller writes one suite's results; a runner call collects the
+    records of its queued tasks and submits the others. On exit the pool
+    is shut down and, after an error, its pending tasks are cancelled.
+    """
+    domains = build_domains(config)
+    if config.jobs == 1:
+        yield lambda tasks: [execute_run(c, s, h, domains) for c, s, h in tasks]
+        return
+    pool = ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
+                               initargs=(domains,))
+    try:
+        submitted = {task: pool.submit(_run_worker, task) for task in queued}
+
+        def run(tasks):
+            futures = [submitted.pop(t, None) or pool.submit(_run_worker, t) for t in tasks]
+            return [f.result() for f in futures]
+
+        yield run
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def ensure_writable(out_dir):
     """Fail fast (before any training) if the output path is unusable."""
     out = Path(out_dir)
@@ -272,25 +310,18 @@ def ensure_writable(out_dir):
     return out
 
 
-def run_suite(config, write=True):
+def run_suite(config, write=True, *, runner=None):
     """Execute |seeds| x |hold-outs| runs and persist the results.
 
-    The world is built once and shared by every run: the serial loop
-    passes it to execute_run, and with jobs > 1 each pool worker receives
-    it once at start-up (inherited, not pickled, under fork).
+    The world is built once and shared by every run. ``runner`` comes
+    from open_runner: sweep and ablation open one per sweep/ablation, one
+    pool for all its suites. Without it the suite opens and closes its own.
 
     Returns the list of RunRecords (ordered by seed, then held-out id).
     """
     out = ensure_writable(config.out_dir) if write else None
-    heldouts = range(config.num_domains) if config.held_out is None else [config.held_out]
-    tasks = [(config, s, h) for s in config.seeds for h in heldouts]
-    domains = build_domains(config)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
-                                 initargs=(domains,)) as pool:
-            records = list(pool.map(_run_worker, tasks))
-    else:
-        records = [execute_run(config, s, h, domains) for _, s, h in tasks]
+    with (nullcontext(runner) if runner else open_runner(config)) as run:
+        records = run(_suite_tasks(config))
     records.sort(key=lambda r: (r.seed, r.heldout))
     if write:
         write_runs_csv(records, out / "runs.csv")
@@ -318,7 +349,8 @@ def sweep(config, axis, values):
     """run_suite per value of one axis; returns [(value, mean, std), ...].
 
     Axis is one of 'alpha', 'gamma', 'ml'. Every value's config is built,
-    and so validated, before any run starts.
+    and so validated, before any run starts. No axis changes the world, so
+    every value's suite runs on one world and one runner (see open_runner).
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -334,10 +366,10 @@ def sweep(config, axis, values):
                for v in values]
     ensure_writable(out)
     table = []
-    for v, cfg_v in zip(values, configs):
-        records = run_suite(cfg_v)
-        agg = suite_aggregate(cfg_v, records)
-        table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))
+    with open_runner(config, [t for c in configs for t in _suite_tasks(c)]) as runner:
+        for v, cfg_v in zip(values, configs):
+            agg = suite_aggregate(cfg_v, run_suite(cfg_v, runner=runner))
+            table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))
     emit_plot_data(table, out / f"sweep_{axis}.dat", header=(axis, "mean", "std"))
     return table
 
@@ -352,18 +384,17 @@ def ablation(config):
     +marginal_entropy: Shannon marginal term (alpha = 1);
     +alpha_marginal_entropy: the configured alpha.
 
+    The variants share one world and one runner (see open_runner).
+
     Returns rows of (label, mean, std, delta_vs_baseline).
     """
     out = ensure_writable(config.out_dir)
-    variants = [
-        (ABLATION_VARIANTS[0], replace(config, marginal_weight=0.0)),
-        (ABLATION_VARIANTS[1], replace(config, marginal_weight=1.0, alpha=1.0)),
-        (ABLATION_VARIANTS[2], replace(config, marginal_weight=1.0)),
-    ]
-    per_variant = {}
-    for label, cfg_v in variants:
-        cfg_v = replace(cfg_v, out_dir=str(out / label.replace("+", "plus_")))
-        per_variant[label] = run_suite(cfg_v)
+    overrides = ({"marginal_weight": 0.0}, {"marginal_weight": 1.0, "alpha": 1.0},
+                 {"marginal_weight": 1.0})
+    variants = {label: replace(config, **kw, out_dir=str(out / label.replace("+", "plus_")))
+                for label, kw in zip(ABLATION_VARIANTS, overrides)}
+    with open_runner(config, [t for c in variants.values() for t in _suite_tasks(c)]) as runner:
+        per_variant = {label: run_suite(c, runner=runner) for label, c in variants.items()}
 
     # identical splits across variants: protocol fields are shared
     base = per_variant[ABLATION_VARIANTS[0]]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .numerics import LOG_EPS, check_prob_vector, softmax
 
 
@@ -43,6 +43,7 @@ class LossConfig:
     marginal_momentum: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.alpha > 0):
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         if not (self.tau > 0):
@@ -136,7 +137,7 @@ def shannon_entropy(p, validate=True):
         p = check_prob_vector(p)
     else:
         p = np.asarray(p, dtype=np.float64)
-    return float(-np.sum(p * np.log(np.maximum(p, LOG_EPS))))
+    return float(-np.add.reduce(p * np.log(np.maximum(p, LOG_EPS)), axis=None))
 
 
 def tsallis_entropy(p, alpha, validate=True):
@@ -153,7 +154,7 @@ def tsallis_entropy(p, alpha, validate=True):
         p = np.asarray(p, dtype=np.float64)
     if alpha == 1:
         return shannon_entropy(p, validate=False)
-    return float((1.0 - np.sum(np.maximum(p, 0.0) ** alpha)) / (alpha - 1.0))
+    return float((1.0 - np.add.reduce(np.maximum(p, 0.0) ** alpha, axis=None)) / (alpha - 1.0))
 
 
 def tsallis_entropy_grad(p, alpha, validate=True):
@@ -231,7 +232,7 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
         batch_scale = 1.0
     neg_marg = -tsallis_entropy(pi_eval, cfg.alpha, validate=False)
 
-    grad = np.zeros_like(probs)
+    grad = np.zeros(probs.shape)
     if cfg.marginal_weight > 0:
         # d(-H_a)/dpi chained through each participating softmax row. The
         # row dot products are taken per branch: BLAS may round one
@@ -239,7 +240,7 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
         g_pi = -tsallis_entropy_grad(pi_eval, cfg.alpha, validate=False)
         inner = np.concatenate([probs[rows] @ g_pi for rows in marginal_branches])
         coef = cfg.marginal_weight * batch_scale / n_marg
-        grad[:n_marg] += coef * probs[:n_marg] * (g_pi[None, :] - inner[:, None])
+        np.multiply(coef * probs[:n_marg], g_pi[None, :] - inner[:, None], out=grad[:n_marg])
 
     # labeled cross-entropy: (p - onehot) / L
     labeled_ce = 0.0
@@ -253,12 +254,12 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
     # pseudo cross-entropy: mask * (p_strong - onehot(yhat)) / U, strong only
     pseudo_ce = accepted_fraction = 0.0
     if n_unl:
-        weak_p = probs[weak]
-        accepted = weak_p.max(axis=1) >= cfg.tau
+        # the value at the argmax is the row max, so it decides acceptance
+        rows, weak_p = np.arange(n_unl), probs[weak]
+        pseudo = np.argmax(weak_p, axis=-1)
+        accepted = weak_p[rows, pseudo] >= cfg.tau
         if accepted.any():
-            rows = np.arange(n_unl)
-            pseudo = np.argmax(weak_p, axis=-1)
-            pseudo_ce = float(-(logp[strong][rows, pseudo] * accepted).sum() / n_unl)
+            pseudo_ce = float(-np.add.reduce(logp[strong][rows, pseudo] * accepted) / n_unl)
             accepted_fraction = np.count_nonzero(accepted) / n_unl
             g = probs[strong].copy()
             g[rows, pseudo] -= 1.0

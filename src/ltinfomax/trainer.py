@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import AugmentConfig, augment_pair
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require_finite
 from .numerics import softmax
 from .objectives import LossBreakdown, LossConfig, branch_rows, infomax_loss_and_grad
 
@@ -72,6 +72,7 @@ class TrainerConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
+        require_finite(self)
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
         if not (0 <= self.momentum < 1):
@@ -168,41 +169,38 @@ def make_state(config, input_dim, num_classes, seed):
     return TrainState(model=model, config=config, seed=int(seed), velocity=velocity, rngs=rngs)
 
 
-def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
-                         running_marginal, out, scratch):
+def _objective_gradients(model, x, labels, n_unl, loss_cfg, running_marginal, out, scratch):
     """One pass of the objective through the network on fixed inputs.
 
-    Stacks the present [labeled; weak; strong] rows, runs one forward
-    pass, checks the logits once, evaluates the loss and every logit
-    gradient in one infomax_loss_and_grad call and backpropagates each
-    branch on its rows of the shared cache. An unlabeled branch whose
-    logit gradient is all zero is skipped once another branch has
-    contributed. The parameter gradient is written to the model-shaped
-    ``out``; ``scratch`` is overwritten.
+    ``x`` stacks the input rows [labeled; weak; strong]: len(labels)
+    labeled rows, then n_unl rows of each view. Runs one forward pass,
+    evaluates the loss and every logit gradient in one
+    infomax_loss_and_grad call and backpropagates each branch on its rows
+    of the shared cache. An unlabeled branch whose logit gradient is all
+    zero is skipped once another branch has contributed. The parameter
+    gradient is written to the model-shaped ``out``; ``scratch`` is
+    overwritten.
 
     Returns (LossBreakdown, batch marginal).
     Raises DivergenceError on non-finite logits or loss.
     """
-    n_lab = len(labeled_x) if labeled_x is not None else 0
-    n_unl = len(weak_x) if weak_x is not None else 0
-    stacked = [labeled_x] if n_lab else []
-    if n_unl:
-        stacked += [weak_x, strong_x]
-    if not stacked:
-        raise ValueError("both batches are empty")
-    logits, cache = _forward_cached(model, np.concatenate(stacked))
-    if not np.isfinite(logits).all():
+    logits, cache = _forward_cached(model, x)
+    try:
+        breakdown, grad, pi_batch = infomax_loss_and_grad(
+            logits, labels, n_unl, loss_cfg, running_marginal)
+    except ValueError:
+        # the kernel's softmax rejects non-finite logits; only then are they scanned
+        if np.isfinite(logits).all():
+            raise
         raise DivergenceError(
-            f"non-finite logits; max |param| = {float(np.abs(model.flat).max()):.3g}")
-    breakdown, grad, pi_batch = infomax_loss_and_grad(
-        logits, labeled_y if n_lab else (), n_unl, loss_cfg, running_marginal)
+            f"non-finite logits; max |param| = {float(np.abs(model.flat).max()):.3g}") from None
     if not math.isfinite(breakdown.total):
         raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
     # product over one branch's rows, which would change the trained bits.
-    branches = [(rows, grad[rows]) for rows in branch_rows(n_lab, n_unl)
+    branches = [(rows, grad[rows]) for rows in branch_rows(len(labels), n_unl)
                 if rows.stop > rows.start]
     _backprop(model, cache, *branches[0], out)
     for rows, dlogits in branches[1:]:
@@ -215,23 +213,29 @@ def _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg
 def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
     """One SGD step on a mixed mini-batch.
 
-    Builds weak/strong views of the unlabeled features, then runs the
-    stacked forward, the objective kernel and the per-branch backprop of
-    _objective_gradients into ``state.grads`` and applies the momentum
-    update in place on the flat buffers. Pass unlabeled_x=None (or empty)
-    for a purely supervised step. Returns the forward LossBreakdown.
+    Copies the labeled rows into one stacked input batch and draws the
+    weak/strong views of the unlabeled features into its remaining rows,
+    then runs the stacked forward, the objective kernel and the
+    per-branch backprop of _objective_gradients into ``state.grads`` and
+    applies the momentum update in place on the flat buffers. Pass
+    unlabeled_x=None (or empty) for a purely supervised step. Returns
+    the forward LossBreakdown.
     """
     cfg = state.config
     loss_cfg = loss_cfg or cfg.loss
 
     if state.grads is None:
         state.grads, state.scratch = state.model.copy(), state.model.copy()
-    weak_x = strong_x = None
-    if unlabeled_x is not None and len(unlabeled_x):
-        weak_x, strong_x = augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment)
+    n_lab = len(labeled_x) if labeled_x is not None else 0
+    n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
+    x = np.empty((n_lab + 2 * n_unl, state.model.weights[0].shape[0]))
+    if n_lab:
+        x[:n_lab] = labeled_x
+    if n_unl:
+        augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment, out=x[n_lab:])
     try:
         breakdown, pi_batch = _objective_gradients(
-            state.model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
+            state.model, x, labeled_y if n_lab else (), n_unl, loss_cfg,
             state.running_marginal, state.grads, state.scratch
         )
     except DivergenceError as exc:
@@ -291,9 +295,11 @@ def train(config, sources, seed, supervised_only=False):
             state.epoch = epoch
             if n_unl and not supervised_only:
                 order = state.rngs["unlabeled"].permutation(n_unl)
+            # one call draws what a call per step of size labeled_batch would
+            # (the same draws as choice(len(lab_x), size, replace=True))
+            lab_idx = state.rngs["labeled"].integers(len(lab_x),
+                                                     size=(steps, config.labeled_batch))
             for s in range(steps):
-                # the same draws as choice(len(lab_x), size, replace=True), at half the cost
-                lab_idx = state.rngs["labeled"].integers(len(lab_x), size=config.labeled_batch)
                 if n_unl and not supervised_only:
                     chunk = order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
                     if len(chunk) == 0:
@@ -301,7 +307,7 @@ def train(config, sources, seed, supervised_only=False):
                     batch_unl = unl_x[chunk]
                 else:
                     batch_unl = None
-                breakdown = train_step(state, lab_x[lab_idx], lab_y[lab_idx], batch_unl)
+                breakdown = train_step(state, lab_x[lab_idx[s]], lab_y[lab_idx[s]], batch_unl)
                 terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
             state.history.append({**means, "epoch": epoch})
@@ -368,9 +374,15 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """
+    n_lab = len(labeled_x) if labeled_x is not None else 0
+    n_unl = len(weak_x) if weak_x is not None else 0
+    stacked = ([labeled_x] if n_lab else []) + ([weak_x, strong_x] if n_unl else [])
+    if not stacked:
+        raise ValueError("both batches are empty")
     out = model.copy()
-    breakdown, _ = _objective_gradients(model, labeled_x, labeled_y, weak_x, strong_x,
-                                        loss_cfg, running_marginal, out, model.copy())
+    breakdown, _ = _objective_gradients(model, np.concatenate(stacked),
+                                        labeled_y if n_lab else (), n_unl, loss_cfg,
+                                        running_marginal, out, model.copy())
     return breakdown, out.flat
 
 

@@ -144,17 +144,27 @@ class TestExitCodes:
                            "--set", "momentum=0.9", "run")
         assert code == EXIT_DIVERGENCE
 
-    def test_divergence_prints_one_line(self, tmp_path):
-        """No numpy overflow warning comes first, even when warnings are errors."""
+    @staticmethod
+    def _diverge_in_subprocess(tmp_path, *args):
+        """Run the CLI with warnings as errors; the timeout fails a hang."""
         src = Path(ltinfomax.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "ltinfomax.cli",
-                "--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
-                "--set", "learning_rate=50", "run"]
+                "--out", str(tmp_path / "out"), "--set", "learning_rate=50", *args]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_DIVERGENCE, proc.stderr
         assert proc.stderr.startswith("run diverged: at epoch")
         assert proc.stderr.count("\n") == 1
+
+    def test_divergence_prints_one_line(self, tmp_path):
+        """No numpy overflow warning comes first, even when warnings are errors."""
+        self._diverge_in_subprocess(tmp_path, "--seed-list", "0", "--held-out", "0", "run")
+
+    @pytest.mark.parametrize("command", [["sweep", "--axis", "gamma", "--values", "1,10"],
+                                         ["ablate"]], ids=["sweep", "ablate"])
+    def test_divergence_in_the_shared_pool_prints_one_line(self, tmp_path, command):
+        """A worker's DivergenceError cancels the shared pool's pending runs."""
+        self._diverge_in_subprocess(tmp_path, "--jobs", "2", "--seed-list", "0,1", *command)
 
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "file"

@@ -1,0 +1,59 @@
+"""The library config dataclasses reject non-finite float fields, each with
+its own error type, so a caller who skips ExperimentConfig cannot train on
+NaN or infinity."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ltinfomax.data import AugmentConfig, DomainSpec
+from ltinfomax.errors import ConfigError
+from ltinfomax.objectives import LossConfig
+from ltinfomax.trainer import TrainerConfig
+
+# config class -> (required arguments, float fields, error type)
+CONFIGS = {
+    LossConfig: ({}, ("alpha", "tau", "marginal_weight", "marginal_momentum"), ConfigError),
+    AugmentConfig: ({}, ("sigma_weak", "sigma_strong", "dropout_frac"), ValueError),
+    DomainSpec: ({"domain_id": 0, "mean_shift": np.zeros(3), "rotation_seed": 0,
+                  "noise_scale": 1.0}, ("noise_scale", "rotation_strength"), ValueError),
+    TrainerConfig: ({}, ("learning_rate", "momentum"), ConfigError),
+}
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (LossConfig, "marginal_weight", math.nan),
+    (LossConfig, "alpha", math.inf),
+    (AugmentConfig, "sigma_weak", math.nan),
+    (DomainSpec, "noise_scale", math.nan),
+    (DomainSpec, "rotation_strength", math.inf),
+    (TrainerConfig, "learning_rate", math.inf),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_non_finite_field_rejected(cls, field, value):
+    required, _, error = CONFIGS[cls]
+    with pytest.raises(error, match=f"{field} must be finite"):
+        cls(**{**required, field: value})
+
+
+def test_non_finite_mean_shift_rejected():
+    with pytest.raises(ValueError, match="mean_shift"):
+        DomainSpec(0, [0.0, math.nan], rotation_seed=0, noise_scale=1.0)
+
+
+def test_finite_tau_above_one_stays_legal():
+    assert LossConfig(tau=1.5).tau == 1.5
+
+
+@given(cls=st.sampled_from(list(CONFIGS)), data=st.data())
+def test_any_float_raises_or_gives_finite_fields(cls, data):
+    required, names, error = CONFIGS[cls]
+    field = data.draw(st.sampled_from(names))
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())
+    try:
+        config = cls(**{**required, field: value})
+    except error:
+        return
+    assert all(math.isfinite(getattr(config, name)) for name in names)

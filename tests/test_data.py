@@ -239,6 +239,19 @@ class TestAugment:
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(s1, s2)
 
+    def test_pair_is_weak_then_strong_on_one_generator(self):
+        cfg = AugmentConfig(0.1, 0.5, 0.3)
+        x = np.random.default_rng(1).normal(size=(16, 6))
+        rng = np.random.default_rng(9)
+        weak, strong = augment(x, "weak", rng, cfg), augment(x, "strong", rng, cfg)
+        out = np.full((40, 6), np.nan)
+        w, s = augment_pair(x, 9, cfg, out=out[8:])
+        assert np.shares_memory(w, out) and np.shares_memory(s, out)
+        np.testing.assert_array_equal(out[8:24], weak)
+        np.testing.assert_array_equal(out[24:], strong)
+        assert np.isnan(out[:8]).all()
+        np.testing.assert_array_equal(np.concatenate(augment_pair(x, 9, cfg)), out[8:])
+
     def test_bad_strength_rejected(self):
         with pytest.raises(ValueError):
             augment(np.ones(3), "medium", 0)

@@ -126,6 +126,9 @@ class TestRunSuite:
         monkeypatch.setattr(experiments, "build_domains", parent_only)
         records = run_suite(fast_config(tmp_path, seeds=(0, 1), held_out=0, jobs=2))
         assert len(records) == 2
+        table = sweep(fast_config(tmp_path, seeds=(0,), held_out=0, jobs=2,
+                                  out_dir=str(tmp_path / "sweep")), "gamma", [1.0, 10.0])
+        assert len(table) == 2
 
     def test_runs_csv_column_contract(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
@@ -134,6 +137,53 @@ class TestRunSuite:
             header = next(csv.reader(fh))
         assert header == ["seed", "heldout", "alpha", "tau", "gamma", "m_l",
                           "accuracy", "wall_s"]
+
+
+class TestSharedRunner:
+    """sweep and ablation open one runner: one world and, with jobs > 1, one
+    pool for all their suites."""
+
+    @staticmethod
+    def _run(entry, cfg):
+        if entry == "sweep":
+            return sweep(cfg, "gamma", [1.0, 10.0])
+        return ablation(cfg)
+
+    @pytest.mark.parametrize("entry", ["sweep", "ablation"])
+    def test_one_pool_and_one_world_with_the_serial_records(self, tmp_path, monkeypatch,
+                                                             entry):
+        pools, worlds, suites = [], [], []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        original_build, original_suite = experiments.build_domains, experiments.run_suite
+
+        def counting_build(config):
+            worlds.append(config)
+            return original_build(config)
+
+        def recording_suite(config, *args, **kwargs):
+            suites.append(original_suite(config, *args, **kwargs))
+            return suites[-1]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(experiments, "build_domains", counting_build)
+        monkeypatch.setattr(experiments, "run_suite", recording_suite)
+        serial_cfg = fast_config(tmp_path, seeds=(0, 1), held_out=0)
+        serial = self._run(entry, serial_cfg)
+        assert pools == [] and len(worlds) == 1
+        serial_suites, suites[:], worlds[:] = suites[:], [], []
+        parallel = self._run(entry, replace(serial_cfg, jobs=2,
+                                            out_dir=str(tmp_path / "parallel")))
+        assert pools == [2] and len(worlds) == 1
+        assert parallel == serial
+        assert len(suites) == len(serial_suites) >= 2
+        key = lambda r: (r.seed, r.heldout, r.accuracy, r.split_hash, r.epochs, r.report)
+        for got, want in zip(suites, serial_suites):
+            assert [key(r) for r in got] == [key(r) for r in want]
 
 
 class TestExecuteRun:

@@ -165,7 +165,9 @@ class TestTrainStep:
 
 def reference_step(state, lab_x, lab_y, unl_x, loss):
     """Straight-line SGD step: a forward pass, a softmax and a backprop per
-    branch, with the composite logit gradient written out term by term."""
+    branch, with the composite logit gradient written out term by term.
+
+    Returns the loss terms of the forward pass, as LossBreakdown.to_dict()."""
     model, cfg = state.model, state.config
     n_layers = len(model.weights)
 
@@ -180,6 +182,10 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
     def softmax_rows(z):
         ez = np.exp(z - z.max(axis=1, keepdims=True))
         return ez / ez.sum(axis=1, keepdims=True)
+
+    def log_softmax_rows(z):
+        shifted = z - z.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
     branches = {"labeled": forward_branch(lab_x)}
     if unl_x is not None:
@@ -207,9 +213,20 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
     g = probs["labeled"].copy()
     g[np.arange(len(lab_y)), lab_y] -= 1.0
     dlogits["labeled"] += g / len(lab_y)
+    a = loss.alpha
+    entropy = (-np.sum(pi * np.log(np.maximum(pi, LOG_EPS))) if a == 1
+               else (1.0 - np.sum(np.maximum(pi, 0.0) ** a)) / (a - 1.0))
+    terms = {"neg_marginal_entropy": -entropy, "pseudo_ce": 0.0, "accepted_fraction": 0.0,
+             "labeled_ce": -np.sum(log_softmax_rows(branches["labeled"][1][-1])
+                                   [np.arange(len(lab_y)), lab_y]) / len(lab_y)}
     if unl_x is not None:
         accepted = probs["weak"].max(axis=1) >= loss.tau
         if accepted.any():
+            logp = log_softmax_rows(branches["strong"][1][-1])
+            pseudo = np.argmax(probs["weak"], axis=1)
+            picked = logp[np.arange(len(unl_x)), pseudo]
+            terms["pseudo_ce"] = -np.sum(picked * accepted) / len(unl_x)
+            terms["accepted_fraction"] = accepted.mean()
             g = probs["strong"].copy()
             g[np.arange(len(unl_x)), np.argmax(probs["weak"], axis=1)] -= 1.0
             dlogits["strong"] += (accepted[:, None] * g) / len(unl_x)
@@ -235,6 +252,30 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
     if m > 0:
         state.running_marginal = (pi_batch if state.running_marginal is None
                                   else m * state.running_marginal + (1 - m) * pi_batch)
+    terms["total"] = loss.marginal_weight * terms["neg_marginal_entropy"] + \
+        terms["labeled_ce"] + terms["pseudo_ce"]
+    return terms
+
+
+def reference_train(config, sources, seed, supervised_only=False):
+    """Straight-line train(): labeled indices drawn per step, reference_step."""
+    lab_x = np.concatenate([d.labeled()[0] for d in sources])
+    lab_y = np.concatenate([d.labeled()[1] for d in sources])
+    unl_x = np.concatenate([d.unlabeled() for d in sources])
+    state = make_state(config, sources[0].dim, sources[0].num_classes, seed)
+    steps, batch = len(unl_x) // config.unlabeled_batch, config.unlabeled_batch
+    history = []
+    for epoch in range(config.epochs):
+        if not supervised_only:
+            order = state.rngs["unlabeled"].permutation(len(unl_x))
+        terms = []
+        for s in range(steps):
+            lab = state.rngs["labeled"].integers(len(lab_x), size=config.labeled_batch)
+            unl = None if supervised_only else unl_x[order[s * batch:(s + 1) * batch]]
+            terms.append(reference_step(state, lab_x[lab], lab_y[lab], unl, config.loss))
+        history.append({**{k: float(np.mean([t[k] for t in terms])) for k in terms[0]},
+                        "epoch": epoch})
+    return state, history
 
 
 PARITY_CASES = {
@@ -297,6 +338,37 @@ class TestStepParity:
                              reference.model.weights + reference.model.biases):
             assert np.array_equal(got, want)
         assert max(accepted) > 0
+
+
+class TestTrainParity:
+    @pytest.mark.parametrize("name", list(PARITY_CASES))
+    def test_train_matches_the_straight_line_loop(self, name):
+        """train() lands on exactly the parameters and history of a loop that
+        draws labeled indices per step and calls reference_step."""
+        loss, supervised = PARITY_CASES[name]
+        sources = toy_sources()
+        cfg = TrainerConfig(hidden=(16, 16), epochs=3, learning_rate=0.1, labeled_batch=12,
+                            unlabeled_batch=24, loss=loss)
+        state = train(cfg, sources, seed=5, supervised_only=supervised)
+        reference, history = reference_train(cfg, sources, seed=5, supervised_only=supervised)
+        assert np.array_equal(state.model.flat, reference.model.flat)
+        assert state.history == history
+        if not supervised:
+            assert max(h["accepted_fraction"] for h in history) > 0
+
+    def test_one_integers_call_equals_a_call_per_step(self):
+        """train draws an epoch's labeled indices at once: the same stream."""
+        one, per_step = (np.random.default_rng(np.random.SeedSequence([3, 1])) for _ in "ab")
+        np.testing.assert_array_equal(one.integers(37, size=(9, 16)),
+                                      [per_step.integers(37, size=16) for _ in range(9)])
+        assert one.random() == per_step.random()
+
+    def test_one_normal_draw_equals_two(self):
+        """augment_pair draws both views' noise at once: the same stream."""
+        one, two = (np.random.default_rng(np.random.SeedSequence([3, 3])) for _ in "ab")
+        np.testing.assert_array_equal(one.standard_normal((2, 64, 16)),
+                                      [two.standard_normal((64, 16)) for _ in range(2)])
+        assert one.random() == two.random()
 
 
 class TestFlatLayout:
