@@ -42,7 +42,7 @@ def _build_parser():
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed-list", help="comma-separated run seeds, e.g. 0,1,2")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, help="parallel worker processes")
+    parser.add_argument("--jobs", help="parallel worker processes")
     parser.add_argument("--held-out", dest="held_out",
                         help="domain id to hold out, or 'all' to rotate")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -65,25 +65,17 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    layers = []
-    if args.config:
-        layers.append(parse_config_file(args.config))
-    flags = {}
-    if args.seed_list is not None:
-        flags["seeds"] = tuple(int(t) for t in args.seed_list.split(",") if t.strip())
-    if args.out is not None:
-        flags["out_dir"] = args.out
-    if args.jobs is not None:
-        flags["jobs"] = args.jobs
-    if args.held_out is not None:
-        flags["held_out"] = None if args.held_out.lower() in ("all", "none") else int(args.held_out)
+    # each global flag is the --set of its field; --set wins over the flags,
+    # and both over the config file
+    flags = {key: _coerce(key, value) for key, value in (
+        ("seeds", args.seed_list), ("out_dir", args.out), ("jobs", args.jobs),
+        ("held_out", args.held_out)) if value is not None}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (t.strip() for t in item.split("=", 1))
         flags[key] = _coerce(key, value)
-    layers.append(flags)
-    return config_from_overrides(*layers)
+    return config_from_overrides(parse_config_file(args.config) if args.config else {}, flags)
 
 
 def _cmd_run(args):
@@ -97,7 +89,7 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     config = _config_from_args(args)
-    values = [float(t) for t in args.values.split(",") if t.strip()]
+    values = [_coerce(SWEEP_AXES[args.axis], t) for t in args.values.split(",") if t.strip()]
     table = sweep(config, args.axis, values)
     print(f"# {args.axis} mean std")
     for value, mean, std in table:
@@ -115,16 +107,19 @@ def _cmd_ablate(args):
 
 
 def _cmd_plotdata(args):
-    rows = []
     with open(args.table, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        numeric = [i for i, name in enumerate(header)
-                   if name not in ("variant",)]
-        for raw in reader:
-            rows.append(tuple(float(raw[i]) for i in numeric))
-    if not rows:
+        table = list(csv.reader(fh))
+    if len(table) < 2:
         raise ConfigError(f"no data rows in {args.table}")
+    header, body = table[0], table[1:]
+    numeric = [i for i, name in enumerate(header) if name != "variant"]
+    rows = []
+    for lineno, raw in enumerate(body, 2):
+        try:
+            rows.append(tuple(float(raw[i]) for i in numeric))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{args.table}:{lineno}: expected numbers in columns "
+                              f"{[header[i] for i in numeric]}, got {raw}") from None
     out_file = args.out_file or (args.table.rsplit(".", 1)[0] + ".dat")
     emit_plot_data(rows, out_file, header=tuple(header[i] for i in numeric))
     print(f"wrote {out_file} ({len(rows)} rows)")

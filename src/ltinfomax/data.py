@@ -157,8 +157,7 @@ def long_tail_counts(spec):
     weights = gamma ** (-ranks / (K - 1))
     raw = budget * weights / weights.sum()
     by_rank = np.maximum(1, np.rint(raw).astype(np.int64))
-    while by_rank.sum() < budget:
-        by_rank[0] += 1
+    by_rank[0] += max(0, budget - int(by_rank.sum()))
     while by_rank.sum() > budget:
         reducible = by_rank > 1
         top = by_rank[reducible].max()

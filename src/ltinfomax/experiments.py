@@ -17,7 +17,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .objectives import LossConfig
 from .trainer import TrainerConfig, evaluate, train
 
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
-SWEEP_AXES = ("alpha", "gamma", "ml")
+SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
 # a balanced unlabeled pool must hold at least this many rows per labeled row
 MIN_UNLABELED_RATIO = 5.0
 
@@ -83,30 +83,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(self)
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.num_domains < 2:
             raise ConfigError("need at least 2 domains")
-        if self.num_classes < 2:
-            raise ConfigError("need at least 2 classes")
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.data_seed < 0 or any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds and data_seed must be >= 0, got {self.seeds} "
+                              f"and {self.data_seed}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.held_out is not None and not (0 <= self.held_out < self.num_domains):
             raise ConfigError(f"held_out must be in [0, {self.num_domains}) or None")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if self.m_l < 1:
-            raise ConfigError("m_l must be >= 1")
-        if self.gamma < 1:
-            raise ConfigError("gamma must be >= 1")
-        self._check_split_feasible()
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        # constructing the sub-configs validates the remaining fields
-        self.loss_config()
-        self.trainer_config()
-
-    def _check_split_feasible(self):
-        """The checks split_labeled_unlabeled makes, before any world is built."""
-        counts = long_tail_counts(LongTailSpec(self.num_classes, self.m_l, self.gamma))
+        # the specs and sub-configs hold the remaining rules; a one-element
+        # mean shift keeps the DomainSpec probe free of feature_dim
+        try:
+            spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
+            DomainSpec(0, (0.0,), 0, self.noise_scale, self.rotation_strength)
+            self.trainer_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        # the checks split_labeled_unlabeled makes, before any world is built; the
+        # head holds at least the mean m_l, and a huge m_l would overflow long_tail_counts
+        if self.m_l + 1 > self.n_per_class:
+            raise ConfigError(f"the head class needs at least {self.m_l} labeled samples "
+                              f"plus a spare, but n_per_class is {self.n_per_class}")
+        counts = long_tail_counts(spec)
         head = int(counts.max())
         if head + 1 > self.n_per_class:
             raise ConfigError(f"the head class needs {head} labeled samples plus a spare, "
@@ -117,26 +122,17 @@ class ExperimentConfig:
             raise ConfigError(f"unlabeled pool ({unlabeled}) below {MIN_UNLABELED_RATIO:g}x "
                               f"the labeled set ({labeled}) per domain")
 
+    def _sub_config(self, cls, **given):
+        """``cls`` from ``given`` and this config's fields of the same names."""
+        return cls(**given, **{f.name: getattr(self, f.name) for f in fields(cls)
+                               if f.name not in given})
+
     def loss_config(self):
-        return LossConfig(
-            alpha=self.alpha,
-            tau=self.tau,
-            marginal_weight=self.marginal_weight,
-            include_strong_in_marginal=self.include_strong_in_marginal,
-            marginal_momentum=self.marginal_momentum,
-        )
+        return self._sub_config(LossConfig)
 
     def trainer_config(self):
-        return TrainerConfig(
-            hidden=self.hidden,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            labeled_batch=self.labeled_batch,
-            unlabeled_batch=self.unlabeled_batch,
-            loss=self.loss_config(),
-            augment=AugmentConfig(self.sigma_weak, self.sigma_strong, self.dropout_frac),
-        )
+        return self._sub_config(TrainerConfig, loss=self.loss_config(),
+                                augment=self._sub_config(AugmentConfig))
 
     def hash(self):
         """Content hash, independent of field order and output location."""
@@ -353,17 +349,16 @@ def sweep(config, axis, values):
     every value's suite runs on one world and one runner (see open_runner).
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     if axis == "ml" and any(int(v) != v for v in values):
         raise ConfigError(f"m_l must be an integer, got {values}")
 
-    field, cast = {"alpha": ("alpha", float), "gamma": ("gamma", float),
-                   "ml": ("m_l", int)}[axis]
+    field = SWEEP_AXES[axis]
     out = Path(config.out_dir)
-    configs = [replace(config, **{field: cast(v)}, out_dir=str(out / f"{axis}_{v:g}"))
-               for v in values]
+    configs = [replace(config, **{field: _FIELD_TYPES[field](v)},
+                       out_dir=str(out / f"{axis}_{v:g}")) for v in values]
     ensure_writable(out)
     table = []
     with open_runner(config, [t for c in configs for t in _suite_tasks(c)]) as runner:
@@ -484,37 +479,27 @@ def write_run_json(record, path):
 
 # --- config file handling ---------------------------------------------------
 
-_TUPLE_FIELDS = {"hidden", "seeds"}
-_BOOL_FIELDS = {"include_strong_in_marginal", "longtail_unlabeled"}
-_INT_FIELDS = {
-    "m_l", "num_domains", "num_classes", "feature_dim", "n_per_class",
-    "data_seed", "epochs", "labeled_batch", "unlabeled_batch", "jobs",
-}
-_FLOAT_FIELDS = {
-    "alpha", "tau", "marginal_weight", "marginal_momentum", "gamma",
-    "centroid_scale", "noise_scale", "shift_scale", "rotation_strength",
-    "sigma_weak", "sigma_strong", "dropout_frac", "learning_rate", "momentum",
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _coerce(key, value):
-    if key == "held_out":
-        return None if value.lower() in ("all", "none") else int(value)
-    if key == "out_dir":
-        return value
-    if key in _BOOL_FIELDS:
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {value!r}")
-    if key in _TUPLE_FIELDS:
-        return tuple(int(t) for t in value.split(",") if t.strip())
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    raise ConfigError(f"unknown config key: {key!r}")
+    """The text ``value`` as the type of ExperimentConfig field ``key``: booleans
+    take 1/true/yes/on or 0/false/no/off, tuples comma-separated ints, and held_out
+    also all/none (None). Raises ConfigError on an unknown key or a malformed value."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key!r}")
+    kind, word = _FIELD_TYPES[key], value.strip().lower()
+    try:
+        if key == "held_out" and word in ("all", "none"):
+            return None
+        if kind is bool:
+            return {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}[word]
+        if kind is tuple:
+            return tuple(int(t) for t in value.split(",") if t.strip())
+        return kind(value)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key} ({kind.__name__}): {value!r}") from None
 
 
 def parse_config_file(path):
@@ -534,10 +519,8 @@ def parse_config_file(path):
             key, value = (t.strip() for t in line.split("=", 1))
             try:
                 overrides[key] = _coerce(key, value)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return overrides
 
 
@@ -547,9 +530,7 @@ def config_from_overrides(*override_dicts):
     Callers include only keys that were explicitly set, so None is a real
     value (held_out=None means rotate over all domains).
     """
-    merged = {}
-    for d in override_dicts:
-        merged.update(d)
+    merged = {key: value for d in override_dicts for key, value in d.items()}
     try:
         return ExperimentConfig(**merged)
     except TypeError as exc:

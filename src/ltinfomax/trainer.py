@@ -44,10 +44,6 @@ class MlpModel:
         self.weights, self.biases = views[0::2], views[1::2]
 
     @property
-    def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
     def num_classes(self):
         return self.weights[-1].shape[1]
 
@@ -210,7 +206,7 @@ def _objective_gradients(model, x, labels, n_unl, loss_cfg, running_marginal, ou
     return breakdown, pi_batch
 
 
-def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
+def train_step(state, labeled_x, labeled_y, unlabeled_x):
     """One SGD step on a mixed mini-batch.
 
     Copies the labeled rows into one stacked input batch and draws the
@@ -222,7 +218,6 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
     the forward LossBreakdown.
     """
     cfg = state.config
-    loss_cfg = loss_cfg or cfg.loss
 
     if state.grads is None:
         state.grads, state.scratch = state.model.copy(), state.model.copy()
@@ -235,7 +230,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
         augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment, out=x[n_lab:])
     try:
         breakdown, pi_batch = _objective_gradients(
-            state.model, x, labeled_y if n_lab else (), n_unl, loss_cfg,
+            state.model, x, labeled_y if n_lab else (), n_unl, cfg.loss,
             state.running_marginal, state.grads, state.scratch
         )
     except DivergenceError as exc:
@@ -247,8 +242,8 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x, loss_cfg=None):
     velocity -= step
     state.model.flat += velocity
 
-    if loss_cfg.marginal_momentum > 0:
-        m = loss_cfg.marginal_momentum
+    if cfg.loss.marginal_momentum > 0:
+        m = cfg.loss.marginal_momentum
         if state.running_marginal is None:
             state.running_marginal = pi_batch
         else:
@@ -302,8 +297,6 @@ def train(config, sources, seed, supervised_only=False):
             for s in range(steps):
                 if n_unl and not supervised_only:
                     chunk = order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
-                    if len(chunk) == 0:
-                        chunk = order[:config.unlabeled_batch]
                     batch_unl = unl_x[chunk]
                 else:
                     batch_unl = None

@@ -95,6 +95,20 @@ class TestPlotDataCommand:
         code = main(["plotdata", str(table)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", [
+        "gamma,mean_accuracy,std_accuracy\n1,0.5,x\n",
+        "gamma,mean_accuracy,std_accuracy\n1,0.5\n",
+        "",
+    ], ids=["non-numeric-cell", "short-row", "empty-file"])
+    def test_malformed_table_exit_code(self, tmp_path, capsys, text):
+        table = tmp_path / "bad.csv"
+        table.write_text(text)
+        assert main(["plotdata", str(table)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(table) in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("*.dat"))
+
 
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
@@ -124,12 +138,33 @@ class TestExitCodes:
         "num_classes=1", "m_l=100", "n_per_class=10",
         # non-finite floats: NaN slips past every `x < bound` check
         "gamma=nan", "marginal_weight=nan", "sigma_weak=nan", "noise_scale=nan",
-        "centroid_scale=nan", "rotation_strength=nan", "shift_scale=inf"])
-    def test_infeasible_data_config(self, tmp_path, override):
+        "centroid_scale=nan", "rotation_strength=nan", "shift_scale=inf",
+        # malformed text, and values only a spec or sub-config rejects
+        "epochs=abc", "hidden=64,x", "held_out=x", "sigma_weak=0.6", "dropout_frac=1.5",
+        "noise_scale=-1", "rotation_strength=-1", "feature_dim=0", "feature_dim=-3",
+        "data_seed=-1"])
+    def test_infeasible_data_config(self, tmp_path, capsys, override):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "--set", override, "run")
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--seed-list", "a,b", "run"],
+        ["--seed-list", "-1", "run"],
+        ["--held-out", "x", "run"],
+        ["--jobs", "x", "run"],
+        ["--set", "m_l=10000000000000000000", "run"],
+        ["sweep", "--axis", "alpha", "--values", "1,x"],
+    ], ids=" ".join)
+    def test_bad_flag_value(self, tmp_path, capsys, args):
+        """Global flags and sweep values parse as the --set of their field."""
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0", *args)
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_infeasible_sweep_value_before_any_run(self, tmp_path):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",

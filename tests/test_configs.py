@@ -1,8 +1,10 @@
 """The library config dataclasses reject non-finite float fields, each with
 its own error type, so a caller who skips ExperimentConfig cannot train on
-NaN or infinity."""
+NaN or infinity; and any text for any ExperimentConfig field either builds
+a config or raises ConfigError."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from ltinfomax.data import AugmentConfig, DomainSpec
 from ltinfomax.errors import ConfigError
+from ltinfomax.experiments import ExperimentConfig, _coerce, config_from_overrides
 from ltinfomax.objectives import LossConfig
 from ltinfomax.trainer import TrainerConfig
 
@@ -57,3 +60,23 @@ def test_any_float_raises_or_gives_finite_fields(cls, data):
     except error:
         return
     assert all(math.isfinite(getattr(config, name)) for name in names)
+
+
+# Free text holds no digits, so every number comes from a bounded draw:
+# validating num_classes takes memory in proportion to it.
+TEXTS = st.one_of(
+    st.text(st.characters(exclude_categories=("Nd",)), max_size=8),
+    st.sampled_from(["all", "None", "TRUE", "off", "nan", "-inf", "1e400", ""]),
+    st.integers(-10**4, 10**4).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-10**4, 10**4), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+@given(key=st.sampled_from([f.name for f in fields(ExperimentConfig)]), text=TEXTS)
+def test_any_text_for_any_field_builds_a_config_or_raises_config_error(key, text):
+    """Builds configs only; nothing trains."""
+    try:
+        config_from_overrides({key: _coerce(key, text)})
+    except ConfigError:
+        pass
