@@ -35,6 +35,7 @@ from .objectives import LossConfig
 from .trainer import TrainerConfig, evaluate, train
 
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
+AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
 SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
 # a balanced unlabeled pool must hold at least this many rows per labeled row
 MIN_UNLABELED_RATIO = 5.0
@@ -83,6 +84,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_finite(self)
+        if not str(self.out_dir).strip():
+            raise ConfigError("out_dir must not be empty")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.num_domains < 2:
@@ -127,11 +130,8 @@ class ExperimentConfig:
         return cls(**given, **{f.name: getattr(self, f.name) for f in fields(cls)
                                if f.name not in given})
 
-    def loss_config(self):
-        return self._sub_config(LossConfig)
-
     def trainer_config(self):
-        return self._sub_config(TrainerConfig, loss=self.loss_config(),
+        return self._sub_config(TrainerConfig, loss=self._sub_config(LossConfig),
                                 augment=self._sub_config(AugmentConfig))
 
     def hash(self):
@@ -145,7 +145,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one (seed, held-out) run."""
+    """Outcome of one (seed, held-out) run; the field order is the run JSON's key order."""
 
     config_hash: str
     seed: int
@@ -154,17 +154,15 @@ class RunRecord:
     tau: float
     gamma: float
     m_l: int
+    split_hash: str
     accuracy: float
     wall_s: float
-    split_hash: str
     epochs: tuple
     report: dict
 
     def csv_row(self):
-        return [self.seed, self.heldout,
-                format(self.alpha, ".12g"), format(self.tau, ".12g"),
-                format(self.gamma, ".12g"), self.m_l,
-                format(self.accuracy, ".12g"), format(self.wall_s, ".6g")]
+        return [format(self.wall_s, ".6g") if c == "wall_s" else getattr(self, c)
+                for c in RUNS_CSV_COLUMNS]
 
 
 def build_domains(config):
@@ -218,13 +216,13 @@ def split_sources(config, domains, seed, heldout):
     return sources, hasher.hexdigest()[:16]
 
 
-def execute_run(config, seed, heldout, domains=None, supervised_only=False):
+def execute_run(config, seed, heldout, domains=None):
     """One leave-one-domain-out run; pure function of its arguments."""
     if domains is None:
         domains = build_domains(config)
     sources, split_hash = split_sources(config, domains, seed, heldout)
     t0 = time.perf_counter()
-    state = train(config.trainer_config(), sources, seed, supervised_only=supervised_only)
+    state = train(config.trainer_config(), sources, seed)
     report = evaluate(state.model, domains[heldout])
     wall = time.perf_counter() - t0
     return RunRecord(
@@ -330,23 +328,29 @@ def run_suite(config, write=True, *, runner=None):
 def suite_aggregate(config, records):
     """Mean and population std of accuracy over a suite's runs."""
     acc = np.array([r.accuracy for r in records])
-    return {
-        "alpha": config.alpha,
-        "tau": config.tau,
-        "gamma": config.gamma,
-        "m_l": config.m_l,
-        "n_runs": len(records),
-        "mean_accuracy": float(acc.mean()),
-        "std_accuracy": float(acc.std()),
-    }
+    return dict(zip(AGGREGATE_COLUMNS, (config.alpha, config.tau, config.gamma, config.m_l,
+                                        len(records), float(acc.mean()), float(acc.std()))))
+
+
+def _run_variants(config, variants):
+    """run_suite per (subdir, overrides) of ``variants``, into that subdir of
+    config.out_dir, on one world and one runner (see open_runner).
+
+    Every variant's config is built, and so validated, before the output
+    directory is made. Returns [(variant config, records), ...] in order.
+    """
+    out = Path(config.out_dir)
+    configs = [replace(config, **kw, out_dir=str(out / subdir)) for subdir, kw in variants]
+    ensure_writable(out)
+    with open_runner(config, [t for c in configs for t in _suite_tasks(c)]) as runner:
+        return [(c, run_suite(c, runner=runner)) for c in configs]
 
 
 def sweep(config, axis, values):
     """run_suite per value of one axis; returns [(value, mean, std), ...].
 
-    Axis is one of 'alpha', 'gamma', 'ml'. Every value's config is built,
-    and so validated, before any run starts. No axis changes the world, so
-    every value's suite runs on one world and one runner (see open_runner).
+    Axis is one of 'alpha', 'gamma', 'ml'. No axis changes the world, so
+    every value's suite runs on one world and one runner.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -356,16 +360,14 @@ def sweep(config, axis, values):
         raise ConfigError(f"m_l must be an integer, got {values}")
 
     field = SWEEP_AXES[axis]
-    out = Path(config.out_dir)
-    configs = [replace(config, **{field: _FIELD_TYPES[field](v)},
-                       out_dir=str(out / f"{axis}_{v:g}")) for v in values]
-    ensure_writable(out)
+    suites = _run_variants(config, [(f"{axis}_{v:g}", {field: _FIELD_TYPES[field](v)})
+                                    for v in values])
     table = []
-    with open_runner(config, [t for c in configs for t in _suite_tasks(c)]) as runner:
-        for v, cfg_v in zip(values, configs):
-            agg = suite_aggregate(cfg_v, run_suite(cfg_v, runner=runner))
-            table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))
-    emit_plot_data(table, out / f"sweep_{axis}.dat", header=(axis, "mean", "std"))
+    for v, (cfg, records) in zip(values, suites):
+        agg = suite_aggregate(cfg, records)
+        table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))
+    emit_plot_data(table, Path(config.out_dir) / f"sweep_{axis}.dat",
+                   header=(axis, "mean", "std"))
     return table
 
 
@@ -383,39 +385,30 @@ def ablation(config):
 
     Returns rows of (label, mean, std, delta_vs_baseline).
     """
-    out = ensure_writable(config.out_dir)
     overrides = ({"marginal_weight": 0.0}, {"marginal_weight": 1.0, "alpha": 1.0},
                  {"marginal_weight": 1.0})
-    variants = {label: replace(config, **kw, out_dir=str(out / label.replace("+", "plus_")))
-                for label, kw in zip(ABLATION_VARIANTS, overrides)}
-    with open_runner(config, [t for c in variants.values() for t in _suite_tasks(c)]) as runner:
-        per_variant = {label: run_suite(c, runner=runner) for label, c in variants.items()}
+    suites = _run_variants(config, [(label.replace("+", "plus_"), kw)
+                                    for label, kw in zip(ABLATION_VARIANTS, overrides)])
 
     # identical splits across variants: protocol fields are shared
-    base = per_variant[ABLATION_VARIANTS[0]]
-    for label in ABLATION_VARIANTS[1:]:
-        for a, b in zip(base, per_variant[label]):
-            if a.split_hash != b.split_hash:
-                raise RuntimeError(f"variant {label} saw a different data split")
+    base = suites[0][1]
+    for label, (_, records) in zip(ABLATION_VARIANTS[1:], suites[1:]):
+        if any(a.split_hash != b.split_hash for a, b in zip(base, records)):
+            raise RuntimeError(f"variant {label} saw a different data split")
 
-    rows = []
-    base_mean = float(np.mean([r.accuracy for r in base]))
-    for label in ABLATION_VARIANTS:
-        acc = np.array([r.accuracy for r in per_variant[label]])
-        rows.append((label, float(acc.mean()), float(acc.std()),
-                     float(acc.mean() - base_mean)))
-    with open(out / "ablation.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variant", "mean_accuracy", "std_accuracy", "delta_vs_baseline"])
-        for row in rows:
-            w.writerow([row[0]] + [format(v, ".12g") for v in row[1:]])
+    aggs = [suite_aggregate(cfg, records) for cfg, records in suites]
+    rows = [(label, a["mean_accuracy"], a["std_accuracy"],
+             a["mean_accuracy"] - aggs[0]["mean_accuracy"])
+            for label, a in zip(ABLATION_VARIANTS, aggs)]
+    _write_csv(Path(config.out_dir) / "ablation.csv",
+               ["variant", "mean_accuracy", "std_accuracy", "delta_vs_baseline"], rows)
     return rows
 
 
 def emit_plot_data(table, path, header=("value", "mean", "std")):
     """Whitespace-separated columns with a '#' header line.
 
-    Floats are written repr-exactly so parse_plot_data round-trips.
+    Floats are written repr-exactly, so np.loadtxt reads them back unchanged.
     """
     if not table:
         raise ValueError("empty table")
@@ -425,54 +418,27 @@ def emit_plot_data(table, path, header=("value", "mean", "std")):
             fh.write(" ".join(format(float(v), ".17g") for v in row) + "\n")
 
 
-def parse_plot_data(path):
-    """Read a file written by emit_plot_data back into tuples."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(tuple(float(t) for t in line.split()))
-    return rows
+def _write_csv(path, header, rows):
+    """A header line, then ``rows`` with float cells as .12g and others as is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(v, ".12g") if isinstance(v, float) else v for v in row]
+                    for row in rows)
 
 
 def write_runs_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RUNS_CSV_COLUMNS)
-        for rec in records:
-            w.writerow(rec.csv_row())
+    _write_csv(path, RUNS_CSV_COLUMNS, [rec.csv_row() for rec in records])
 
 
 def write_aggregate_csv(aggregates, path):
-    cols = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for agg in aggregates:
-            w.writerow([
-                format(agg["alpha"], ".12g"), format(agg["tau"], ".12g"),
-                format(agg["gamma"], ".12g"), agg["m_l"], agg["n_runs"],
-                format(agg["mean_accuracy"], ".12g"), format(agg["std_accuracy"], ".12g"),
-            ])
+    _write_csv(path, AGGREGATE_COLUMNS, [[a[c] for c in AGGREGATE_COLUMNS] for a in aggregates])
 
 
 def write_run_json(record, path):
-    payload = {
-        "config_hash": record.config_hash,
-        "seed": record.seed,
-        "heldout": record.heldout,
-        "alpha": record.alpha,
-        "tau": record.tau,
-        "gamma": record.gamma,
-        "m_l": record.m_l,
-        "split_hash": record.split_hash,
-        "accuracy": record.accuracy,
-        "wall_s": record.wall_s,
-        "epochs": list(record.epochs),
-        "final": record.report,
-    }
+    # RunRecord's fields, not a subclass's extras, with the report as "final"
+    payload = {"final" if f.name == "report" else f.name: getattr(record, f.name)
+               for f in fields(RunRecord)}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
 

@@ -12,7 +12,6 @@ import numpy as np
 SIMPLEX_ATOL = 1e-9     # |sum(p) - 1| tolerance for probability vectors
 LOG_EPS = 1e-12         # floor for log / power arguments
 FD_STEP = 1e-5          # default central-difference step
-GRAD_RTOL = 1e-5        # relative tolerance for gradient checks
 
 
 def _as_float_array(z, name="input"):

@@ -13,7 +13,7 @@ a pure function and comes with an analytic gradient with respect to the
 input logits, verified against central finite differences in the tests.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,13 +69,7 @@ class LossBreakdown:
     accepted_fraction: float
 
     def to_dict(self):
-        return {
-            "neg_marginal_entropy": self.neg_marginal_entropy,
-            "labeled_ce": self.labeled_ce,
-            "pseudo_ce": self.pseudo_ce,
-            "total": self.total,
-            "accepted_fraction": self.accepted_fraction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

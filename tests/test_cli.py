@@ -157,12 +157,16 @@ class TestExitCodes:
         ["--jobs", "x", "run"],
         ["--set", "m_l=10000000000000000000", "run"],
         ["sweep", "--axis", "alpha", "--values", "1,x"],
+        # an empty output path would be the working directory
+        ["--set", "out_dir=", "run"],
+        ["--out", "", "run"],
     ], ids=" ".join)
-    def test_bad_flag_value(self, tmp_path, capsys, args):
+    def test_bad_flag_value(self, tmp_path, capsys, monkeypatch, args):
         """Global flags and sweep values parse as the --set of their field."""
+        monkeypatch.chdir(tmp_path)
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0", *args)
         assert code == EXIT_CONFIG
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists() and not (tmp_path / "runs.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 

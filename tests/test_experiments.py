@@ -19,7 +19,6 @@ from ltinfomax.experiments import (
     emit_plot_data,
     execute_run,
     parse_config_file,
-    parse_plot_data,
     run_suite,
     split_sources,
     suite_aggregate,
@@ -131,12 +130,25 @@ class TestRunSuite:
         assert len(table) == 2
 
     def test_runs_csv_column_contract(self, tmp_path):
-        cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
-        run_suite(cfg)
-        with open(tmp_path / "out" / "runs.csv", newline="") as fh:
-            header = next(csv.reader(fh))
-        assert header == ["seed", "heldout", "alpha", "tau", "gamma", "m_l",
-                          "accuracy", "wall_s"]
+        """The headers of runs.csv, aggregate.csv and ablation.csv."""
+        ablation(fast_config(tmp_path, seeds=(0,), held_out=0))
+        headers = {}
+        for name in ("baseline/runs.csv", "baseline/aggregate.csv", "ablation.csv"):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                headers[name] = next(csv.reader(fh))
+        assert headers == {
+            "baseline/runs.csv":
+                ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"],
+            "baseline/aggregate.csv":
+                ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"],
+            "ablation.csv": ["variant", "mean_accuracy", "std_accuracy", "delta_vs_baseline"],
+        }
+
+    def test_run_json_key_order(self, tmp_path):
+        run_suite(fast_config(tmp_path, seeds=(0,), held_out=0))
+        log = json.loads((tmp_path / "out" / "run_s0_h0.json").read_text())
+        assert list(log) == ["config_hash", "seed", "heldout", "alpha", "tau", "gamma", "m_l",
+                             "split_hash", "accuracy", "wall_s", "epochs", "final"]
 
 
 class TestSharedRunner:
@@ -237,8 +249,8 @@ class TestSweep:
     def test_plot_data_emitted_and_parses(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
         table = sweep(cfg, "gamma", [1.0, 10.0])
-        rows = parse_plot_data(tmp_path / "out" / "sweep_gamma.dat")
-        assert rows == [tuple(r) for r in table]
+        rows = np.loadtxt(tmp_path / "out" / "sweep_gamma.dat", ndmin=2)
+        assert [tuple(r) for r in rows] == [tuple(r) for r in table]
 
 
 class TestAblation:
@@ -255,6 +267,17 @@ class TestAblation:
         rows = ablation(cfg)
         assert rows[1][1] == pytest.approx(rows[2][1], abs=1e-15)
 
+    def test_variant_with_a_different_split_rejected(self, tmp_path, monkeypatch):
+        original = experiments.split_sources
+
+        def skewed(config, domains, seed, heldout):
+            sources, split_hash = original(config, domains, seed, heldout)
+            return sources, (split_hash + "x" if config.alpha == 1.0 else split_hash)
+
+        monkeypatch.setattr(experiments, "split_sources", skewed)
+        with pytest.raises(RuntimeError, match=r"\+marginal_entropy saw a different data split"):
+            ablation(fast_config(tmp_path, seeds=(0,), held_out=0, jobs=1))
+
 
 class TestPlotData:
     def test_single_row_round_trip(self, tmp_path):
@@ -262,13 +285,13 @@ class TestPlotData:
         emit_plot_data([(1.0, 0.53219, 0.0123)], path)
         text = path.read_text().splitlines()
         assert len(text) == 2 and text[0].startswith("#")
-        assert parse_plot_data(path) == [(1.0, 0.53219, 0.0123)]
+        assert np.loadtxt(path, ndmin=2).tolist() == [[1.0, 0.53219, 0.0123]]
 
     def test_exact_float_round_trip(self, tmp_path):
         path = tmp_path / "t.dat"
         vals = (np.pi, 1 / 3, 2e-17)
         emit_plot_data([vals], path)
-        assert parse_plot_data(path)[0] == vals
+        assert tuple(np.loadtxt(path, ndmin=2)[0]) == vals
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -298,6 +321,8 @@ class TestConfig:
             ExperimentConfig(seeds=())
         with pytest.raises(ConfigError):
             ExperimentConfig(gamma=0.2)
+        with pytest.raises(ConfigError, match="out_dir"):
+            ExperimentConfig(out_dir=" ")
 
     def test_large_jobs_accepted_by_validation(self):
         # validation only: no pool is started
