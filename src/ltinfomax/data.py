@@ -16,6 +16,9 @@ from scipy.linalg import expm
 
 from .errors import require_finite
 
+# a balanced unlabeled pool must hold at least this many rows per labeled row
+MIN_UNLABELED_RATIO = 5.0
+
 
 @dataclass(frozen=True)
 class LongTailSpec:
@@ -79,7 +82,6 @@ class DomainDataset:
     unlabeled_indices: np.ndarray
     num_classes: int
     domain_id: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         # private copies; the dataset is immutable after construction
@@ -224,12 +226,10 @@ def generate_domain(domain, class_centroids, n_per_class, seed):
         unlabeled_indices=np.arange(n, dtype=np.int64),
         num_classes=K,
         domain_id=domain.domain_id,
-        seed=seed,
     )
 
 
-def split_labeled_unlabeled(data, spec, seed, min_unlabeled_ratio=5.0,
-                            longtail_unlabeled=False):
+def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     """Carve the long-tailed labeled subset out of a domain.
 
     The class order is drawn from ``seed`` unless spec.class_order is set
@@ -239,7 +239,8 @@ def split_labeled_unlabeled(data, spec, seed, min_unlabeled_ratio=5.0,
     additionally subsampled to the same decay profile scaled to its size.
 
     Raises ValueError when a class cannot supply its count plus one
-    spare, or when the unlabeled pool would undercut min_unlabeled_ratio.
+    spare, or when a balanced unlabeled pool would hold fewer than
+    MIN_UNLABELED_RATIO rows per labeled row.
     """
     rng = np.random.default_rng(seed)
     if spec.class_order is None:
@@ -274,12 +275,11 @@ def split_labeled_unlabeled(data, spec, seed, min_unlabeled_ratio=5.0,
             unlabeled_indices=remap[unlabeled_idx],
             num_classes=spec.num_classes,
             domain_id=data.domain_id,
-            seed=seed,
         )
 
-    if len(unlabeled_idx) < min_unlabeled_ratio * len(labeled_idx):
+    if len(unlabeled_idx) < MIN_UNLABELED_RATIO * len(labeled_idx):
         raise ValueError(
-            f"unlabeled pool ({len(unlabeled_idx)}) below {min_unlabeled_ratio}x "
+            f"unlabeled pool ({len(unlabeled_idx)}) below {MIN_UNLABELED_RATIO}x "
             f"the labeled set ({len(labeled_idx)})"
         )
     return DomainDataset(
@@ -289,7 +289,6 @@ def split_labeled_unlabeled(data, spec, seed, min_unlabeled_ratio=5.0,
         unlabeled_indices=unlabeled_idx,
         num_classes=spec.num_classes,
         domain_id=data.domain_id,
-        seed=seed,
     )
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MIN_UNLABELED_RATIO,
     AugmentConfig,
     DomainSpec,
     LongTailSpec,
@@ -37,8 +38,6 @@ from .trainer import TrainerConfig, evaluate, train
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
 AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
 SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
-# a balanced unlabeled pool must hold at least this many rows per labeled row
-MIN_UNLABELED_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,6 @@ class ExperimentConfig:
     alpha: float = 1.5
     tau: float = 0.95
     marginal_weight: float = 1.0
-    include_strong_in_marginal: bool = False
-    marginal_momentum: float = 0.0
     # long-tail protocol
     m_l: int = 5
     gamma: float = 10.0
@@ -209,7 +206,6 @@ def split_sources(config, domains, seed, heldout):
             continue
         split_seed = int(np.random.SeedSequence([int(seed), 101, d]).generate_state(1)[0])
         split = split_labeled_unlabeled(domains[d], spec, split_seed,
-                                        min_unlabeled_ratio=MIN_UNLABELED_RATIO,
                                         longtail_unlabeled=config.longtail_unlabeled)
         hasher.update(np.ascontiguousarray(split.labeled_indices).tobytes())
         sources.append(split)
@@ -350,7 +346,8 @@ def sweep(config, axis, values):
     """run_suite per value of one axis; returns [(value, mean, std), ...].
 
     Axis is one of 'alpha', 'gamma', 'ml'. No axis changes the world, so
-    every value's suite runs on one world and one runner.
+    every value's suite runs on one world and one runner. Values that would
+    share an ``<axis>_<value:g>`` directory are rejected before any run.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -359,9 +356,12 @@ def sweep(config, axis, values):
     if axis == "ml" and any(int(v) != v for v in values):
         raise ConfigError(f"m_l must be an integer, got {values}")
 
-    field = SWEEP_AXES[axis]
-    suites = _run_variants(config, [(f"{axis}_{v:g}", {field: _FIELD_TYPES[field](v)})
-                                    for v in values])
+    field, subdirs = SWEEP_AXES[axis], [f"{axis}_{v:g}" for v in values]
+    repeated = sorted({d for d in subdirs if subdirs.count(d) > 1})
+    if repeated:
+        raise ConfigError(f"sweep values {values} share the output directories {repeated}")
+    suites = _run_variants(config, [(d, {field: _FIELD_TYPES[field](v)})
+                                    for d, v in zip(subdirs, values)])
     table = []
     for v, (cfg, records) in zip(values, suites):
         agg = suite_aggregate(cfg, records)

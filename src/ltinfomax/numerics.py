@@ -58,11 +58,6 @@ def softmax(z, with_log=False):
     return ez / norm
 
 
-def log_softmax(z):
-    """log(softmax(z)) as shifted logits minus the log normaliser."""
-    return softmax(z, with_log=True)[1]
-
-
 def finite_diff_gradient(f, x, h=FD_STEP):
     """Central-difference gradient estimate of a scalar function.
 

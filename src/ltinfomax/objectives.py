@@ -4,7 +4,8 @@ The composite loss has three terms:
 
     total = marginal_weight * (-H_alpha(pi)) + H(Y|X_L) + H(Yhat|X_U)
 
-where ``pi`` is the batch estimate of the predicted class marginal,
+where ``pi`` is the predicted class marginal, averaged over the batch's
+labeled rows and weak-view unlabeled rows,
 ``H_alpha`` is the Tsallis alpha-entropy (Shannon at alpha = 1),
 ``H(Y|X_L)`` is plain cross-entropy on labeled logits and
 ``H(Yhat|X_U)`` is confidence-thresholded pseudo cross-entropy between a
@@ -29,18 +30,11 @@ class LossConfig:
     tau: confidence threshold for pseudo-labels. Values > 1 are legal and
         reject every unlabeled sample (used for supervised-only reductions).
     marginal_weight: coefficient on the -H_alpha(pi) term.
-    include_strong_in_marginal: also average strong-branch predictions
-        into the marginal estimate (off by default: labeled + weak only).
-    marginal_momentum: 0 uses the pure batch marginal; m in (0, 1) blends
-        m * running_estimate + (1 - m) * batch_estimate, with gradients
-        flowing only through the batch part.
     """
 
     alpha: float = 1.5
     tau: float = 0.95
     marginal_weight: float = 1.0
-    include_strong_in_marginal: bool = False
-    marginal_momentum: float = 0.0
 
     def __post_init__(self):
         require_finite(self)
@@ -50,8 +44,6 @@ class LossConfig:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         if self.marginal_weight < 0:
             raise ConfigError("marginal_weight must be >= 0")
-        if not (0 <= self.marginal_momentum < 1):
-            raise ConfigError("marginal_momentum must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,28 +166,25 @@ def branch_rows(n_lab, n_unl):
             slice(n_lab + n_unl, n_lab + 2 * n_unl))
 
 
-def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
+def infomax_loss_and_grad(logits, labels, n_unl, cfg):
     """The composite objective and its gradient w.r.t. stacked logits.
 
     ``logits`` stacks the rows [labeled; weak; strong]: len(labels)
     labeled rows, then the weak and the strong view of n_unl unlabeled
     samples (branch_rows gives the slices). One softmax gives the
     probabilities, and its shift and normaliser also give the
-    log-probabilities. Weak logits receive gradient only through the
-    marginal estimate; pseudo-labels and the acceptance indicator are
-    constants of the forward pass.
+    log-probabilities. pi is the mean of the labeled and weak rows'
+    probabilities. Weak logits receive gradient only through pi;
+    pseudo-labels and the acceptance indicator are constants of the
+    forward pass.
 
     Args:
         logits: (len(labels) + 2 * n_unl, K) stacked logits.
         labels: integer labels in [0, K) of the labeled rows.
         n_unl: number of unlabeled samples.
         cfg: LossConfig.
-        running_marginal: optional running estimate of pi, blended in when
-            cfg.marginal_momentum > 0.
 
-    Returns (LossBreakdown, gradient shaped like ``logits``, batch_marginal)
-    where batch_marginal is the pure batch estimate of pi (before momentum
-    blending), which callers maintaining a running estimate fold in.
+    Returns (LossBreakdown, gradient shaped like ``logits``).
     Raises ValueError when both branches are empty, the logits are not
     2-D or have the wrong row count, or a label is out of range.
     """
@@ -213,27 +202,18 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
     probs, logp = softmax(logits, with_log=True)
     lab, weak, strong = branch_rows(n_lab, n_unl)
 
-    # pi averages the labeled and weak rows, and the strong rows on request
-    marginal_branches = (lab, weak, strong) if cfg.include_strong_in_marginal else (lab, weak)
-    n_marg = marginal_branches[-1].stop
-    pi_batch = np.add.reduce(probs[:n_marg], axis=0) / n_marg
-    m = cfg.marginal_momentum
-    if m > 0 and running_marginal is not None:
-        pi_eval = m * np.asarray(running_marginal, dtype=np.float64) + (1 - m) * pi_batch
-        batch_scale = 1.0 - m
-    else:
-        pi_eval = pi_batch
-        batch_scale = 1.0
-    neg_marg = -tsallis_entropy(pi_eval, cfg.alpha, validate=False)
+    n_marg = n_lab + n_unl
+    pi = np.add.reduce(probs[:n_marg], axis=0) / n_marg
+    neg_marg = -tsallis_entropy(pi, cfg.alpha, validate=False)
 
     grad = np.zeros(probs.shape)
     if cfg.marginal_weight > 0:
-        # d(-H_a)/dpi chained through each participating softmax row. The
-        # row dot products are taken per branch: BLAS may round one
+        # d(-H_a)/dpi chained through each labeled and weak softmax row.
+        # The row dot products are taken per branch: BLAS may round one
         # stacked matrix-vector product differently.
-        g_pi = -tsallis_entropy_grad(pi_eval, cfg.alpha, validate=False)
-        inner = np.concatenate([probs[rows] @ g_pi for rows in marginal_branches])
-        coef = cfg.marginal_weight * batch_scale / n_marg
+        g_pi = -tsallis_entropy_grad(pi, cfg.alpha, validate=False)
+        inner = np.concatenate([probs[lab] @ g_pi, probs[weak] @ g_pi])
+        coef = cfg.marginal_weight / n_marg
         np.multiply(coef * probs[:n_marg], g_pi[None, :] - inner[:, None], out=grad[:n_marg])
 
     # labeled cross-entropy: (p - onehot) / L
@@ -266,7 +246,7 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal=None):
         total=cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce,
         accepted_fraction=accepted_fraction,
     )
-    return breakdown, grad, pi_batch
+    return breakdown, grad
 
 
 def _stack(labeled, unlabeled):
@@ -280,29 +260,22 @@ def _stack(labeled, unlabeled):
     return logits, labeled.labels if n_lab else (), n_unl
 
 
-def infomax_loss(labeled, unlabeled, cfg, running_marginal=None):
+def infomax_loss(labeled, unlabeled, cfg):
     """Forward value of the composite objective on a LabeledBatch and an
     UnlabeledBatch, either of which may be None (see infomax_loss_and_grad).
 
     Returns a LossBreakdown. With alpha = 1 and marginal_weight = 0 this
     reduces exactly to the plain semi-supervised baseline.
     """
-    return infomax_loss_and_grad(*_stack(labeled, unlabeled), cfg, running_marginal)[0]
+    return infomax_loss_and_grad(*_stack(labeled, unlabeled), cfg)[0]
 
 
-def infomax_loss_grad(labeled, unlabeled, cfg, running_marginal=None):
+def infomax_loss_grad(labeled, unlabeled, cfg):
     """Analytic gradient of infomax_loss().total w.r.t. every input logit."""
     logits, labels, n_unl = _stack(labeled, unlabeled)
-    grad = infomax_loss_and_grad(logits, labels, n_unl, cfg, running_marginal)[1]
+    grad = infomax_loss_and_grad(logits, labels, n_unl, cfg)[1]
     lab, weak, strong = branch_rows(len(labels), n_unl)
     return LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])
-
-
-def cross_entropy(batch):
-    """Mean -log softmax(logits)[label] over a labeled batch."""
-    if len(batch) == 0:
-        raise ValueError("cross_entropy on an empty batch")
-    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0)).labeled_ce
 
 
 def pseudo_cross_entropy(batch, tau):

@@ -94,7 +94,6 @@ class TrainState:
     velocity: MlpModel = None
     grads: MlpModel = None
     scratch: MlpModel = None
-    running_marginal: np.ndarray = None
     history: list = field(default_factory=list)
     rngs: dict = field(default_factory=dict)
 
@@ -165,7 +164,7 @@ def make_state(config, input_dim, num_classes, seed):
     return TrainState(model=model, config=config, seed=int(seed), velocity=velocity, rngs=rngs)
 
 
-def _objective_gradients(model, x, labels, n_unl, loss_cfg, running_marginal, out, scratch):
+def _objective_gradients(model, x, labels, n_unl, loss_cfg, out, scratch):
     """One pass of the objective through the network on fixed inputs.
 
     ``x`` stacks the input rows [labeled; weak; strong]: len(labels)
@@ -177,13 +176,12 @@ def _objective_gradients(model, x, labels, n_unl, loss_cfg, running_marginal, ou
     gradient is written to the model-shaped ``out``; ``scratch`` is
     overwritten.
 
-    Returns (LossBreakdown, batch marginal).
+    Returns the LossBreakdown.
     Raises DivergenceError on non-finite logits or loss.
     """
     logits, cache = _forward_cached(model, x)
     try:
-        breakdown, grad, pi_batch = infomax_loss_and_grad(
-            logits, labels, n_unl, loss_cfg, running_marginal)
+        breakdown, grad = infomax_loss_and_grad(logits, labels, n_unl, loss_cfg)
     except ValueError:
         # the kernel's softmax rejects non-finite logits; only then are they scanned
         if np.isfinite(logits).all():
@@ -203,7 +201,7 @@ def _objective_gradients(model, x, labels, n_unl, loss_cfg, running_marginal, ou
         if dlogits.any():
             _backprop(model, cache, rows, dlogits, scratch)
             out.flat += scratch.flat
-    return breakdown, pi_batch
+    return breakdown
 
 
 def train_step(state, labeled_x, labeled_y, unlabeled_x):
@@ -229,10 +227,8 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     if n_unl:
         augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment, out=x[n_lab:])
     try:
-        breakdown, pi_batch = _objective_gradients(
-            state.model, x, labeled_y if n_lab else (), n_unl, cfg.loss,
-            state.running_marginal, state.grads, state.scratch
-        )
+        breakdown = _objective_gradients(state.model, x, labeled_y if n_lab else (), n_unl,
+                                         cfg.loss, state.grads, state.scratch)
     except DivergenceError as exc:
         raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): {exc}") from None
 
@@ -241,14 +237,6 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     np.multiply(state.grads.flat, cfg.learning_rate, out=step)
     velocity -= step
     state.model.flat += velocity
-
-    if cfg.loss.marginal_momentum > 0:
-        m = cfg.loss.marginal_momentum
-        if state.running_marginal is None:
-            state.running_marginal = pi_batch
-        else:
-            state.running_marginal = m * state.running_marginal + (1 - m) * pi_batch
-
     return breakdown
 
 
@@ -356,8 +344,7 @@ def evaluate(model, target):
     )
 
 
-def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
-                        running_marginal=None):
+def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg):
     """Objective gradient w.r.t. every network parameter, flattened.
 
     Runs the step core of train_step (stacked forward, objective kernel,
@@ -373,9 +360,8 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg,
     if not stacked:
         raise ValueError("both batches are empty")
     out = model.copy()
-    breakdown, _ = _objective_gradients(model, np.concatenate(stacked),
-                                        labeled_y if n_lab else (), n_unl, loss_cfg,
-                                        running_marginal, out, model.copy())
+    breakdown = _objective_gradients(model, np.concatenate(stacked), labeled_y if n_lab else (),
+                                     n_unl, loss_cfg, out, model.copy())
     return breakdown, out.flat
 
 

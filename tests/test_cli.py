@@ -142,7 +142,9 @@ class TestExitCodes:
         # malformed text, and values only a spec or sub-config rejects
         "epochs=abc", "hidden=64,x", "held_out=x", "sigma_weak=0.6", "dropout_frac=1.5",
         "noise_scale=-1", "rotation_strength=-1", "feature_dim=0", "feature_dim=-3",
-        "data_seed=-1"])
+        "data_seed=-1",
+        # removed estimator options are unknown keys
+        "include_strong_in_marginal=1", "marginal_momentum=0.5"])
     def test_infeasible_data_config(self, tmp_path, capsys, override):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "--set", override, "run")
@@ -157,6 +159,9 @@ class TestExitCodes:
         ["--jobs", "x", "run"],
         ["--set", "m_l=10000000000000000000", "run"],
         ["sweep", "--axis", "alpha", "--values", "1,x"],
+        # values that would write into one <axis>_<value:g> directory
+        ["sweep", "--axis", "gamma", "--values", "10,10"],
+        ["sweep", "--axis", "alpha", "--values", "1.0000001,1.0000002"],
         # an empty output path would be the working directory
         ["--set", "out_dir=", "run"],
         ["--out", "", "run"],

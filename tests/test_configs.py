@@ -19,7 +19,7 @@ from ltinfomax.trainer import TrainerConfig
 
 # config class -> (required arguments, float fields, error type)
 CONFIGS = {
-    LossConfig: ({}, ("alpha", "tau", "marginal_weight", "marginal_momentum"), ConfigError),
+    LossConfig: ({}, ("alpha", "tau", "marginal_weight"), ConfigError),
     AugmentConfig: ({}, ("sigma_weak", "sigma_strong", "dropout_frac"), ValueError),
     DomainSpec: ({"domain_id": 0, "mean_shift": np.zeros(3), "rotation_seed": 0,
                   "noise_scale": 1.0}, ("noise_scale", "rotation_strength"), ValueError),

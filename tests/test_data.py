@@ -190,8 +190,7 @@ class TestSplit:
     def test_insufficient_class_raises(self):
         data, _ = small_world(k=3, n_per_class=5)
         with pytest.raises(ValueError, match="spare|class"):
-            split_labeled_unlabeled(data, LongTailSpec(3, 5, 10.0), seed=0,
-                                    min_unlabeled_ratio=0.0)
+            split_labeled_unlabeled(data, LongTailSpec(3, 5, 10.0), seed=0)
 
     def test_unlabeled_ratio_enforced(self):
         data, _ = small_world(k=3, n_per_class=12)

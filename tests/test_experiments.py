@@ -241,6 +241,12 @@ class TestSweep:
             sweep(cfg, "alpha", [1.0, -0.5])
         assert not (tmp_path / "out" / "alpha_1").exists()
 
+    def test_values_sharing_a_directory_rejected_before_running(self, tmp_path):
+        cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
+        with pytest.raises(ConfigError, match="gamma_10"):
+            sweep(cfg, "gamma", [1.0, 10.0, 10.0])
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_axis_rejected(self, tmp_path):
         cfg = fast_config(tmp_path)
         with pytest.raises(ConfigError):

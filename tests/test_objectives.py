@@ -17,7 +17,6 @@ from ltinfomax.objectives import (
     LossConfig,
     UnlabeledBatch,
     branch_rows,
-    cross_entropy,
     infomax_loss,
     infomax_loss_and_grad,
     infomax_loss_grad,
@@ -131,6 +130,11 @@ class TestTsallisGradient:
             assert relative_error(analytic, fd) < 1e-5
 
 
+def cross_entropy(batch):
+    """Mean -log softmax(logits)[label]: the labeled term of the objective."""
+    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0)).labeled_ce
+
+
 class TestCrossEntropy:
     def test_perfect_predictions(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
@@ -146,7 +150,7 @@ class TestCrossEntropy:
         assert cross_entropy(batch) == pytest.approx(LN2, rel=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both batches are empty"):
             cross_entropy(LabeledBatch(np.zeros((0, 2)), np.array([], dtype=int)))
 
     def test_label_range_validated(self):
@@ -292,10 +296,12 @@ class TestInfomaxLoss:
             assert b.labeled_ce >= 0 and b.pseudo_ce >= 0
 
     def test_reduces_to_cross_entropy(self):
-        lab, _ = tiny_fixed_batches()
+        lab, unl = tiny_fixed_batches()
         cfg = LossConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
         b = infomax_loss(lab, None, cfg)
-        assert b.total == pytest.approx(cross_entropy(lab), abs=1e-15)
+        assert b.total == b.labeled_ce
+        assert b.labeled_ce == pytest.approx(straight_line_total(lab, unl, 1.0, 0.9)[2],
+                                             abs=1e-12)
         assert b.pseudo_ce == 0.0 and b.accepted_fraction == 0.0
 
     def test_alpha_one_marginal_is_shannon(self):
@@ -404,50 +410,19 @@ class TestInfomaxGradients:
                                                        marginal_weight=0.0))
         assert not np.any(grads.strong[rejected])
 
-    def test_include_strong_in_marginal_gradients(self):
-        rng = np.random.default_rng(35)
-        cfg = LossConfig(alpha=1.5, tau=0.8, include_strong_in_marginal=True)
-        lab, unl = sample_safe_instance(rng)
-        grads = infomax_loss_grad(lab, unl, cfg)
-        analytic = np.concatenate(
-            [grads.labeled.ravel(), grads.weak.ravel(), grads.strong.ravel()]
-        )
-        def f(flat):
-            lab2, unl2 = unflatten_instance(flat, lab, unl)
-            return infomax_loss(lab2, unl2, cfg).total
-        fd = finite_diff_gradient(f, flatten_instance(lab, unl))
-        assert relative_error(analytic, fd) < 1e-5
-
-    def test_running_marginal_momentum_gradients(self):
-        """With momentum m, batch gradients scale by (1 - m)."""
-        rng = np.random.default_rng(36)
-        lab, unl = sample_safe_instance(rng)
-        running = np.full(4, 0.25)
-        cfg = LossConfig(alpha=1.5, tau=0.8, marginal_momentum=0.6)
-        grads = infomax_loss_grad(lab, unl, cfg, running_marginal=running)
-        analytic = np.concatenate(
-            [grads.labeled.ravel(), grads.weak.ravel(), grads.strong.ravel()]
-        )
-        def f(flat):
-            lab2, unl2 = unflatten_instance(flat, lab, unl)
-            return infomax_loss(lab2, unl2, cfg, running_marginal=running).total
-        fd = finite_diff_gradient(f, flatten_instance(lab, unl))
-        assert relative_error(analytic, fd) < 1e-5
-
     def test_loss_and_grad_consistent_with_parts(self):
         """The stacked kernel equals the batch API bit for bit on every branch."""
         rng = np.random.default_rng(37)
         lab, unl = sample_safe_instance(rng)
         cfg = LossConfig(alpha=2.0, tau=0.8)
         logits = np.concatenate([lab.logits, unl.weak_logits, unl.strong_logits])
-        b1, g1, pi = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
+        b1, g1 = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
         b2 = infomax_loss(lab, unl, cfg)
         g2 = infomax_loss_grad(lab, unl, cfg)
         assert b1 == b2
         assert g1.shape == logits.shape
         for rows, part in zip(branch_rows(len(lab), len(unl)), (g2.labeled, g2.weak, g2.strong)):
             np.testing.assert_array_equal(g1[rows], part)
-        np.testing.assert_allclose(pi.sum(), 1.0, atol=1e-12)
 
     # (stacked logits, labels, n_unl, expected message) with 2 labeled rows,
     # 3 unlabeled samples and K = 4
@@ -473,7 +448,3 @@ class TestLossConfigValidation:
     def test_tau_positive(self):
         with pytest.raises(ConfigError):
             LossConfig(tau=0.0)
-
-    def test_momentum_range(self):
-        with pytest.raises(ConfigError):
-            LossConfig(marginal_momentum=1.0)

@@ -195,18 +195,13 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
     probs = {name: softmax_rows(acts[-1]) for name, (_, acts) in branches.items()}
     dlogits = {name: np.zeros_like(p) for name, p in probs.items()}
 
-    marginal = [name for name in probs
-                if name != "strong" or loss.include_strong_in_marginal]
-    pi_batch = np.concatenate([probs[name] for name in marginal]).mean(axis=0)
-    pi, scale = pi_batch, 1.0
-    m = loss.marginal_momentum
-    if m > 0 and state.running_marginal is not None:
-        pi, scale = m * state.running_marginal + (1 - m) * pi_batch, 1.0 - m
+    marginal = [name for name in probs if name != "strong"]
+    pi = np.concatenate([probs[name] for name in marginal]).mean(axis=0)
     if loss.marginal_weight > 0:
         a, p = loss.alpha, np.maximum(pi, LOG_EPS)
         d_entropy = -(np.log(p) + 1.0) if a == 1 else -a / (a - 1.0) * p ** (a - 1.0)
         g_pi = -d_entropy
-        coef = loss.marginal_weight * scale / sum(len(probs[name]) for name in marginal)
+        coef = loss.marginal_weight / sum(len(probs[name]) for name in marginal)
         for name in marginal:
             inner = probs[name] @ g_pi
             dlogits[name] += coef * probs[name] * (g_pi[None, :] - inner[:, None])
@@ -249,9 +244,6 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
             v *= cfg.momentum
             v -= cfg.learning_rate * g
             w += v
-    if m > 0:
-        state.running_marginal = (pi_batch if state.running_marginal is None
-                                  else m * state.running_marginal + (1 - m) * pi_batch)
     terms["total"] = loss.marginal_weight * terms["neg_marginal_entropy"] + \
         terms["labeled_ce"] + terms["pseudo_ce"]
     return terms
@@ -282,8 +274,6 @@ PARITY_CASES = {
     "no-marginal": (LossConfig(marginal_weight=0.0, tau=0.7), False),
     "shannon": (LossConfig(alpha=1.0, tau=0.7), False),
     "tsallis": (LossConfig(alpha=1.5, tau=0.7), False),
-    "strong-in-marginal": (LossConfig(include_strong_in_marginal=True, tau=0.7), False),
-    "marginal-momentum": (LossConfig(marginal_momentum=0.5, tau=0.7), False),
     "supervised-only": (LossConfig(tau=0.7), True),
 }
 
