@@ -151,12 +151,8 @@ def long_tail_counts(spec):
 
     Returns an int array indexed by class id.
     """
-    K, m_l, gamma = spec.num_classes, spec.per_class, spec.gamma
-    budget = m_l * K
-    if budget < K:
-        raise ValueError("budget smaller than one sample per class")
-    ranks = np.arange(K)
-    weights = gamma ** (-ranks / (K - 1))
+    budget = spec.per_class * spec.num_classes
+    weights = _decay_profile(spec)
     raw = budget * weights / weights.sum()
     by_rank = np.maximum(1, np.rint(raw).astype(np.int64))
     by_rank[0] += max(0, budget - int(by_rank.sum()))
@@ -166,11 +162,40 @@ def long_tail_counts(spec):
         # last rank of the tied-max block keeps counts non-increasing
         idx = np.nonzero(reducible & (by_rank == top))[0][-1]
         by_rank[idx] -= 1
-    order = spec.class_order if spec.class_order is not None else tuple(range(K))
-    counts = np.zeros(K, dtype=np.int64)
-    for rank, cls in enumerate(order):
-        counts[cls] = by_rank[rank]
-    return counts
+    return _by_class(by_rank, spec.class_order)
+
+
+def _decay_profile(spec):
+    """Rank weights gamma^(-j / (K-1)), j = 0..K-1: 1 at the head, 1/gamma at the tail."""
+    return spec.gamma ** (-np.arange(spec.num_classes) / (spec.num_classes - 1))
+
+
+def _by_class(by_rank, order):
+    """Per-rank values placed on class ids by the rank -> class map ``order``
+    (identity when None)."""
+    out = np.empty_like(by_rank)
+    out[list(order or range(len(by_rank)))] = by_rank
+    return out
+
+
+def check_split(counts, pool_sizes, longtail_unlabeled):
+    """The long-tail split's feasibility rules, for per-class labeled
+    ``counts`` drawn from per-class ``pool_sizes`` rows.
+
+    Raises ValueError when a class cannot supply its count plus one spare
+    (naming the largest shortfall), or when a balanced unlabeled pool
+    (``longtail_unlabeled`` off) would hold fewer than MIN_UNLABELED_RATIO
+    rows per labeled row.
+    """
+    k = int(np.argmax(counts - pool_sizes))
+    if counts[k] + 1 > pool_sizes[k]:
+        raise ValueError(f"a class has {pool_sizes[k]} samples, "
+                         f"needs {counts[k]} labeled plus a spare")
+    labeled = int(counts.sum())
+    unlabeled = int(pool_sizes.sum()) - labeled
+    if not longtail_unlabeled and unlabeled < MIN_UNLABELED_RATIO * labeled:
+        raise ValueError(f"unlabeled pool ({unlabeled}) below {MIN_UNLABELED_RATIO:g}x "
+                         f"the labeled set ({labeled})")
 
 
 def domain_rotation(dim, rotation_seed, strength):
@@ -236,80 +261,43 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     (pass an explicit order to share it across domains within a run).
     Labeled counts realize long_tail_counts exactly; everything else
     stays unlabeled. With longtail_unlabeled the leftover pool is
-    additionally subsampled to the same decay profile scaled to its size.
+    additionally thinned to the same decay profile, scaled so the head
+    keeps all its rows, and the dropped rows leave the dataset.
 
-    Raises ValueError when a class cannot supply its count plus one
-    spare, or when a balanced unlabeled pool would hold fewer than
-    MIN_UNLABELED_RATIO rows per labeled row.
+    Raises ValueError, before any row is drawn, where check_split does.
     """
     rng = np.random.default_rng(seed)
     if spec.class_order is None:
         order = tuple(int(c) for c in rng.permutation(spec.num_classes))
         spec = LongTailSpec(spec.num_classes, spec.per_class, spec.gamma, order)
     counts = long_tail_counts(spec)
+    pool_sizes = np.bincount(data.labels, minlength=spec.num_classes)
+    check_split(counts, pool_sizes, longtail_unlabeled)
 
-    labeled_idx = []
-    for k in range(spec.num_classes):
-        pool = np.nonzero(data.labels == k)[0]
-        if len(pool) < counts[k] + 1:
-            raise ValueError(
-                f"class {k} has {len(pool)} samples, needs {counts[k]} labeled plus a spare"
-            )
-        picked = rng.choice(pool, size=counts[k], replace=False)
-        labeled_idx.append(picked)
-    labeled_idx = np.sort(np.concatenate(labeled_idx))
-    mask = np.ones(data.n_samples, dtype=bool)
-    mask[labeled_idx] = False
-    unlabeled_idx = np.nonzero(mask)[0]
-
+    labeled_idx = np.sort(np.concatenate([
+        rng.choice(np.nonzero(data.labels == k)[0], size=counts[k], replace=False)
+        for k in range(spec.num_classes)]))
+    keep = np.arange(data.n_samples)
+    unlabeled_idx = np.setdiff1d(keep, labeled_idx, assume_unique=True)
     if longtail_unlabeled:
-        unlabeled_idx = _longtail_subsample(data.labels, unlabeled_idx, spec, rng)
-        # rows dropped from the pool are excluded from the dataset entirely
+        left = pool_sizes - counts
+        weights = _by_class(_decay_profile(spec), spec.class_order)
+        target = np.minimum(left, np.maximum(1, np.rint(left[spec.class_order[0]] * weights)))
+        unl_labels = data.labels[unlabeled_idx]
+        unlabeled_idx = np.sort(np.concatenate([
+            rng.choice(unlabeled_idx[unl_labels == k], size=int(target[k]), replace=False)
+            for k in range(spec.num_classes)]))
         keep = np.sort(np.concatenate([labeled_idx, unlabeled_idx]))
-        remap = -np.ones(data.n_samples, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        return DomainDataset(
-            features=data.features[keep],
-            labels=data.labels[keep],
-            labeled_indices=remap[labeled_idx],
-            unlabeled_indices=remap[unlabeled_idx],
-            num_classes=spec.num_classes,
-            domain_id=data.domain_id,
-        )
-
-    if len(unlabeled_idx) < MIN_UNLABELED_RATIO * len(labeled_idx):
-        raise ValueError(
-            f"unlabeled pool ({len(unlabeled_idx)}) below {MIN_UNLABELED_RATIO}x "
-            f"the labeled set ({len(labeled_idx)})"
-        )
+    # rows dropped from the pool leave the dataset; keep is sorted, so
+    # searchsorted gives each kept row's new index
     return DomainDataset(
-        features=data.features,
-        labels=data.labels,
-        labeled_indices=labeled_idx,
-        unlabeled_indices=unlabeled_idx,
+        features=data.features[keep],
+        labels=data.labels[keep],
+        labeled_indices=np.searchsorted(keep, labeled_idx),
+        unlabeled_indices=np.searchsorted(keep, unlabeled_idx),
         num_classes=spec.num_classes,
         domain_id=data.domain_id,
     )
-
-
-def _longtail_subsample(labels, pool_idx, spec, rng):
-    """Thin an index pool to the spec's decay profile, scaled to fit."""
-    per_class_pool = np.array(
-        [np.sum(labels[pool_idx] == k) for k in range(spec.num_classes)]
-    )
-    weights = np.zeros(spec.num_classes)
-    order = spec.class_order
-    for rank, cls in enumerate(order):
-        weights[cls] = spec.gamma ** (-rank / (spec.num_classes - 1))
-    head = order[0]
-    scale = per_class_pool[head] / weights[head]
-    target = np.maximum(1, np.rint(scale * weights)).astype(np.int64)
-    target = np.minimum(target, per_class_pool)
-    kept = []
-    for k in range(spec.num_classes):
-        members = pool_idx[labels[pool_idx] == k]
-        kept.append(rng.choice(members, size=target[k], replace=False))
-    return np.sort(np.concatenate(kept))
 
 
 def augment(x, strength, rng, cfg=AugmentConfig()):

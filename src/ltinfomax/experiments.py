@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    MIN_UNLABELED_RATIO,
     AugmentConfig,
     DomainSpec,
     LongTailSpec,
+    check_split,
     generate_domain,
     long_tail_counts,
     split_labeled_unlabeled,
@@ -38,6 +38,7 @@ from .trainer import TrainerConfig, evaluate, train
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
 AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
 SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
+MAX_RUN_VALUES = 10**8  # float64 values one run may allocate (800 MB)
 
 
 @dataclass(frozen=True)
@@ -98,29 +99,30 @@ class ExperimentConfig:
             raise ConfigError(f"held_out must be in [0, {self.num_domains}) or None")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        # the specs and sub-configs hold the remaining rules; a one-element
-        # mean shift keeps the DomainSpec probe free of feature_dim
+        # the specs, the sub-configs and the split hold the remaining rules; a
+        # one-element mean shift keeps the DomainSpec probe free of feature_dim
         try:
             spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
             DomainSpec(0, (0.0,), 0, self.noise_scale, self.rotation_strength)
             self.trainer_config()
+            # float64 values of the world, the rotation, the confusion matrix and
+            # the network, bounded before anything of size num_classes is allocated
+            layers = (self.feature_dim, *self.hidden, self.num_classes)
+            size = (self.num_domains * self.num_classes * self.n_per_class * self.feature_dim
+                    + self.feature_dim ** 2 + self.num_classes ** 2
+                    + sum(a * b for a, b in zip(layers, layers[1:])))
+            if size > MAX_RUN_VALUES:
+                raise ValueError(f"a run would hold {size} float64 values, "
+                                 f"above the limit of {MAX_RUN_VALUES}")
+            # the head holds at least the mean m_l, and a huge m_l would
+            # overflow long_tail_counts
+            if self.m_l + 1 > self.n_per_class:
+                raise ValueError(f"the head class needs at least {self.m_l} labeled samples "
+                                 f"plus a spare, but n_per_class is {self.n_per_class}")
+            check_split(long_tail_counts(spec), np.full(self.num_classes, self.n_per_class),
+                        self.longtail_unlabeled)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # the checks split_labeled_unlabeled makes, before any world is built; the
-        # head holds at least the mean m_l, and a huge m_l would overflow long_tail_counts
-        if self.m_l + 1 > self.n_per_class:
-            raise ConfigError(f"the head class needs at least {self.m_l} labeled samples "
-                              f"plus a spare, but n_per_class is {self.n_per_class}")
-        counts = long_tail_counts(spec)
-        head = int(counts.max())
-        if head + 1 > self.n_per_class:
-            raise ConfigError(f"the head class needs {head} labeled samples plus a spare, "
-                              f"but n_per_class is {self.n_per_class}")
-        labeled = int(counts.sum())
-        unlabeled = self.num_classes * self.n_per_class - labeled
-        if not self.longtail_unlabeled and unlabeled < MIN_UNLABELED_RATIO * labeled:
-            raise ConfigError(f"unlabeled pool ({unlabeled}) below {MIN_UNLABELED_RATIO:g}x "
-                              f"the labeled set ({labeled}) per domain")
 
     def _sub_config(self, cls, **given):
         """``cls`` from ``given`` and this config's fields of the same names."""

@@ -97,10 +97,6 @@ class TrainState:
     history: list = field(default_factory=list)
     rngs: dict = field(default_factory=dict)
 
-    @property
-    def velocities(self):
-        return self.velocity.weights, self.velocity.biases
-
 
 def init_mlp(layer_sizes, rng):
     """He-scaled Gaussian weights, zero biases."""

@@ -144,7 +144,9 @@ class TestExitCodes:
         "noise_scale=-1", "rotation_strength=-1", "feature_dim=0", "feature_dim=-3",
         "data_seed=-1",
         # removed estimator options are unknown keys
-        "include_strong_in_marginal=1", "marginal_momentum=0.5"])
+        "include_strong_in_marginal=1", "marginal_momentum=0.5",
+        # runs too large to allocate
+        "feature_dim=100000000000", "hidden=1000000000"])
     def test_infeasible_data_config(self, tmp_path, capsys, override):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "--set", override, "run")

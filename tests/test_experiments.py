@@ -1,15 +1,20 @@
 """Suite orchestration: run records, sweeps, ablation, persistence."""
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ltinfomax.experiments as experiments
+from ltinfomax.data import LongTailSpec, split_labeled_unlabeled
 from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import (
     ExperimentConfig,
@@ -215,6 +220,29 @@ class TestExecuteRun:
         assert a.split_hash != b.split_hash
 
 
+class TestSplitPin:
+    # (longtail_unlabeled, seed) -> (split_hash, digest of every source's labeled and
+    # unlabeled indices and labels); split_hash alone misses the thinned unlabeled pool
+    PINNED = {
+        (False, 0): ("32c954e7ee61e09d", "ba0428a0e7f8700e"),
+        (False, 1): ("d2ee72508fe8e635", "b32001767c7ced7b"),
+        (True, 0): ("a5bc1541a7a4cfa0", "ef62941c21fa4be1"),
+        (True, 1): ("cf87419f48a56aea", "ffbf115c997edd92"),
+    }
+
+    @pytest.mark.parametrize("longtail", [False, True])
+    def test_default_split_is_pinned(self, longtail):
+        cfg = ExperimentConfig(longtail_unlabeled=longtail)
+        domains = build_domains(cfg)
+        for seed in (0, 1):
+            sources, split_hash = split_sources(cfg, domains, seed, heldout=0)
+            digest = hashlib.sha256()
+            for source in sources:
+                for arr in (source.labeled_indices, source.unlabeled_indices, source.labels):
+                    digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+            assert (split_hash, digest.hexdigest()[:16]) == self.PINNED[longtail, seed]
+
+
 class TestSweep:
     def test_degenerate_sweep_matches_run_suite(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
@@ -339,19 +367,46 @@ class TestConfig:
         ({"m_l": 100}, "head class"),
         # K=5, m_l=5: head count 11 + 1 spare fits in 12 rows per class
         ({"n_per_class": 12}, "unlabeled pool"),
+        # bounded before any array of num_classes entries is made
+        ({"num_classes": 10**9}, "float64 values"),
     ])
     def test_infeasible_split_rejected(self, override, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**override)
 
-    def test_feasibility_mirrors_split(self):
-        # 30 rows per class leave exactly 5x the labeled set unlabeled: the
-        # config and the split both accept it; one row fewer is rejected early
-        ok = ExperimentConfig(n_per_class=30)
-        sources, _ = split_sources(ok, build_domains(ok), seed=0, heldout=0)
-        assert all(len(s.unlabeled_indices) >= 5 * len(s.labeled_indices) for s in sources)
+    def test_balanced_pool_boundary(self):
+        # 30 rows per class leave exactly 5x the labeled set unlabeled
+        assert ExperimentConfig(n_per_class=30).n_per_class == 30
         with pytest.raises(ConfigError, match="unlabeled pool"):
             ExperimentConfig(n_per_class=29)
+
+    @example(k=5, m_l=5, gamma=10.0, n_per_class=30, longtail=False)
+    @example(k=5, m_l=5, gamma=10.0, n_per_class=29, longtail=False)
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 6), m_l=st.integers(1, 12), n_per_class=st.integers(2, 60),
+           gamma=st.sampled_from([1.0, 2.5, 10.0, 50.0]) | st.floats(1.0, 100.0),
+           longtail=st.booleans())
+    def test_feasibility_mirrors_split(self, k, m_l, gamma, n_per_class, longtail):
+        """The config rejects exactly the long-tail protocols the split rejects,
+        with the split's message unless the m_l guard fires first."""
+        overrides = dict(num_classes=k, m_l=m_l, gamma=gamma, n_per_class=n_per_class,
+                         longtail_unlabeled=longtail, num_domains=2, feature_dim=2)
+        # build_domains reads only the world's fields, so any m_l and gamma do
+        world = build_domains(SimpleNamespace(**{**asdict(ExperimentConfig()), **overrides}))
+        try:
+            split_labeled_unlabeled(world[0], LongTailSpec(k, m_l, gamma), seed=0,
+                                    longtail_unlabeled=longtail)
+            split_error = None
+        except ValueError as exc:
+            split_error = str(exc)
+        try:
+            ExperimentConfig(**overrides)
+            config_error = None
+        except ConfigError as exc:
+            config_error = str(exc)
+        assert (config_error is None) == (split_error is None)
+        if m_l + 1 <= n_per_class:
+            assert config_error == split_error
 
     def test_longtail_unlabeled_skips_the_balanced_pool_check(self):
         assert ExperimentConfig(n_per_class=12, longtail_unlabeled=True).n_per_class == 12

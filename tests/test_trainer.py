@@ -238,8 +238,9 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
             if i > 0:
                 delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
 
-    vw, vb = state.velocities
-    for params, velocities, grads in ((model.weights, vw, grads_w), (model.biases, vb, grads_b)):
+    vel = state.velocity
+    for params, velocities, grads in ((model.weights, vel.weights, grads_w),
+                                      (model.biases, vel.biases, grads_b)):
         for w, v, g in zip(params, velocities, grads):
             v *= cfg.momentum
             v -= cfg.learning_rate * g
@@ -365,7 +366,7 @@ class TestFlatLayout:
     def test_parameters_and_velocities_are_views_of_one_buffer(self):
         state = make_state(TrainerConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
         for owner, views in ((state.model, state.model.weights + state.model.biases),
-                             (state.velocity, state.velocities[0] + state.velocities[1])):
+                             (state.velocity, state.velocity.weights + state.velocity.biases)):
             assert all(v.base is owner.flat for v in views)
             assert sum(v.size for v in views) == owner.flat.size == 24 + 6 + 30 + 5 + 15 + 3
 
