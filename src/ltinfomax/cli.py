@@ -14,6 +14,7 @@ Global flags: --config FILE (flat key=value), --seed-list, --out DIR,
 import argparse
 import csv
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, DivergenceError
 from .experiments import (
@@ -60,7 +61,8 @@ def _build_parser():
 
     p_plot = sub.add_parser("plotdata", help="CSV -> whitespace table for plotting")
     p_plot.add_argument("table", help="input CSV (a sweep or aggregate file)")
-    p_plot.add_argument("--out-file", default=None, help="output path (default: stdout name .dat)")
+    p_plot.add_argument("--out-file", default=None,
+                        help="output path (default: the table's, with suffix .dat)")
     return parser
 
 
@@ -120,7 +122,7 @@ def _cmd_plotdata(args):
         except (IndexError, ValueError):
             raise ConfigError(f"{args.table}:{lineno}: expected numbers in columns "
                               f"{[header[i] for i in numeric]}, got {raw}") from None
-    out_file = args.out_file or (args.table.rsplit(".", 1)[0] + ".dat")
+    out_file = args.out_file or Path(args.table).with_suffix(".dat")
     emit_plot_data(rows, out_file, header=tuple(header[i] for i in numeric))
     print(f"wrote {out_file} ({len(rows)} rows)")
     return EXIT_OK

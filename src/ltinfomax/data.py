@@ -300,34 +300,16 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     )
 
 
-def augment(x, strength, rng, cfg=AugmentConfig()):
-    """One perturbed view of a feature vector.
-
-    strength 'weak' adds Gaussian noise at sigma_weak; 'strong' adds
-    noise at sigma_strong and zeroes a random dropout_frac of the
-    coordinates. ``rng`` may be a Generator or an integer seed.
-    """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    x = np.asarray(x, dtype=np.float64)
-    if strength == "weak":
-        return x + cfg.sigma_weak * rng.standard_normal(x.shape)
-    if strength == "strong":
-        out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
-        drop = rng.random(x.shape) < cfg.dropout_frac
-        out[drop] = 0.0
-        return out
-    raise ValueError(f"strength must be 'weak' or 'strong', got {strength!r}")
-
-
 def augment_pair(X, rng, cfg=AugmentConfig(), out=None):
-    """Weak and strong views of a batch: the draws of augment(X, 'weak')
-    then augment(X, 'strong') on one generator, both noise draws in one call.
+    """Weak and strong views of a batch, drawn from the Generator ``rng``.
 
+    The weak view adds Gaussian noise at sigma_weak; the strong view adds
+    noise at sigma_strong and zeroes a random dropout_frac of the entries.
+    Both noise draws come in one call, weak first, then the dropout draw.
     With ``out`` (2 * len(X) rows, shaped like X otherwise) the weak view
     is written to its first half and the strong view to its second.
     Returns the two views.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     X = np.asarray(X, dtype=np.float64)
     noise = rng.standard_normal((2, *X.shape))
     if out is None:

@@ -99,18 +99,27 @@ class ExperimentConfig:
             raise ConfigError(f"held_out must be in [0, {self.num_domains}) or None")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds {self.seeds} repeat {repeated}")
         # the specs, the sub-configs and the split hold the remaining rules; a
         # one-element mean shift keeps the DomainSpec probe free of feature_dim
         try:
             spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
             DomainSpec(0, (0.0,), 0, self.noise_scale, self.rotation_strength)
             self.trainer_config()
-            # float64 values of the world, the rotation, the confusion matrix and
-            # the network, bounded before anything of size num_classes is allocated
+            # float64 values of the world, the rotation, the confusion matrix, the
+            # network, an epoch's labeled draw (its steps bounded by the whole
+            # unlabeled pool) and a step's stacked rows through every layer,
+            # bounded before anything of size num_classes is allocated
             layers = (self.feature_dim, *self.hidden, self.num_classes)
-            size = (self.num_domains * self.num_classes * self.n_per_class * self.feature_dim
+            rows = self.num_classes * self.n_per_class  # per domain
+            steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
+            size = (self.num_domains * rows * self.feature_dim
                     + self.feature_dim ** 2 + self.num_classes ** 2
-                    + sum(a * b for a, b in zip(layers, layers[1:])))
+                    + sum(a * b for a, b in zip(layers, layers[1:]))
+                    + self.labeled_batch * steps
+                    + (self.labeled_batch + 2 * self.unlabeled_batch) * sum(layers))
             if size > MAX_RUN_VALUES:
                 raise ValueError(f"a run would hold {size} float64 values, "
                                  f"above the limit of {MAX_RUN_VALUES}")
@@ -214,10 +223,9 @@ def split_sources(config, domains, seed, heldout):
     return sources, hasher.hexdigest()[:16]
 
 
-def execute_run(config, seed, heldout, domains=None):
-    """One leave-one-domain-out run; pure function of its arguments."""
-    if domains is None:
-        domains = build_domains(config)
+def execute_run(config, seed, heldout, domains):
+    """One leave-one-domain-out run on the world ``domains`` (build_domains);
+    pure function of its arguments."""
     sources, split_hash = split_sources(config, domains, seed, heldout)
     t0 = time.perf_counter()
     state = train(config.trainer_config(), sources, seed)
@@ -261,25 +269,26 @@ def _suite_tasks(config):
 
 
 @contextmanager
-def open_runner(config, queued=()):
+def open_runner(config, queued):
     """Build the world once and yield a runner: tasks -> RunRecords.
 
     A task is (config, seed, heldout); every task's config must share
     ``config``'s data fields, since all of them run on its world. With
     config.jobs == 1 a runner call runs its tasks serially in this process.
-    Otherwise the tasks go to one process pool whose workers receive the
-    world once at start-up (inherited, not pickled, under fork). The pool
-    starts on the ``queued`` tasks at once, so its workers keep busy while
-    the caller writes one suite's results; a runner call collects the
-    records of its queued tasks and submits the others. On exit the pool
-    is shut down and, after an error, its pending tasks are cancelled.
+    Otherwise the tasks go to one process pool of at most one worker per
+    ``queued`` task, whose workers receive the world once at start-up
+    (inherited, not pickled, under fork). The pool starts on the queued
+    tasks at once, so its workers keep busy while the caller writes one
+    suite's results; a runner call collects the records of its queued
+    tasks and submits the others. On exit the pool is shut down and, after
+    an error, its pending tasks are cancelled.
     """
     domains = build_domains(config)
     if config.jobs == 1:
         yield lambda tasks: [execute_run(c, s, h, domains) for c, s, h in tasks]
         return
-    pool = ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker,
-                               initargs=(domains,))
+    pool = ProcessPoolExecutor(max_workers=min(config.jobs, len(queued)),
+                               initializer=_init_worker, initargs=(domains,))
     try:
         submitted = {task: pool.submit(_run_worker, task) for task in queued}
 
@@ -312,8 +321,9 @@ def run_suite(config, write=True, *, runner=None):
     Returns the list of RunRecords (ordered by seed, then held-out id).
     """
     out = ensure_writable(config.out_dir) if write else None
-    with (nullcontext(runner) if runner else open_runner(config)) as run:
-        records = run(_suite_tasks(config))
+    tasks = _suite_tasks(config)
+    with (nullcontext(runner) if runner else open_runner(config, tasks)) as run:
+        records = run(tasks)
     records.sort(key=lambda r: (r.seed, r.heldout))
     if write:
         write_runs_csv(records, out / "runs.csv")

@@ -184,21 +184,17 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
         n_unl: number of unlabeled samples.
         cfg: LossConfig.
 
+    The shapes and label range above are the caller's to guarantee; they
+    are not re-checked per step. The batch API checks them in LabeledBatch,
+    UnlabeledBatch and _stack, and training in DomainDataset (labels) and
+    _pool_sources (one K across the sources).
+
     Returns (LossBreakdown, gradient shaped like ``logits``).
-    Raises ValueError when both branches are empty, the logits are not
-    2-D or have the wrong row count, or a label is out of range.
+    Raises ValueError when both branches are empty or a logit is not finite.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n_lab = len(labels)
     if n_lab == 0 and n_unl == 0:
         raise ValueError("both batches are empty")
-    if logits.ndim != 2:
-        raise ValueError("logits must be 2-D (rows, classes)")
-    if logits.shape[0] != n_lab + 2 * n_unl:
-        raise ValueError(f"expected {n_lab} + 2 * {n_unl} logit rows, got {logits.shape[0]}")
-    if n_lab and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ValueError("labels out of range")
     probs, logp = softmax(logits, with_log=True)
     lab, weak, strong = branch_rows(n_lab, n_unl)
 
@@ -250,7 +246,8 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
 
 
 def _stack(labeled, unlabeled):
-    """Kernel arguments (stacked logits, labels, n_unl) for the batch API."""
+    """Kernel arguments (stacked logits, labels, n_unl) for the batch API;
+    the stacking rejects labeled and unlabeled logits of different K."""
     n_lab = len(labeled) if labeled is not None else 0
     n_unl = len(unlabeled) if unlabeled is not None else 0
     stacked = [labeled.logits] if n_lab else []

@@ -99,8 +99,7 @@ class TrainState:
 
 
 def init_mlp(layer_sizes, rng):
-    """He-scaled Gaussian weights, zero biases."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    """He-scaled Gaussian weights, zero biases, drawn from the Generator ``rng``."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
@@ -208,8 +207,9 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     then runs the stacked forward, the objective kernel and the
     per-branch backprop of _objective_gradients into ``state.grads`` and
     applies the momentum update in place on the flat buffers. Pass
-    unlabeled_x=None (or empty) for a purely supervised step. Returns
-    the forward LossBreakdown.
+    unlabeled_x=None (or empty) for a purely supervised step. The labels
+    must lie in [0, K); they are not re-checked (train's come from checked
+    DomainDatasets). Returns the forward LossBreakdown.
     """
     cfg = state.config
 
@@ -346,7 +346,7 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg)
     Runs the step core of train_step (stacked forward, objective kernel,
     per-branch backprop) on fixed, already augmented inputs, without the
     update; the verification path for finite-difference checks through
-    the whole network.
+    the whole network. As in train_step, the labels must lie in [0, K).
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """

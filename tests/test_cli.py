@@ -89,6 +89,15 @@ class TestPlotDataCommand:
         lines = (tmp_path / "p.dat").read_text().splitlines()
         assert lines[0].startswith("#") and len(lines) == 3
 
+    def test_default_out_file_beside_the_table(self, tmp_path, monkeypatch):
+        """A dot in a directory name is not the table's suffix."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.v2").mkdir()
+        (tmp_path / "res.v2" / "agg").write_text("gamma,mean_accuracy\n1,0.8\n")
+        assert main(["plotdata", "res.v2/agg"]) == EXIT_OK
+        assert (tmp_path / "res.v2" / "agg.dat").exists()
+        assert not (tmp_path / "res.dat").exists()
+
     def test_empty_table_exit_code(self, tmp_path):
         table = tmp_path / "empty.csv"
         table.write_text("gamma,mean_accuracy,std_accuracy\n")
@@ -146,7 +155,7 @@ class TestExitCodes:
         # removed estimator options are unknown keys
         "include_strong_in_marginal=1", "marginal_momentum=0.5",
         # runs too large to allocate
-        "feature_dim=100000000000", "hidden=1000000000"])
+        "feature_dim=100000000000", "hidden=1000000000", "labeled_batch=100000000000"])
     def test_infeasible_data_config(self, tmp_path, capsys, override):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "--set", override, "run")
@@ -157,6 +166,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("args", [
         ["--seed-list", "a,b", "run"],
         ["--seed-list", "-1", "run"],
+        # a repeated seed would train and write the same run twice
+        ["--seed-list", "0,0", "run"],
         ["--held-out", "x", "run"],
         ["--jobs", "x", "run"],
         ["--set", "m_l=10000000000000000000", "run"],

@@ -8,7 +8,6 @@ from ltinfomax.data import (
     DomainDataset,
     DomainSpec,
     LongTailSpec,
-    augment,
     augment_pair,
     domain_rotation,
     generate_domain,
@@ -206,35 +205,42 @@ class TestSplit:
         assert hist[0] / hist[-1] >= 3.0
 
 
+def one_view(x, strength, rng, cfg):
+    """Oracle for augment_pair: one view of ``x`` per call, 'weak' or 'strong'."""
+    if strength == "weak":
+        return x + cfg.sigma_weak * rng.standard_normal(x.shape)
+    out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
+    out[rng.random(x.shape) < cfg.dropout_frac] = 0.0
+    return out
+
+
 class TestAugment:
     def test_zero_weak_sigma_is_identity(self):
         cfg = AugmentConfig(sigma_weak=0.0, sigma_strong=0.5, dropout_frac=0.1)
-        x = np.arange(6, dtype=float)
-        np.testing.assert_array_equal(augment(x, "weak", 3, cfg), x)
+        x = np.arange(12, dtype=float).reshape(2, 6)
+        np.testing.assert_array_equal(augment_pair(x, np.random.default_rng(3), cfg)[0], x)
 
     def test_strong_bigger_than_weak(self):
         cfg = AugmentConfig(0.1, 0.5, 0.1)
         rng = np.random.default_rng(12)
-        x = rng.normal(size=8)
-        dw, ds = [], []
-        for i in range(1000):
-            dw.append(np.linalg.norm(augment(x, "weak", 1000 + i, cfg) - x))
-            ds.append(np.linalg.norm(augment(x, "strong", 2000 + i, cfg) - x))
+        x = np.tile(rng.normal(size=8), (1000, 1))
+        weak, strong = augment_pair(x, np.random.default_rng(1000), cfg)
+        dw = np.linalg.norm(weak - x, axis=1)
+        ds = np.linalg.norm(strong - x, axis=1)
         assert np.mean(ds) > np.mean(dw)
 
     def test_dropout_mean(self):
         """rho = 0.2 on d = 10 zeroes on average 2 coordinates."""
         cfg = AugmentConfig(0.0, 1e-9, 0.2)
-        x = np.ones(10)
-        rng = np.random.default_rng(77)
-        zeroed = [np.sum(augment(x, "strong", rng, cfg) == 0.0) for _ in range(10_000)]
-        assert abs(np.mean(zeroed) - 2.0) < 0.1
+        x = np.ones((10_000, 10))
+        _, strong = augment_pair(x, np.random.default_rng(77), cfg)
+        assert abs(np.mean(np.sum(strong == 0.0, axis=1)) - 2.0) < 0.1
 
     def test_pair_deterministic_per_seed(self):
         cfg = AugmentConfig(0.1, 0.5, 0.1)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        w1, s1 = augment_pair(x, 42, cfg)
-        w2, s2 = augment_pair(x, 42, cfg)
+        w1, s1 = augment_pair(x, np.random.default_rng(42), cfg)
+        w2, s2 = augment_pair(x, np.random.default_rng(42), cfg)
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(s1, s2)
 
@@ -242,18 +248,15 @@ class TestAugment:
         cfg = AugmentConfig(0.1, 0.5, 0.3)
         x = np.random.default_rng(1).normal(size=(16, 6))
         rng = np.random.default_rng(9)
-        weak, strong = augment(x, "weak", rng, cfg), augment(x, "strong", rng, cfg)
+        weak, strong = one_view(x, "weak", rng, cfg), one_view(x, "strong", rng, cfg)
         out = np.full((40, 6), np.nan)
-        w, s = augment_pair(x, 9, cfg, out=out[8:])
+        w, s = augment_pair(x, np.random.default_rng(9), cfg, out=out[8:])
         assert np.shares_memory(w, out) and np.shares_memory(s, out)
         np.testing.assert_array_equal(out[8:24], weak)
         np.testing.assert_array_equal(out[24:], strong)
         assert np.isnan(out[:8]).all()
-        np.testing.assert_array_equal(np.concatenate(augment_pair(x, 9, cfg)), out[8:])
-
-    def test_bad_strength_rejected(self):
-        with pytest.raises(ValueError):
-            augment(np.ones(3), "medium", 0)
+        np.testing.assert_array_equal(
+            np.concatenate(augment_pair(x, np.random.default_rng(9), cfg)), out[8:])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

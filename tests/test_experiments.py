@@ -202,12 +202,26 @@ class TestSharedRunner:
         for got, want in zip(suites, serial_suites):
             assert [key(r) for r in got] == [key(r) for r in want]
 
+    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, max_workers, **kwargs):
+                pools.append(max_workers)
+                # never start more than the two workers the suite needs
+                super().__init__(*args, max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        records = run_suite(fast_config(tmp_path, seeds=(0, 1), held_out=0, jobs=8))
+        assert pools == [2] and len(records) == 2
+
 
 class TestExecuteRun:
     def test_deterministic(self, tmp_path):
         cfg = fast_config(tmp_path)
-        a = execute_run(cfg, seed=3, heldout=1)
-        b = execute_run(cfg, seed=3, heldout=1)
+        # each run on its own build of the world
+        a = execute_run(cfg, 3, 1, build_domains(cfg))
+        b = execute_run(cfg, 3, 1, build_domains(cfg))
         assert a.accuracy == b.accuracy
         assert a.split_hash == b.split_hash
         assert a.epochs == b.epochs

@@ -153,10 +153,6 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="both batches are empty"):
             cross_entropy(LabeledBatch(np.zeros((0, 2)), np.array([], dtype=int)))
 
-    def test_label_range_validated(self):
-        with pytest.raises(ValueError):
-            LabeledBatch(np.zeros((2, 3)), np.array([0, 3]))
-
 
 def weak_logits_for_prob(p):
     """Logits whose softmax equals p (p strictly positive)."""
@@ -424,20 +420,24 @@ class TestInfomaxGradients:
         for rows, part in zip(branch_rows(len(lab), len(unl)), (g2.labeled, g2.weak, g2.strong)):
             np.testing.assert_array_equal(g1[rows], part)
 
-    # (stacked logits, labels, n_unl, expected message) with 2 labeled rows,
-    # 3 unlabeled samples and K = 4
+    # (LabeledBatch args, UnlabeledBatch args, expected message) with K = 4,
+    # 2 labeled rows and 3 unlabeled samples; the kernel itself does not
+    # re-check, so the batch API is where malformed input is caught
+    GOOD_LAB, GOOD_UNL = (np.zeros((2, 4)), [0, 3]), (np.zeros((3, 4)), np.zeros((3, 4)))
     MALFORMED = {
-        "row-count": (np.zeros((7, 4)), [0, 3], 3, "logit rows"),
-        "label-negative": (np.zeros((8, 4)), [-1, 3], 3, "out of range"),
-        "label-K": (np.zeros((8, 4)), [0, 4], 3, "out of range"),
-        "logits-1d": (np.zeros(8), [0, 3], 3, "2-D"),
+        "label-negative": ((np.zeros((2, 4)), [-1, 3]), GOOD_UNL, "out of range"),
+        "label-K": ((np.zeros((2, 4)), [0, 4]), GOOD_UNL, "out of range"),
+        "label-count": ((np.zeros((2, 4)), [0, 1, 3]), GOOD_UNL, "labels length"),
+        "logits-1d": ((np.zeros(2), [0, 3]), GOOD_UNL, "2-D"),
+        "weak-strong-shape": (GOOD_LAB, (np.zeros((3, 4)), np.zeros((3, 5))), "identical"),
+        "labeled-unlabeled-K": (GOOD_LAB, (np.zeros((3, 5)), np.zeros((3, 5))), "dimension"),
     }
 
-    @pytest.mark.parametrize("logits, labels, n_unl, message", MALFORMED.values(),
+    @pytest.mark.parametrize("labeled, unlabeled, message", MALFORMED.values(),
                              ids=MALFORMED.keys())
-    def test_kernel_rejects_malformed_input(self, logits, labels, n_unl, message):
+    def test_batch_api_rejects_malformed_input(self, labeled, unlabeled, message):
         with pytest.raises(ValueError, match=message):
-            infomax_loss_and_grad(logits, labels, n_unl, LossConfig())
+            infomax_loss(LabeledBatch(*labeled), UnlabeledBatch(*unlabeled), LossConfig())
 
 
 class TestLossConfigValidation:
