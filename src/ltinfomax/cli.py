@@ -19,9 +19,9 @@ from pathlib import Path
 from .errors import ConfigError, DivergenceError
 from .experiments import (
     SWEEP_AXES,
+    ExperimentConfig,
     _coerce,
     ablation,
-    config_from_overrides,
     emit_plot_data,
     parse_config_file,
     run_suite,
@@ -77,7 +77,8 @@ def _config_from_args(args):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (t.strip() for t in item.split("=", 1))
         flags[key] = _coerce(key, value)
-    return config_from_overrides(parse_config_file(args.config) if args.config else {}, flags)
+    file = parse_config_file(args.config) if args.config else {}
+    return ExperimentConfig(**{**file, **flags})
 
 
 def _cmd_run(args):

@@ -235,20 +235,14 @@ def generate_domain(domain, class_centroids, n_per_class, seed):
     rot = domain_rotation(dim, domain.rotation_seed, domain.rotation_strength)
     moved = (centroids + domain.mean_shift[None, :]) @ rot.T
 
-    rng = np.random.default_rng(seed)
-    feats, labels = [], []
-    for k in range(K):
-        n_k = int(n_per_class[k])
-        feats.append(moved[k][None, :] + domain.noise_scale * rng.standard_normal((n_k, dim)))
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    features = np.concatenate(feats, axis=0)
-    labels = np.concatenate(labels)
-    n = features.shape[0]
+    # one draw for all rows, class by class: the same numbers as a draw per class
+    labels = np.repeat(np.arange(K, dtype=np.int64), n_per_class)
+    noise = np.random.default_rng(seed).standard_normal((len(labels), dim))
     return DomainDataset(
-        features=features,
+        features=moved[labels] + domain.noise_scale * noise,
         labels=labels,
         labeled_indices=np.empty(0, dtype=np.int64),
-        unlabeled_indices=np.arange(n, dtype=np.int64),
+        unlabeled_indices=np.arange(len(labels), dtype=np.int64),
         num_classes=K,
         domain_id=domain.domain_id,
     )

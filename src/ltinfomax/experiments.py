@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    AugmentConfig,
     DomainSpec,
     LongTailSpec,
     check_split,
@@ -39,6 +38,9 @@ RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy
 AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
 SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
 MAX_RUN_VALUES = 10**8  # float64 values one run may allocate (800 MB)
+# the synthetic world's scales: class centroid spread, per-domain mean shift,
+# within-class noise and per-domain axis mixing
+CENTROID_SCALE, SHIFT_SCALE, NOISE_SCALE, ROTATION_STRENGTH = 2.0, 1.0, 1.5, 0.3
 
 
 @dataclass(frozen=True)
@@ -46,34 +48,25 @@ class ExperimentConfig:
     """Everything a suite needs; flat so it maps 1:1 onto the config file."""
 
     # objective
-    alpha: float = 1.5
-    tau: float = 0.95
-    marginal_weight: float = 1.0
+    alpha: float = LossConfig.alpha
+    tau: float = LossConfig.tau
+    marginal_weight: float = LossConfig.marginal_weight
     # long-tail protocol
     m_l: int = 5
     gamma: float = 10.0
     longtail_unlabeled: bool = False
-    # synthetic world
+    # synthetic world (its scales are build_domains' constants)
     num_domains: int = 4
     num_classes: int = 5
     feature_dim: int = 16
     n_per_class: int = 40
-    centroid_scale: float = 2.0
-    noise_scale: float = 1.5
-    shift_scale: float = 1.0
-    rotation_strength: float = 0.3
     data_seed: int = 7
-    # augmentation
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.5
-    dropout_frac: float = 0.1
-    # network / optimizer
-    hidden: tuple = (64, 64)
-    epochs: int = 20
-    learning_rate: float = 0.03
-    momentum: float = 0.9
-    labeled_batch: int = 16
-    unlabeled_batch: int = 64
+    # network / optimizer (augmentation and momentum keep TrainerConfig's defaults)
+    hidden: tuple = TrainerConfig.hidden
+    epochs: int = TrainerConfig.epochs
+    learning_rate: float = TrainerConfig.learning_rate
+    labeled_batch: int = TrainerConfig.labeled_batch
+    unlabeled_batch: int = TrainerConfig.unlabeled_batch
     # protocol
     held_out: int = None          # None rotates over all domains
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -102,11 +95,9 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds {self.seeds} repeat {repeated}")
-        # the specs, the sub-configs and the split hold the remaining rules; a
-        # one-element mean shift keeps the DomainSpec probe free of feature_dim
+        # the spec, the sub-configs and the split hold the remaining rules
         try:
             spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
-            DomainSpec(0, (0.0,), 0, self.noise_scale, self.rotation_strength)
             self.trainer_config()
             # float64 values of the world, the rotation, the confusion matrix, the
             # network, an epoch's labeled draw (its steps bounded by the whole
@@ -134,13 +125,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def _sub_config(self, cls, **given):
-        """``cls`` from ``given`` and this config's fields of the same names."""
+        """``cls`` from ``given`` and this config's fields of the same names;
+        its other fields keep their defaults."""
         return cls(**given, **{f.name: getattr(self, f.name) for f in fields(cls)
-                               if f.name not in given})
+                               if f.name in _FIELD_TYPES})
 
     def trainer_config(self):
-        return self._sub_config(TrainerConfig, loss=self._sub_config(LossConfig),
-                                augment=self._sub_config(AugmentConfig))
+        return self._sub_config(TrainerConfig, loss=self._sub_config(LossConfig))
 
     def hash(self):
         """Content hash, independent of field order and output location."""
@@ -180,19 +171,17 @@ def build_domains(config):
     (and every ablation variant) sees identical features.
     """
     root = np.random.default_rng(np.random.SeedSequence([config.data_seed, 0]))
-    centroids = config.centroid_scale * root.standard_normal(
-        (config.num_classes, config.feature_dim)
-    )
+    centroids = CENTROID_SCALE * root.standard_normal((config.num_classes, config.feature_dim))
     n_per_class = np.full(config.num_classes, config.n_per_class, dtype=np.int64)
     domains = []
     for d in range(config.num_domains):
         drng = np.random.default_rng(np.random.SeedSequence([config.data_seed, 1, d]))
         spec = DomainSpec(
             domain_id=d,
-            mean_shift=config.shift_scale * drng.standard_normal(config.feature_dim),
+            mean_shift=SHIFT_SCALE * drng.standard_normal(config.feature_dim),
             rotation_seed=int(drng.integers(2**31)),
-            noise_scale=config.noise_scale,
-            rotation_strength=config.rotation_strength,
+            noise_scale=NOISE_SCALE,
+            rotation_strength=ROTATION_STRENGTH,
         )
         sample_seed = int(drng.integers(2**31))
         domains.append(generate_domain(spec, centroids, n_per_class, sample_seed))
@@ -272,7 +261,8 @@ def _suite_tasks(config):
 def open_runner(config, queued):
     """Build the world once and yield a runner: tasks -> RunRecords.
 
-    A task is (config, seed, heldout); every task's config must share
+    A task is (config, seed, heldout), and a runner call takes each of the
+    ``queued`` tasks at most once; every task's config must share
     ``config``'s data fields, since all of them run on its world. With
     config.jobs == 1 a runner call runs its tasks serially in this process.
     Otherwise the tasks go to one process pool of at most one worker per
@@ -280,8 +270,8 @@ def open_runner(config, queued):
     (inherited, not pickled, under fork). The pool starts on the queued
     tasks at once, so its workers keep busy while the caller writes one
     suite's results; a runner call collects the records of its queued
-    tasks and submits the others. On exit the pool is shut down and, after
-    an error, its pending tasks are cancelled.
+    tasks. On exit the pool is shut down and, after an error, its pending
+    tasks are cancelled.
     """
     domains = build_domains(config)
     if config.jobs == 1:
@@ -293,8 +283,7 @@ def open_runner(config, queued):
         submitted = {task: pool.submit(_run_worker, task) for task in queued}
 
         def run(tasks):
-            futures = [submitted.pop(t, None) or pool.submit(_run_worker, t) for t in tasks]
-            return [f.result() for f in futures]
+            return [submitted.pop(t).result() for t in tasks]
 
         yield run
     finally:
@@ -500,16 +489,3 @@ def parse_config_file(path):
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return overrides
-
-
-def config_from_overrides(*override_dicts):
-    """Build an ExperimentConfig from layered override dicts (later wins).
-
-    Callers include only keys that were explicitly set, so None is a real
-    value (held_out=None means rotate over all domains).
-    """
-    merged = {key: value for d in override_dicts for key, value in d.items()}
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc

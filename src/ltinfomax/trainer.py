@@ -199,6 +199,17 @@ def _objective_gradients(model, x, labels, n_unl, loss_cfg, out, scratch):
     return breakdown
 
 
+def _check_labels(labels, n_rows, num_classes):
+    """Raise ValueError unless ``labels`` holds ``n_rows`` class ids in [0, num_classes)."""
+    try:  # bincount rejects negative ids and grows past num_classes on larger ones
+        ok = (len(labels) == n_rows
+              and np.bincount(labels, minlength=num_classes).size == num_classes)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"need {n_rows} labels, one per labeled row, in [0, {num_classes})")
+
+
 def train_step(state, labeled_x, labeled_y, unlabeled_x):
     """One SGD step on a mixed mini-batch.
 
@@ -207,16 +218,18 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     then runs the stacked forward, the objective kernel and the
     per-branch backprop of _objective_gradients into ``state.grads`` and
     applies the momentum update in place on the flat buffers. Pass
-    unlabeled_x=None (or empty) for a purely supervised step. The labels
-    must lie in [0, K); they are not re-checked (train's come from checked
-    DomainDatasets). Returns the forward LossBreakdown.
+    unlabeled_x=None (or empty) for a purely supervised step. Returns the
+    forward LossBreakdown; raises ValueError, before any state changes,
+    unless there is one label in [0, K) per labeled row.
     """
     cfg = state.config
+    n_lab = len(labeled_x) if labeled_x is not None else 0
+    n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
+    if n_lab:
+        _check_labels(labeled_y, n_lab, state.model.num_classes)
 
     if state.grads is None:
         state.grads, state.scratch = state.model.copy(), state.model.copy()
-    n_lab = len(labeled_x) if labeled_x is not None else 0
-    n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
     x = np.empty((n_lab + 2 * n_unl, state.model.weights[0].shape[0]))
     if n_lab:
         x[:n_lab] = labeled_x
@@ -346,12 +359,15 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg)
     Runs the step core of train_step (stacked forward, objective kernel,
     per-branch backprop) on fixed, already augmented inputs, without the
     update; the verification path for finite-difference checks through
-    the whole network. As in train_step, the labels must lie in [0, K).
+    the whole network. As in train_step, a label count other than the
+    labeled rows, or a label outside [0, K), raises ValueError.
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(weak_x) if weak_x is not None else 0
+    if n_lab:
+        _check_labels(labeled_y, n_lab, model.num_classes)
     stacked = ([labeled_x] if n_lab else []) + ([weak_x, strong_x] if n_unl else [])
     if not stacked:
         raise ValueError("both batches are empty")

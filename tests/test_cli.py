@@ -146,14 +146,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "num_classes=1", "m_l=100", "n_per_class=10",
         # non-finite floats: NaN slips past every `x < bound` check
-        "gamma=nan", "marginal_weight=nan", "sigma_weak=nan", "noise_scale=nan",
-        "centroid_scale=nan", "rotation_strength=nan", "shift_scale=inf",
+        "gamma=nan", "marginal_weight=nan",
         # malformed text, and values only a spec or sub-config rejects
-        "epochs=abc", "hidden=64,x", "held_out=x", "sigma_weak=0.6", "dropout_frac=1.5",
-        "noise_scale=-1", "rotation_strength=-1", "feature_dim=0", "feature_dim=-3",
+        "epochs=abc", "hidden=64,x", "held_out=x", "feature_dim=0", "feature_dim=-3",
         "data_seed=-1",
-        # removed estimator options are unknown keys
-        "include_strong_in_marginal=1", "marginal_momentum=0.5",
+        # removed estimator options, world scales and augmentation strengths
+        # are unknown keys, whatever the value
+        "include_strong_in_marginal=1", "marginal_momentum=0.5", "noise_scale=1.5",
+        "sigma_weak=nan", "noise_scale=nan", "centroid_scale=nan", "rotation_strength=nan",
+        "shift_scale=inf", "sigma_weak=0.6", "dropout_frac=1.5", "noise_scale=-1",
+        "rotation_strength=-1",
         # runs too large to allocate
         "feature_dim=100000000000", "hidden=1000000000", "labeled_batch=100000000000"])
     def test_infeasible_data_config(self, tmp_path, capsys, override):
@@ -197,8 +199,7 @@ class TestExitCodes:
     def test_divergence(self, tmp_path):
         with np.errstate(all="ignore"):
             code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
-                           "--set", "learning_rate=1e150",
-                           "--set", "momentum=0.9", "run")
+                           "--set", "learning_rate=1e150", "run")
         assert code == EXIT_DIVERGENCE
 
     @staticmethod

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ltinfomax.data import AugmentConfig, DomainSpec
 from ltinfomax.errors import ConfigError
-from ltinfomax.experiments import ExperimentConfig, _coerce, config_from_overrides
+from ltinfomax.experiments import ExperimentConfig, _coerce
 from ltinfomax.objectives import LossConfig
 from ltinfomax.trainer import TrainerConfig
 
@@ -77,6 +77,6 @@ TEXTS = st.one_of(
 def test_any_text_for_any_field_builds_a_config_or_raises_config_error(key, text):
     """Builds configs only; nothing trains."""
     try:
-        config_from_overrides({key: _coerce(key, text)})
+        ExperimentConfig(**{key: _coerce(key, text)})
     except ConfigError:
         pass

@@ -134,6 +134,14 @@ class TestGenerateDomain:
     def test_rotation_identity_at_zero_strength(self):
         np.testing.assert_array_equal(domain_rotation(5, 77, 0.0), np.eye(5))
 
+    @pytest.mark.parametrize("field,value", [("noise_scale", 0.0), ("noise_scale", -1.0),
+                                             ("rotation_strength", -1.0)],
+                             ids=["noise_scale=0", "noise_scale=-1", "rotation_strength=-1"])
+    def test_out_of_range_scale_rejected(self, field, value):
+        args = {"noise_scale": 1.0, "rotation_strength": 0.3, field: value}
+        with pytest.raises(ValueError, match=field):
+            DomainSpec(0, np.zeros(3), 5, **args)
+
 
 class TestSplit:
     def test_histogram_matches_counts(self):

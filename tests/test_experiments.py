@@ -20,7 +20,6 @@ from ltinfomax.experiments import (
     ExperimentConfig,
     ablation,
     build_domains,
-    config_from_overrides,
     emit_plot_data,
     execute_run,
     parse_config_file,
@@ -257,6 +256,26 @@ class TestSplitPin:
             assert (split_hash, digest.hexdigest()[:16]) == self.PINNED[longtail, seed]
 
 
+class TestWorldPin:
+    # world shape -> digest of each domain's features and labels from build_domains
+    PINNED = {
+        "default": ("12cb42564886aa51", "54b59df41b362160", "b6e834ab9b4a7069",
+                    "f04a9f5cbaf1ca84"),
+        "wide-classes": ("3577b661be1f7729", "d7a5dd39f79328ee", "be5a2798ae7a326d",
+                         "b86bae9d4675a857"),
+    }
+    SHAPES = {"default": {}, "wide-classes": dict(num_classes=40, feature_dim=64, m_l=2)}
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_world_is_pinned(self, shape):
+        digests = []
+        for domain in build_domains(ExperimentConfig(**self.SHAPES[shape])):
+            digest = hashlib.sha256(np.ascontiguousarray(domain.features).tobytes())
+            digest.update(np.ascontiguousarray(domain.labels, dtype=np.int64).tobytes())
+            digests.append(digest.hexdigest()[:16])
+        assert tuple(digests) == self.PINNED[shape]
+
+
 class TestSweep:
     def test_degenerate_sweep_matches_run_suite(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
@@ -436,8 +455,7 @@ class TestConfig:
             "hidden = 32,16\n"
             "longtail_unlabeled = true\n"
         )
-        overrides = parse_config_file(path)
-        cfg = config_from_overrides(overrides)
+        cfg = ExperimentConfig(**parse_config_file(path))
         assert cfg.alpha == 2.0 and cfg.gamma == 20.0
         assert cfg.seeds == (0, 1, 2) and cfg.held_out is None
         assert cfg.hidden == (32, 16) and cfg.longtail_unlabeled is True
@@ -457,5 +475,5 @@ class TestConfig:
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("alpha = 2.0\n")
-        cfg = config_from_overrides(parse_config_file(path), {"alpha": 3.0})
+        cfg = ExperimentConfig(**{**parse_config_file(path), "alpha": 3.0})
         assert cfg.alpha == 3.0

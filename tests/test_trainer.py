@@ -163,6 +163,32 @@ class TestTrainStep:
                     train_step(state, x, y, rng.normal(size=(8, 4)))
 
 
+# labels a K=3 model must reject: out of [0, K), or not one per labeled row
+BAD_LABELS = {"label-negative": [-1, 0], "label-K": [3, 0], "label-count": [0]}
+
+
+class TestStepLabels:
+    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+    def test_train_step_rejects_bad_labels_before_any_state_changes(self, labels):
+        state = make_state(TrainerConfig(hidden=(6,)), 4, 3, seed=1)
+        before = flatten_params(state.model)
+        augment = state.rngs["augment"].bit_generator.state
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match=r"labels.*\[0, 3\)"):
+            train_step(state, rng.normal(size=(2, 4)), np.array(labels),
+                       rng.normal(size=(4, 4)))
+        np.testing.assert_array_equal(flatten_params(state.model), before)
+        assert state.rngs["augment"].bit_generator.state == augment
+
+    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+    def test_parameter_gradients_rejects_bad_labels(self, labels):
+        rng = np.random.default_rng(3)
+        model = init_mlp([4, 6, 3], rng)
+        x = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match=r"labels.*\[0, 3\)"):
+            parameter_gradients(model, x, np.array(labels), x, x, LossConfig())
+
+
 def reference_step(state, lab_x, lab_y, unl_x, loss):
     """Straight-line SGD step: a forward pass, a softmax and a backprop per
     branch, with the composite logit gradient written out term by term.
