@@ -1,20 +1,19 @@
-"""Synthetic multi-domain data with a long-tailed labeled subset.
+"""The long-tail protocol and the rows it works on.
 
-A world is a set of shared class centroids; each domain translates them
-by its own mean shift and mixes feature axes through a seeded orthogonal
-transform of controllable strength, so the input distribution differs
-across domains while the label distribution is shared. Labeled subsets
-follow an exponentially decaying per-class count profile with head/tail
-ratio gamma, the class order reshuffled per seed.
+A DomainDataset holds one domain's rows with a labeled/unlabeled index
+split. Labeled subsets follow an exponentially decaying per-class count
+profile with head/tail ratio gamma, the class order reshuffled per seed.
+domain_rotation is the seeded axis mixing that makes the synthetic
+domains (experiments.build_domains) differ; augment_pair draws the weak
+and strong views that training perturbs them with.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import require_finite
+from .errors import ConfigError, require_finite
 
 # a balanced unlabeled pool must hold at least this many rows per labeled row
 MIN_UNLABELED_RATIO = 5.0
@@ -49,27 +48,6 @@ class LongTailSpec:
             if sorted(order) != list(range(self.num_classes)):
                 raise ValueError("class_order must be a permutation of 0..K-1")
             object.__setattr__(self, "class_order", order)
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """One synthetic domain: translation + seeded orthogonal mixing + noise."""
-
-    domain_id: int
-    mean_shift: np.ndarray
-    rotation_seed: int
-    noise_scale: float
-    rotation_strength: float = 0.15
-
-    def __post_init__(self):
-        require_finite(self, ValueError)
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be > 0")
-        if self.rotation_strength < 0:
-            raise ValueError("rotation_strength must be >= 0")
-        object.__setattr__(self, "mean_shift", np.asarray(self.mean_shift, dtype=np.float64))
-        if not np.isfinite(self.mean_shift).all():
-            raise ValueError("mean_shift must be finite")
 
 
 @dataclass(frozen=True)
@@ -130,13 +108,13 @@ class AugmentConfig:
     dropout_frac: float = 0.1
 
     def __post_init__(self):
-        require_finite(self, ValueError)
+        require_finite(self)
         if self.sigma_weak < 0 or self.sigma_strong < 0:
-            raise ValueError("sigmas must be >= 0")
+            raise ConfigError("sigmas must be >= 0")
         if self.sigma_weak >= self.sigma_strong:
-            raise ValueError("weak perturbation must be smaller than strong")
+            raise ConfigError("weak perturbation must be smaller than strong")
         if not (0 <= self.dropout_frac < 1):
-            raise ValueError("dropout_frac must be in [0, 1)")
+            raise ConfigError("dropout_frac must be in [0, 1)")
 
 
 def long_tail_counts(spec):
@@ -205,47 +183,11 @@ def domain_rotation(dim, rotation_seed, strength):
     spectral scale is normalized, so strength interpolates smoothly from
     no mixing toward a generic rotation.
     """
-    if strength == 0:
-        return np.eye(dim)
     rng = np.random.default_rng(rotation_seed)
     g = rng.standard_normal((dim, dim))
     skew = (g - g.T) / 2.0
     skew /= max(np.linalg.norm(skew, 2), 1e-12)
     return expm(strength * np.pi * skew)
-
-
-def generate_domain(domain, class_centroids, n_per_class, seed):
-    """Sample Gaussian blobs around per-domain-transformed centroids.
-
-    Class k's centroid becomes Q_d @ (centroid_k + mean_shift) and
-    n_per_class[k] samples are drawn around it with isotropic noise at
-    the domain's noise_scale. Deterministic given (domain, seed). All
-    rows start unlabeled; use split_labeled_unlabeled afterwards.
-    """
-    centroids = np.asarray(class_centroids, dtype=np.float64)
-    n_per_class = np.asarray(n_per_class, dtype=np.int64)
-    K, dim = centroids.shape
-    if n_per_class.shape != (K,):
-        raise ValueError("n_per_class must have one entry per class")
-    if domain.mean_shift.shape != (dim,):
-        raise ValueError("mean_shift dimension mismatch")
-    if len(np.unique(centroids, axis=0)) < K:
-        warnings.warn("duplicate class centroids: classes will overlap exactly")
-
-    rot = domain_rotation(dim, domain.rotation_seed, domain.rotation_strength)
-    moved = (centroids + domain.mean_shift[None, :]) @ rot.T
-
-    # one draw for all rows, class by class: the same numbers as a draw per class
-    labels = np.repeat(np.arange(K, dtype=np.int64), n_per_class)
-    noise = np.random.default_rng(seed).standard_normal((len(labels), dim))
-    return DomainDataset(
-        features=moved[labels] + domain.noise_scale * noise,
-        labels=labels,
-        labeled_indices=np.empty(0, dtype=np.int64),
-        unlabeled_indices=np.arange(len(labels), dtype=np.int64),
-        num_classes=K,
-        domain_id=domain.domain_id,
-    )
 
 
 def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):

@@ -1,7 +1,8 @@
 """Experiment orchestration: leave-one-domain-out suites, sweeps, ablation.
 
 A suite is |seeds| x |hold-outs| runs. Every run is a pure function of
-(config, seed, held-out domain): the synthetic world depends only on the
+(config, seed, held-out domain): the synthetic world (build_domains:
+Gaussian class blobs, moved and axis-mixed per domain) depends only on the
 config's data fields and is built once per sweep/ablation, one pool for
 all its suites (once per suite when run_suite is called directly); the
 long-tail split is drawn from the run seed with one class order shared
@@ -23,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DomainSpec,
+    DomainDataset,
     LongTailSpec,
     check_split,
-    generate_domain,
+    domain_rotation,
     long_tail_counts,
     split_labeled_unlabeled,
 )
@@ -79,8 +80,9 @@ class ExperimentConfig:
             raise ConfigError("out_dir must not be empty")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.num_domains < 2:
-            raise ConfigError("need at least 2 domains")
+        if self.num_domains < 3:
+            raise ConfigError(f"need at least 3 domains (two source domains plus the "
+                              f"held-out one), got {self.num_domains}")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.data_seed < 0 or any(s < 0 for s in self.seeds):
@@ -165,26 +167,36 @@ class RunRecord:
 
 
 def build_domains(config):
-    """The synthetic world: one DomainDataset per domain, all unsplit.
+    """The synthetic world: one unsplit DomainDataset per domain.
 
-    Depends only on the config's data fields, so every run of a suite
-    (and every ablation variant) sees identical features.
+    K Gaussian class centroids (CENTROID_SCALE, stream [data_seed, 0]) are,
+    per domain d, moved by a Gaussian mean shift (SHIFT_SCALE), their axes
+    mixed by domain_rotation at ROTATION_STRENGTH, and n_per_class rows drawn
+    around each with isotropic noise at NOISE_SCALE; d's shift, rotation seed
+    and noise seed come in that order from stream [data_seed, 1, d]. Domains
+    differ in their inputs and share the label distribution. The world depends
+    only on the config's data fields, so every run of a suite (and every
+    ablation variant) sees identical features.
     """
+    dim = config.feature_dim
     root = np.random.default_rng(np.random.SeedSequence([config.data_seed, 0]))
-    centroids = CENTROID_SCALE * root.standard_normal((config.num_classes, config.feature_dim))
-    n_per_class = np.full(config.num_classes, config.n_per_class, dtype=np.int64)
+    centroids = CENTROID_SCALE * root.standard_normal((config.num_classes, dim))
+    labels = np.repeat(np.arange(config.num_classes), config.n_per_class)
     domains = []
     for d in range(config.num_domains):
         drng = np.random.default_rng(np.random.SeedSequence([config.data_seed, 1, d]))
-        spec = DomainSpec(
+        shift = SHIFT_SCALE * drng.standard_normal(dim)
+        rotation = domain_rotation(dim, int(drng.integers(2**31)), ROTATION_STRENGTH)
+        noise = np.random.default_rng(int(drng.integers(2**31))).standard_normal(
+            (len(labels), dim))
+        domains.append(DomainDataset(
+            features=((centroids + shift) @ rotation.T)[labels] + NOISE_SCALE * noise,
+            labels=labels,
+            labeled_indices=np.empty(0, dtype=np.int64),
+            unlabeled_indices=np.arange(len(labels)),
+            num_classes=config.num_classes,
             domain_id=d,
-            mean_shift=SHIFT_SCALE * drng.standard_normal(config.feature_dim),
-            rotation_seed=int(drng.integers(2**31)),
-            noise_scale=NOISE_SCALE,
-            rotation_strength=ROTATION_STRENGTH,
-        )
-        sample_seed = int(drng.integers(2**31))
-        domains.append(generate_domain(spec, centroids, n_per_class, sample_seed))
+        ))
     return domains
 
 

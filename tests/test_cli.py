@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, overrides, exit codes."""
 
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ltinfomax
 from ltinfomax.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
@@ -145,6 +150,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", [
         "num_classes=1", "m_l=100", "n_per_class=10",
+        # a run trains on two source domains and tests on the held-out one
+        "num_domains=2",
         # non-finite floats: NaN slips past every `x < bound` check
         "gamma=nan", "marginal_weight=nan",
         # malformed text, and values only a spec or sub-config rejects
@@ -230,3 +237,34 @@ class TestExitCodes:
         code = main(["--out", str(blocker / "nested"), "--seed-list", "0",
                      "--held-out", "0", "run"])
         assert code == EXIT_IO
+
+
+class TestAnyBoundedConfigRuns:
+    @example(num_domains=2, num_classes=3, feature_dim=4, n_per_class=30, m_l=2, gamma=10.0,
+             longtail_unlabeled=False, hidden=[8], labeled_batch=8, unlabeled_batch=32,
+             alpha=1.5, tau=0.95, marginal_weight=1.0, learning_rate=0.03)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(num_domains=st.integers(1, 5), num_classes=st.integers(2, 6),
+           feature_dim=st.integers(1, 8), n_per_class=st.integers(2, 60),
+           m_l=st.integers(1, 8),
+           gamma=st.sampled_from([1.0, 10.0, 50.0]) | st.floats(1.0, 100.0),
+           longtail_unlabeled=st.booleans(),
+           hidden=st.lists(st.integers(1, 16), max_size=2),
+           labeled_batch=st.integers(1, 32), unlabeled_batch=st.integers(8, 64),
+           alpha=st.floats(0.1, 4.0), tau=st.floats(0.05, 1.5),
+           marginal_weight=st.floats(0.0, 4.0), learning_rate=st.floats(1e-3, 100.0))
+    def test_finishes_or_fails_fast_with_one_line(self, **fields):
+        """A one-epoch run of any bounded config exits 0, or 2, 3 or 4 with one
+        stderr line; exit 2 comes before the output directory is made."""
+        fields["hidden"] = ",".join(map(str, fields["hidden"]))
+        sets = [arg for key, value in fields.items() for arg in ("--set", f"{key}={value}")]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = Path(tmp) / "out", io.StringIO()
+            with redirect_stderr(err), np.errstate(all="ignore"):
+                code = main(["--out", str(out), "--seed-list", "0", "--held-out", "0",
+                             "--set", "epochs=1", *sets, "run"])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO)
+            if code != EXIT_OK:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+            if code == EXIT_CONFIG:
+                assert not out.exists()

@@ -1,17 +1,16 @@
-"""The library config dataclasses reject non-finite float fields, each with
-its own error type, so a caller who skips ExperimentConfig cannot train on
-NaN or infinity; and any text for any ExperimentConfig field either builds
-a config or raises ConfigError."""
+"""The library config dataclasses reject non-finite float fields with
+ConfigError, so a caller who skips ExperimentConfig cannot train on NaN or
+infinity; and any text for any ExperimentConfig field either builds a
+config or raises ConfigError."""
 
 import math
 from dataclasses import fields
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltinfomax.data import AugmentConfig, DomainSpec
+from ltinfomax.data import AugmentConfig
 from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import ExperimentConfig, _coerce
 from ltinfomax.objectives import LossConfig
@@ -20,9 +19,7 @@ from ltinfomax.trainer import TrainerConfig
 # config class -> (required arguments, float fields, error type)
 CONFIGS = {
     LossConfig: ({}, ("alpha", "tau", "marginal_weight"), ConfigError),
-    AugmentConfig: ({}, ("sigma_weak", "sigma_strong", "dropout_frac"), ValueError),
-    DomainSpec: ({"domain_id": 0, "mean_shift": np.zeros(3), "rotation_seed": 0,
-                  "noise_scale": 1.0}, ("noise_scale", "rotation_strength"), ValueError),
+    AugmentConfig: ({}, ("sigma_weak", "sigma_strong", "dropout_frac"), ConfigError),
     TrainerConfig: ({}, ("learning_rate", "momentum"), ConfigError),
 }
 
@@ -31,19 +28,12 @@ CONFIGS = {
     (LossConfig, "marginal_weight", math.nan),
     (LossConfig, "alpha", math.inf),
     (AugmentConfig, "sigma_weak", math.nan),
-    (DomainSpec, "noise_scale", math.nan),
-    (DomainSpec, "rotation_strength", math.inf),
     (TrainerConfig, "learning_rate", math.inf),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_non_finite_field_rejected(cls, field, value):
     required, _, error = CONFIGS[cls]
     with pytest.raises(error, match=f"{field} must be finite"):
         cls(**{**required, field: value})
-
-
-def test_non_finite_mean_shift_rejected():
-    with pytest.raises(ValueError, match="mean_shift"):
-        DomainSpec(0, [0.0, math.nan], rotation_seed=0, noise_scale=1.0)
 
 
 def test_finite_tau_above_one_stays_legal():

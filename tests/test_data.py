@@ -1,4 +1,4 @@
-"""Long-tail protocol, synthetic domains, augmentation."""
+"""Long-tail protocol, domain mixing, augmentation."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from ltinfomax.data import (
     AugmentConfig,
     DomainDataset,
-    DomainSpec,
     LongTailSpec,
     augment_pair,
     domain_rotation,
-    generate_domain,
     long_tail_counts,
     split_labeled_unlabeled,
 )
@@ -80,51 +78,17 @@ class TestLongTailCounts:
 
 
 def small_world(k=3, d=4, n_per_class=30, noise=0.5, seed=123):
-    rng = np.random.default_rng(0)
-    centroids = 3.0 * rng.standard_normal((k, d))
-    spec = DomainSpec(domain_id=0, mean_shift=np.zeros(d), rotation_seed=5,
-                      noise_scale=noise)
-    return generate_domain(spec, centroids, np.full(k, n_per_class), seed), centroids
+    """One unsplit domain: Gaussian blobs around mixed centroids."""
+    centroids = 3.0 * np.random.default_rng(0).standard_normal((k, d))
+    labels = np.repeat(np.arange(k), n_per_class)
+    features = ((centroids @ domain_rotation(d, 5, 0.15).T)[labels]
+                + noise * np.random.default_rng(seed).standard_normal((len(labels), d)))
+    return DomainDataset(features, labels, labeled_indices=np.empty(0, dtype=int),
+                         unlabeled_indices=np.arange(len(labels)), num_classes=k), centroids
 
 
 class TestGenerateDomain:
-    def test_noiseless_limit(self):
-        rng = np.random.default_rng(0)
-        centroids = rng.standard_normal((3, 4))
-        spec = DomainSpec(0, np.zeros(4), 5, noise_scale=1e-300, rotation_strength=0.0)
-        data = generate_domain(spec, centroids, np.full(3, 4), seed=1)
-        for k in range(3):
-            rows = data.features[data.labels == k]
-            np.testing.assert_allclose(rows, np.tile(centroids[k], (4, 1)), atol=1e-12)
-
-    def test_same_seed_bit_identical(self):
-        a, _ = small_world(seed=99)
-        b, _ = small_world(seed=99)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_mean_shift_recovered_at_scale(self):
-        """Per-class sample means differ by the shift, to 3 sigma / sqrt(n)."""
-        rng = np.random.default_rng(0)
-        d, n = 4, 10_000
-        centroids = rng.standard_normal((2, d))
-        shift = np.array([1.5, -0.5, 0.25, 0.0])
-        noise = 0.8
-        base = DomainSpec(0, np.zeros(d), 5, noise, rotation_strength=0.0)
-        moved = DomainSpec(1, shift, 5, noise, rotation_strength=0.0)
-        da = generate_domain(base, centroids, np.full(2, n), seed=3)
-        db = generate_domain(moved, centroids, np.full(2, n), seed=4)
-        tol = 3 * noise / np.sqrt(n)
-        for k in range(2):
-            ma = da.features[da.labels == k].mean(axis=0)
-            mb = db.features[db.labels == k].mean(axis=0)
-            assert np.all(np.abs((mb - ma) - shift) < 3 * tol)
-
-    def test_duplicate_centroids_warn(self):
-        spec = DomainSpec(0, np.zeros(2), 5, 0.5)
-        centroids = np.array([[1.0, 2.0], [1.0, 2.0]])
-        with pytest.warns(UserWarning):
-            generate_domain(spec, centroids, np.array([3, 3]), seed=0)
+    """domain_rotation, the per-domain axis mixing of the synthetic world."""
 
     def test_rotation_is_orthogonal(self):
         q = domain_rotation(6, rotation_seed=77, strength=0.4)
@@ -133,14 +97,6 @@ class TestGenerateDomain:
 
     def test_rotation_identity_at_zero_strength(self):
         np.testing.assert_array_equal(domain_rotation(5, 77, 0.0), np.eye(5))
-
-    @pytest.mark.parametrize("field,value", [("noise_scale", 0.0), ("noise_scale", -1.0),
-                                             ("rotation_strength", -1.0)],
-                             ids=["noise_scale=0", "noise_scale=-1", "rotation_strength=-1"])
-    def test_out_of_range_scale_rejected(self, field, value):
-        args = {"noise_scale": 1.0, "rotation_strength": 0.3, field: value}
-        with pytest.raises(ValueError, match=field):
-            DomainSpec(0, np.zeros(3), 5, **args)
 
 
 class TestSplit:

@@ -423,7 +423,7 @@ class TestConfig:
         """The config rejects exactly the long-tail protocols the split rejects,
         with the split's message unless the m_l guard fires first."""
         overrides = dict(num_classes=k, m_l=m_l, gamma=gamma, n_per_class=n_per_class,
-                         longtail_unlabeled=longtail, num_domains=2, feature_dim=2)
+                         longtail_unlabeled=longtail, num_domains=3, feature_dim=2)
         # build_domains reads only the world's fields, so any m_l and gamma do
         world = build_domains(SimpleNamespace(**{**asdict(ExperimentConfig()), **overrides}))
         try:

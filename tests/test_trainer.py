@@ -9,10 +9,10 @@ import pytest
 import ltinfomax.trainer as trainer_module
 from ltinfomax.data import (
     AugmentConfig,
-    DomainSpec,
+    DomainDataset,
     LongTailSpec,
     augment_pair,
-    generate_domain,
+    domain_rotation,
     split_labeled_unlabeled,
 )
 from ltinfomax.errors import DivergenceError
@@ -38,11 +38,15 @@ def toy_sources(k=3, d=8, n_per_class=30, noise=0.4, gamma=1.0, m_l=5,
                 num_domains=3, shift=0.5, seed0=100):
     rng = np.random.default_rng(0)
     centroids = 3.0 * rng.standard_normal((k, d))
+    labels = np.repeat(np.arange(k), n_per_class)
     domains = []
     for i in range(num_domains):
-        spec = DomainSpec(i, shift * rng.standard_normal(d), rotation_seed=50 + i,
-                          noise_scale=noise, rotation_strength=0.1)
-        data = generate_domain(spec, centroids, np.full(k, n_per_class), seed=seed0 + i)
+        moved = (centroids + shift * rng.standard_normal(d)) @ domain_rotation(d, 50 + i, 0.1).T
+        noise_draw = np.random.default_rng(seed0 + i).standard_normal((len(labels), d))
+        data = DomainDataset(moved[labels] + noise * noise_draw, labels,
+                             labeled_indices=np.empty(0, dtype=int),
+                             unlabeled_indices=np.arange(len(labels)), num_classes=k,
+                             domain_id=i)
         domains.append(split_labeled_unlabeled(data, LongTailSpec(k, m_l, gamma),
                                                seed=seed0 + 10 + i))
     return domains
