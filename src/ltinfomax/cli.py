@@ -24,6 +24,7 @@ from .experiments import (
     ablation,
     emit_plot_data,
     parse_config_file,
+    read_text_lines,
     run_suite,
     suite_aggregate,
     sweep,
@@ -110,12 +111,13 @@ def _cmd_ablate(args):
 
 
 def _cmd_plotdata(args):
-    with open(args.table, newline="") as fh:
-        table = list(csv.reader(fh))
+    table = list(csv.reader(read_text_lines(args.table)))
     if len(table) < 2:
         raise ConfigError(f"no data rows in {args.table}")
     header, body = table[0], table[1:]
     numeric = [i for i, name in enumerate(header) if name != "variant"]
+    if not numeric:
+        raise ConfigError(f"no numeric column in {args.table}")
     rows = []
     for lineno, raw in enumerate(body, 2):
         try:

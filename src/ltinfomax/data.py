@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, require_finite
+from .numerics import check_labels
 
 # a balanced unlabeled pool must hold at least this many rows per labeled row
 MIN_UNLABELED_RATIO = 5.0
+# the weak/strong views: Gaussian noise scales, and the strong view's share
+# of zeroed entries
+SIGMA_WEAK, SIGMA_STRONG, DROPOUT_FRAC = 0.1, 0.5, 0.1
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,12 @@ class DomainDataset:
     def __post_init__(self):
         # private copies; the dataset is immutable after construction
         feats = np.array(self.features, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        if feats.ndim != 2:
+            raise ValueError("features must be (N, d)")
+        n = feats.shape[0]
+        labels = np.array(check_labels(self.labels, self.num_classes, n))
         lab = np.array(self.labeled_indices, dtype=np.int64)
         unl = np.array(self.unlabeled_indices, dtype=np.int64)
-        if feats.ndim != 2 or labels.shape != (feats.shape[0],):
-            raise ValueError("features must be (N, d) with matching labels")
-        n = feats.shape[0]
-        if n and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         merged = np.concatenate([lab, unl])
         if len(np.unique(merged)) != len(merged):
             raise ValueError("labeled and unlabeled index sets overlap")
@@ -97,24 +98,6 @@ class DomainDataset:
 
     def unlabeled(self):
         return self.features[self.unlabeled_indices]
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Perturbation strengths for the weak and strong views."""
-
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.5
-    dropout_frac: float = 0.1
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.sigma_weak < 0 or self.sigma_strong < 0:
-            raise ConfigError("sigmas must be >= 0")
-        if self.sigma_weak >= self.sigma_strong:
-            raise ConfigError("weak perturbation must be smaller than strong")
-        if not (0 <= self.dropout_frac < 1):
-            raise ConfigError("dropout_frac must be in [0, 1)")
 
 
 def long_tail_counts(spec):
@@ -236,11 +219,11 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     )
 
 
-def augment_pair(X, rng, cfg=AugmentConfig(), out=None):
+def augment_pair(X, rng, out=None):
     """Weak and strong views of a batch, drawn from the Generator ``rng``.
 
-    The weak view adds Gaussian noise at sigma_weak; the strong view adds
-    noise at sigma_strong and zeroes a random dropout_frac of the entries.
+    The weak view adds Gaussian noise at SIGMA_WEAK; the strong view adds
+    noise at SIGMA_STRONG and zeroes a random DROPOUT_FRAC of the entries.
     Both noise draws come in one call, weak first, then the dropout draw.
     With ``out`` (2 * len(X) rows, shaped like X otherwise) the weak view
     is written to its first half and the strong view to its second.
@@ -251,9 +234,9 @@ def augment_pair(X, rng, cfg=AugmentConfig(), out=None):
     if out is None:
         out = np.empty((2 * len(X), *X.shape[1:]))
     weak, strong = out[:len(X)], out[len(X):]
-    noise[0] *= cfg.sigma_weak
-    noise[1] *= cfg.sigma_strong
+    noise[0] *= SIGMA_WEAK
+    noise[1] *= SIGMA_STRONG
     np.add(X, noise[0], out=weak)
     np.add(X, noise[1], out=strong)
-    strong[rng.random(X.shape) < cfg.dropout_frac] = 0.0
+    strong[rng.random(X.shape) < DROPOUT_FRAC] = 0.0
     return weak, strong

@@ -62,7 +62,7 @@ class ExperimentConfig:
     feature_dim: int = 16
     n_per_class: int = 40
     data_seed: int = 7
-    # network / optimizer (augmentation and momentum keep TrainerConfig's defaults)
+    # network / optimizer (augmentation and momentum are constants of data and trainer)
     hidden: tuple = TrainerConfig.hidden
     epochs: int = TrainerConfig.epochs
     learning_rate: float = TrainerConfig.learning_rate
@@ -481,23 +481,31 @@ def _coerce(key, value):
         raise ConfigError(f"bad value for {key} ({kind.__name__}): {value!r}") from None
 
 
-def parse_config_file(path):
-    """Flat key=value config file -> dict of typed overrides.
+def read_text_lines(path):
+    """A UTF-8 text file's lines, endings kept for csv.reader; ConfigError if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
-    Lines starting with '#' and blank lines are ignored. Unknown keys and
-    malformed values raise ConfigError.
+
+def parse_config_file(path):
+    """Flat key=value UTF-8 config file -> dict of typed overrides.
+
+    Lines starting with '#' and blank lines are ignored. Unknown keys,
+    malformed values and non-UTF-8 bytes raise ConfigError.
     """
     overrides = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (t.strip() for t in line.split("=", 1))
-            try:
-                overrides[key] = _coerce(key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (t.strip() for t in line.split("=", 1))
+        try:
+            overrides[key] = _coerce(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return overrides

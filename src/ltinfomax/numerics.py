@@ -39,6 +39,17 @@ def check_prob_vector(p):
     return p
 
 
+def check_labels(labels, num_classes, n_rows):
+    """``labels`` as int64; ValueError unless they are one integer in [0, num_classes)
+    for each of ``n_rows`` rows. Float and bool labels are rejected, not truncated."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_rows,) or (n_rows and not (
+            labels.dtype.kind in "iu" and labels.min() >= 0 and labels.max() < num_classes)):
+        raise ValueError(f"labels must be one integer in [0, {num_classes}) per row "
+                         f"({n_rows} rows)")
+    return labels.astype(np.int64, copy=False)
+
+
 def softmax(z, with_log=False):
     """Numerically stable softmax along the last axis.
 

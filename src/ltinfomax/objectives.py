@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .numerics import LOG_EPS, check_prob_vector, softmax
+from .numerics import LOG_EPS, check_labels, check_prob_vector, softmax
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,9 @@ class LabeledBatch:
 
     def __post_init__(self):
         logits = np.asarray(self.logits, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if logits.ndim != 2:
             raise ValueError("labeled logits must be 2-D (batch, classes)")
-        if labels.shape != (logits.shape[0],):
-            raise ValueError("labels length must match logits batch size")
-        if logits.shape[0] and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-            raise ValueError("labels out of range")
+        labels = check_labels(self.labels, logits.shape[1], logits.shape[0])
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
 

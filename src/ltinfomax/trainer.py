@@ -13,14 +13,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import AugmentConfig, augment_pair
+from .data import augment_pair
 from .errors import ConfigError, DivergenceError, require_finite
-from .numerics import softmax
+from .numerics import check_labels, softmax
 from .objectives import LossBreakdown, LossConfig, branch_rows, infomax_loss_and_grad
 
 # RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
 _LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
+MOMENTUM = 0.9  # SGD momentum, as in the FixMatch base
 
 
 @dataclass
@@ -61,18 +62,14 @@ class TrainerConfig:
     hidden: tuple = (64, 64)
     epochs: int = 20
     learning_rate: float = 0.03
-    momentum: float = 0.9
     labeled_batch: int = 16
     unlabeled_batch: int = 64
     loss: LossConfig = field(default_factory=LossConfig)
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
         require_finite(self)
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
-        if not (0 <= self.momentum < 1):
-            raise ConfigError("momentum must be in [0, 1)")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.labeled_batch < 1 or self.unlabeled_batch < 1:
@@ -84,8 +81,8 @@ class TrainerConfig:
 @dataclass
 class TrainState:
     """Mutable state of one training run (single-writer); ``velocity`` and the
-    work buffers ``grads`` and ``scratch`` are shaped like the model. The first
-    train_step allocates the work buffers and train releases them."""
+    work buffers ``grads`` and ``scratch`` are shaped like the model, and
+    make_state allocates all three."""
 
     model: MlpModel
     config: TrainerConfig
@@ -108,15 +105,11 @@ def init_mlp(layer_sizes, rng):
 
 
 def forward(model, x):
-    """Logits for a single feature vector or a (N, d) batch."""
+    """Logits for a (N, d) batch."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != model.weights[0].shape[0]:
-        raise ValueError(f"input dim {a.shape[1]} does not match model dim "
-                         f"{model.weights[0].shape[0]}")
-    logits = _forward_cached(model, a)[0]
-    return logits[0] if single else logits
+    if x.ndim != 2 or x.shape[1] != model.weights[0].shape[0]:
+        raise ValueError(f"expected a (N, {model.weights[0].shape[0]}) batch, got {x.shape}")
+    return _forward_cached(model, x)[0]
 
 
 def _forward_cached(model, x):
@@ -156,7 +149,8 @@ def make_state(config, input_dim, num_classes, seed):
     model = init_mlp(sizes, rngs["init"])
     velocity = model.copy()
     velocity.flat.fill(0.0)
-    return TrainState(model=model, config=config, seed=int(seed), velocity=velocity, rngs=rngs)
+    return TrainState(model=model, config=config, seed=int(seed), velocity=velocity,
+                      grads=model.copy(), scratch=model.copy(), rngs=rngs)
 
 
 def _objective_gradients(model, x, labels, n_unl, loss_cfg, out, scratch):
@@ -199,17 +193,6 @@ def _objective_gradients(model, x, labels, n_unl, loss_cfg, out, scratch):
     return breakdown
 
 
-def _check_labels(labels, n_rows, num_classes):
-    """Raise ValueError unless ``labels`` holds ``n_rows`` class ids in [0, num_classes)."""
-    try:  # bincount rejects negative ids and grows past num_classes on larger ones
-        ok = (len(labels) == n_rows
-              and np.bincount(labels, minlength=num_classes).size == num_classes)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValueError(f"need {n_rows} labels, one per labeled row, in [0, {num_classes})")
-
-
 def train_step(state, labeled_x, labeled_y, unlabeled_x):
     """One SGD step on a mixed mini-batch.
 
@@ -220,21 +203,19 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     applies the momentum update in place on the flat buffers. Pass
     unlabeled_x=None (or empty) for a purely supervised step. Returns the
     forward LossBreakdown; raises ValueError, before any state changes,
-    unless there is one label in [0, K) per labeled row.
+    unless there is one integer label in [0, K) per labeled row.
     """
     cfg = state.config
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
     if n_lab:
-        _check_labels(labeled_y, n_lab, state.model.num_classes)
+        labeled_y = check_labels(labeled_y, state.model.num_classes, n_lab)
 
-    if state.grads is None:
-        state.grads, state.scratch = state.model.copy(), state.model.copy()
     x = np.empty((n_lab + 2 * n_unl, state.model.weights[0].shape[0]))
     if n_lab:
         x[:n_lab] = labeled_x
     if n_unl:
-        augment_pair(unlabeled_x, state.rngs["augment"], cfg.augment, out=x[n_lab:])
+        augment_pair(unlabeled_x, state.rngs["augment"], out=x[n_lab:])
     try:
         breakdown = _objective_gradients(state.model, x, labeled_y if n_lab else (), n_unl,
                                          cfg.loss, state.grads, state.scratch)
@@ -242,7 +223,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): {exc}") from None
 
     velocity, step = state.velocity.flat, state.scratch.flat
-    velocity *= cfg.momentum
+    velocity *= MOMENTUM
     np.multiply(state.grads.flat, cfg.learning_rate, out=step)
     velocity -= step
     state.model.flat += velocity
@@ -302,7 +283,6 @@ def train(config, sources, seed, supervised_only=False):
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
             state.history.append({**means, "epoch": epoch})
             state.epoch = epoch + 1
-    state.grads = state.scratch = None
     if not np.isfinite(state.model.flat).all():
         raise DivergenceError(f"at epoch {state.epoch - 1} (seed {state.seed}): "
                               "non-finite parameters after the last update")
@@ -359,15 +339,15 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg)
     Runs the step core of train_step (stacked forward, objective kernel,
     per-branch backprop) on fixed, already augmented inputs, without the
     update; the verification path for finite-difference checks through
-    the whole network. As in train_step, a label count other than the
-    labeled rows, or a label outside [0, K), raises ValueError.
+    the whole network. As in train_step, labels that are not one integer
+    in [0, K) per labeled row raise ValueError.
 
     Returns (LossBreakdown, flat gradient aligned with flatten_params).
     """
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(weak_x) if weak_x is not None else 0
     if n_lab:
-        _check_labels(labeled_y, n_lab, model.num_classes)
+        labeled_y = check_labels(labeled_y, model.num_classes, n_lab)
     stacked = ([labeled_x] if n_lab else []) + ([weak_x, strong_x] if n_unl else [])
     if not stacked:
         raise ValueError("both batches are empty")

@@ -113,10 +113,15 @@ class TestPlotDataCommand:
         "gamma,mean_accuracy,std_accuracy\n1,0.5,x\n",
         "gamma,mean_accuracy,std_accuracy\n1,0.5\n",
         "",
-    ], ids=["non-numeric-cell", "short-row", "empty-file"])
+        "variant\nbaseline\nx\n",
+        b"\xffgamma,mean_accuracy\n1,0.5\n",
+    ], ids=["non-numeric-cell", "short-row", "empty-file", "no-numeric-column", "not-utf8"])
     def test_malformed_table_exit_code(self, tmp_path, capsys, text):
         table = tmp_path / "bad.csv"
-        table.write_text(text)
+        if isinstance(text, bytes):
+            table.write_bytes(text)
+        else:
+            table.write_text(text)
         assert main(["plotdata", str(table)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(table) in err
@@ -129,6 +134,15 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key = 1\n")
         assert main(["--config", str(cfg), "run"]) == EXIT_CONFIG
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff")
+        assert run_cli(tmp_path, "--config", str(cfg), "run") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(cfg) in err
+        assert err.count("\n") == 1
 
     def test_bad_config_value(self, tmp_path):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ltinfomax.data import (
-    AugmentConfig,
+    DROPOUT_FRAC,
+    SIGMA_STRONG,
+    SIGMA_WEAK,
     DomainDataset,
     LongTailSpec,
     augment_pair,
@@ -169,64 +171,49 @@ class TestSplit:
         assert hist[0] / hist[-1] >= 3.0
 
 
-def one_view(x, strength, rng, cfg):
+def one_view(x, strength, rng):
     """Oracle for augment_pair: one view of ``x`` per call, 'weak' or 'strong'."""
     if strength == "weak":
-        return x + cfg.sigma_weak * rng.standard_normal(x.shape)
-    out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
-    out[rng.random(x.shape) < cfg.dropout_frac] = 0.0
+        return x + SIGMA_WEAK * rng.standard_normal(x.shape)
+    out = x + SIGMA_STRONG * rng.standard_normal(x.shape)
+    out[rng.random(x.shape) < DROPOUT_FRAC] = 0.0
     return out
 
 
 class TestAugment:
-    def test_zero_weak_sigma_is_identity(self):
-        cfg = AugmentConfig(sigma_weak=0.0, sigma_strong=0.5, dropout_frac=0.1)
-        x = np.arange(12, dtype=float).reshape(2, 6)
-        np.testing.assert_array_equal(augment_pair(x, np.random.default_rng(3), cfg)[0], x)
-
     def test_strong_bigger_than_weak(self):
-        cfg = AugmentConfig(0.1, 0.5, 0.1)
         rng = np.random.default_rng(12)
         x = np.tile(rng.normal(size=8), (1000, 1))
-        weak, strong = augment_pair(x, np.random.default_rng(1000), cfg)
+        weak, strong = augment_pair(x, np.random.default_rng(1000))
         dw = np.linalg.norm(weak - x, axis=1)
         ds = np.linalg.norm(strong - x, axis=1)
         assert np.mean(ds) > np.mean(dw)
 
     def test_dropout_mean(self):
-        """rho = 0.2 on d = 10 zeroes on average 2 coordinates."""
-        cfg = AugmentConfig(0.0, 1e-9, 0.2)
+        """DROPOUT_FRAC on d = 10 zeroes on average 10 * DROPOUT_FRAC coordinates."""
         x = np.ones((10_000, 10))
-        _, strong = augment_pair(x, np.random.default_rng(77), cfg)
-        assert abs(np.mean(np.sum(strong == 0.0, axis=1)) - 2.0) < 0.1
+        _, strong = augment_pair(x, np.random.default_rng(77))
+        assert abs(np.mean(np.sum(strong == 0.0, axis=1)) - 10 * DROPOUT_FRAC) < 0.1
 
     def test_pair_deterministic_per_seed(self):
-        cfg = AugmentConfig(0.1, 0.5, 0.1)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        w1, s1 = augment_pair(x, np.random.default_rng(42), cfg)
-        w2, s2 = augment_pair(x, np.random.default_rng(42), cfg)
+        w1, s1 = augment_pair(x, np.random.default_rng(42))
+        w2, s2 = augment_pair(x, np.random.default_rng(42))
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(s1, s2)
 
     def test_pair_is_weak_then_strong_on_one_generator(self):
-        cfg = AugmentConfig(0.1, 0.5, 0.3)
         x = np.random.default_rng(1).normal(size=(16, 6))
         rng = np.random.default_rng(9)
-        weak, strong = one_view(x, "weak", rng, cfg), one_view(x, "strong", rng, cfg)
+        weak, strong = one_view(x, "weak", rng), one_view(x, "strong", rng)
         out = np.full((40, 6), np.nan)
-        w, s = augment_pair(x, np.random.default_rng(9), cfg, out=out[8:])
+        w, s = augment_pair(x, np.random.default_rng(9), out=out[8:])
         assert np.shares_memory(w, out) and np.shares_memory(s, out)
         np.testing.assert_array_equal(out[8:24], weak)
         np.testing.assert_array_equal(out[24:], strong)
         assert np.isnan(out[:8]).all()
         np.testing.assert_array_equal(
-            np.concatenate(augment_pair(x, np.random.default_rng(9), cfg)), out[8:])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(sigma_weak=0.5, sigma_strong=0.5)
-        with pytest.raises(ValueError):
-            AugmentConfig(0.1, 0.5, dropout_frac=1.0)
+            np.concatenate(augment_pair(x, np.random.default_rng(9))), out[8:])
 
 
 class TestDomainDataset:
@@ -245,9 +232,9 @@ class TestDomainDataset:
                 num_classes=2,
             )
 
-    @pytest.mark.parametrize("bad_label", [-1, 2])
+    @pytest.mark.parametrize("bad_label", [-1, 2, 0.5])
     def test_label_out_of_range_rejected(self, bad_label):
-        with pytest.raises(ValueError, match="labels must lie in"):
+        with pytest.raises(ValueError, match="labels must be one integer"):
             DomainDataset(
                 features=np.zeros((4, 2)),
                 labels=np.array([0, 1, bad_label, 0]),

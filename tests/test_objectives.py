@@ -425,9 +425,10 @@ class TestInfomaxGradients:
     # re-check, so the batch API is where malformed input is caught
     GOOD_LAB, GOOD_UNL = (np.zeros((2, 4)), [0, 3]), (np.zeros((3, 4)), np.zeros((3, 4)))
     MALFORMED = {
-        "label-negative": ((np.zeros((2, 4)), [-1, 3]), GOOD_UNL, "out of range"),
-        "label-K": ((np.zeros((2, 4)), [0, 4]), GOOD_UNL, "out of range"),
-        "label-count": ((np.zeros((2, 4)), [0, 1, 3]), GOOD_UNL, "labels length"),
+        "label-negative": ((np.zeros((2, 4)), [-1, 3]), GOOD_UNL, "labels must be one integer"),
+        "label-K": ((np.zeros((2, 4)), [0, 4]), GOOD_UNL, "labels must be one integer"),
+        "label-count": ((np.zeros((2, 4)), [0, 1, 3]), GOOD_UNL, "labels must be one integer"),
+        "label-float": ((np.zeros((2, 4)), [1.7, 0.2]), GOOD_UNL, "labels must be one integer"),
         "logits-1d": ((np.zeros(2), [0, 3]), GOOD_UNL, "2-D"),
         "weak-strong-shape": (GOOD_LAB, (np.zeros((3, 4)), np.zeros((3, 5))), "identical"),
         "labeled-unlabeled-K": (GOOD_LAB, (np.zeros((3, 5)), np.zeros((3, 5))), "dimension"),

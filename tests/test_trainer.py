@@ -8,7 +8,6 @@ import pytest
 
 import ltinfomax.trainer as trainer_module
 from ltinfomax.data import (
-    AugmentConfig,
     DomainDataset,
     LongTailSpec,
     augment_pair,
@@ -55,7 +54,7 @@ def toy_sources(k=3, d=8, n_per_class=30, noise=0.4, gamma=1.0, m_l=5,
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
         model = MlpModel([np.zeros((4, 3))], [np.zeros(3)])
-        np.testing.assert_array_equal(forward(model, np.ones(4)), np.zeros(3))
+        np.testing.assert_array_equal(forward(model, np.ones((1, 4))), np.zeros((1, 3)))
 
     def test_hand_computed_2_2_2(self):
         """x=(1,2) through fixed weights: logits (0.5, 2.5) by hand."""
@@ -65,7 +64,7 @@ class TestForward:
         )
         # hidden: relu((1+1, -1+4) + (0.5, -1)) = (2.5, 2.0)
         # logits: (2.5 - 2.0, 2.0 + 0.5) = (0.5, 2.5)
-        np.testing.assert_allclose(forward(model, np.array([1.0, 2.0])), [0.5, 2.5],
+        np.testing.assert_allclose(forward(model, np.array([[1.0, 2.0]])), [[0.5, 2.5]],
                                    rtol=1e-15)
 
     def test_final_layer_scaling_preserves_argmax(self):
@@ -84,7 +83,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = init_mlp([4, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward(model, np.ones(5))
+            forward(model, np.ones((1, 5)))
 
 
 class TestParameterGradients:
@@ -129,9 +128,8 @@ class TestParameterGradients:
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
-        # learning_rate must be > 0; emulate with lr -> tiny and momentum 0
-        cfg = TrainerConfig(hidden=(6,), learning_rate=1e-300, momentum=0.0,
-                            loss=LossConfig(tau=0.9))
+        # learning_rate must be > 0; emulate with lr -> tiny
+        cfg = TrainerConfig(hidden=(6,), learning_rate=1e-300, loss=LossConfig(tau=0.9))
         state = make_state(cfg, input_dim=4, num_classes=3, seed=1)
         before = flatten_params(state.model)
         rng = np.random.default_rng(2)
@@ -147,7 +145,7 @@ class TestTrainStep:
         x = np.concatenate([rng.normal(size=(20, 2)) + 4.0,
                             rng.normal(size=(20, 2)) - 4.0])
         y = np.array([0] * 20 + [1] * 20)
-        cfg = TrainerConfig(hidden=(8,), learning_rate=0.05, momentum=0.0,
+        cfg = TrainerConfig(hidden=(8,), learning_rate=0.02,
                             loss=LossConfig(marginal_weight=0.0, tau=2.0))
         state = make_state(cfg, 2, 2, seed=5)
         losses = [train_step(state, x, y, None).labeled_ce for _ in range(60)]
@@ -156,7 +154,7 @@ class TestTrainStep:
         assert losses[-1] < losses[5]
 
     def test_divergence_raises(self):
-        cfg = TrainerConfig(hidden=(6, 6), learning_rate=1e150, momentum=0.9)
+        cfg = TrainerConfig(hidden=(6, 6), learning_rate=1e150)
         state = make_state(cfg, 4, 3, seed=1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 4))
@@ -167,8 +165,9 @@ class TestTrainStep:
                     train_step(state, x, y, rng.normal(size=(8, 4)))
 
 
-# labels a K=3 model must reject: out of [0, K), or not one per labeled row
-BAD_LABELS = {"label-negative": [-1, 0], "label-K": [3, 0], "label-count": [0]}
+# labels a K=3 model must reject: out of [0, K), not integers, or not one per labeled row
+BAD_LABELS = {"label-negative": [-1, 0], "label-K": [3, 0], "label-count": [0],
+              "label-float": [1.5, 0.0], "label-bool": [True, False]}
 
 
 class TestStepLabels:
@@ -219,7 +218,7 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
 
     branches = {"labeled": forward_branch(lab_x)}
     if unl_x is not None:
-        weak_x, strong_x = augment_pair(unl_x, state.rngs["augment"], cfg.augment)
+        weak_x, strong_x = augment_pair(unl_x, state.rngs["augment"])
         branches["weak"] = forward_branch(weak_x)
         branches["strong"] = forward_branch(strong_x)
     probs = {name: softmax_rows(acts[-1]) for name, (_, acts) in branches.items()}
@@ -272,7 +271,7 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
     for params, velocities, grads in ((model.weights, vel.weights, grads_w),
                                       (model.biases, vel.biases, grads_b)):
         for w, v, g in zip(params, velocities, grads):
-            v *= cfg.momentum
+            v *= trainer_module.MOMENTUM
             v -= cfg.learning_rate * g
             w += v
     terms["total"] = loss.marginal_weight * terms["neg_marginal_entropy"] + \
@@ -395,8 +394,8 @@ class TestTrainParity:
 class TestFlatLayout:
     def test_parameters_and_velocities_are_views_of_one_buffer(self):
         state = make_state(TrainerConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
-        for owner, views in ((state.model, state.model.weights + state.model.biases),
-                             (state.velocity, state.velocity.weights + state.velocity.biases)):
+        for owner in (state.model, state.velocity, state.grads, state.scratch):
+            views = owner.weights + owner.biases
             assert all(v.base is owner.flat for v in views)
             assert sum(v.size for v in views) == owner.flat.size == 24 + 6 + 30 + 5 + 15 + 3
 
@@ -426,14 +425,6 @@ class TestFlatLayout:
         np.testing.assert_array_equal(flat, state.model.flat)
         assert not np.shares_memory(flat, state.model.flat)
         assert np.array_equal(flat[:24], state.model.weights[0].ravel())
-
-    def test_train_releases_the_work_buffers(self):
-        sources = toy_sources()
-        state = train(TrainerConfig(hidden=(8,), epochs=1), sources, seed=0)
-        assert state.grads is None and state.scratch is None
-        x, y = sources[0].labeled()
-        train_step(state, x[:4], y[:4], sources[0].unlabeled()[:6])
-        assert state.grads.flat.shape == state.scratch.flat.shape == state.model.flat.shape
 
     def test_history_is_the_per_step_mean_of_the_loss_terms(self, monkeypatch):
         records = []
@@ -484,8 +475,7 @@ class TestTrain:
     def test_heldin_accuracy_on_separated_domains(self):
         """20 epochs on 3 well-separated sources learns the task."""
         sources = toy_sources(k=3, d=8, n_per_class=30, noise=0.3, m_l=5)
-        cfg = TrainerConfig(hidden=(32,), epochs=20,
-                            augment=AugmentConfig(0.05, 0.3, 0.05))
+        cfg = TrainerConfig(hidden=(32,), epochs=20)
         state = train(cfg, sources, seed=11)
         report = evaluate(state.model, sources[0])
         assert report.accuracy > 0.9
