@@ -22,6 +22,9 @@ from .objectives import LossBreakdown, LossConfig, branch_rows, infomax_loss_and
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
 _LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
 MOMENTUM = 0.9  # SGD momentum, as in the FixMatch base
+EVAL_ROWS = 256  # rows per forward block at evaluation
+# an epoch-mean total loss above this is divergence; healthy runs stay below 6
+DIVERGED_LOSS = 1e6
 
 
 @dataclass
@@ -105,28 +108,38 @@ def init_mlp(layer_sizes, rng):
 
 
 def forward(model, x):
-    """Logits for a (N, d) batch."""
+    """Logits for a (N, d) batch, run in blocks of EVAL_ROWS rows with no
+    cache, so memory is O(EVAL_ROWS x width). Blocks start at multiples of
+    EVAL_ROWS and a 1-row remainder joins the block before it (one row
+    would take BLAS's gemv path), so each row meets the kernel of one full
+    product."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights[0].shape[0]:
         raise ValueError(f"expected a (N, {model.weights[0].shape[0]}) batch, got {x.shape}")
-    return _forward_cached(model, x)[0]
+    ends = [*range(EVAL_ROWS, len(x) - 1, EVAL_ROWS), len(x)]  # no 1-row last block
+    logits = np.empty((len(x), model.num_classes))
+    for lo, hi in zip([0, *ends], ends):
+        logits[lo:hi] = _forward_cached(model, x[lo:hi], keep=False)[0]
+    return logits
 
 
-def _forward_cached(model, x):
-    """Forward pass keeping every layer's input and every hidden ReLU mask.
+def _forward_cached(model, x, keep=True):
+    """Forward pass; ``keep`` keeps every layer's input and every hidden ReLU
+    mask for _backprop, else no mask is taken and the cache comes back empty.
 
     The bias add and the ReLU run in place on each product, and each mask
-    is taken once for all stacked rows.
-    """
-    acts, masks = [np.asarray(x, dtype=np.float64)], []
-    for w, b in zip(model.weights, model.biases):
-        z = acts[-1] @ w
+    is taken once for all stacked rows."""
+    z, acts, masks = np.asarray(x, dtype=np.float64), [], []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if keep:
+            acts.append(z)
+        z = z @ w
         z += b
-        if len(acts) < len(model.weights):
-            masks.append(z > 0)
+        if i < len(model.weights) - 1:
+            if keep:
+                masks.append(z > 0)
             np.maximum(z, 0.0, out=z)
-        acts.append(z)
-    return acts[-1], (acts, masks)
+    return z, (acts, masks)
 
 
 def _backprop(model, cache, rows, dlogits, out):
@@ -249,7 +262,8 @@ def train(config, sources, seed, supervised_only=False):
     entirely but keeps the same step schedule and labeled draws, so a
     run with marginal_weight = 0 and tau > 1 lands on bit-identical
     parameters. Overflow warnings are silenced: non-finite logits, loss
-    or final parameters raise DivergenceError instead.
+    or final parameters, or an epoch-mean total loss above DIVERGED_LOSS,
+    raise DivergenceError instead.
     """
     if len(sources) < 2:
         raise ValueError("need at least 2 source domains")
@@ -282,6 +296,9 @@ def train(config, sources, seed, supervised_only=False):
                 terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
             state.history.append({**means, "epoch": epoch})
+            if means["total"] > DIVERGED_LOSS:
+                raise DivergenceError(f"at epoch {epoch} (seed {state.seed}): epoch-mean "
+                                      f"loss {means['total']:.3g} above {DIVERGED_LOSS:g}")
             state.epoch = epoch + 1
     if not np.isfinite(state.model.flat).all():
         raise DivergenceError(f"at epoch {state.epoch - 1} (seed {state.seed}): "

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import ltinfomax
 from ltinfomax.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
+from ltinfomax.trainer import DIVERGED_LOSS
 
 FAST_ARGS = [
     "--set", "num_domains=3", "--set", "num_classes=3", "--set", "feature_dim=6",
@@ -239,6 +241,12 @@ class TestExitCodes:
         """No numpy overflow warning comes first, even when warnings are errors."""
         self._diverge_in_subprocess(tmp_path, "--seed-list", "0", "--held-out", "0", "run")
 
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5, 6, 7])
+    def test_huge_but_finite_loss_is_a_divergence(self, tmp_path, seed):
+        """At these seeds the parameters stay finite and every prediction falls
+        in one class; the epoch-mean loss bound catches it."""
+        self._diverge_in_subprocess(tmp_path, "--seed-list", str(seed), "--held-out", "0", "run")
+
     @pytest.mark.parametrize("command", [["sweep", "--axis", "gamma", "--values", "1,10"],
                                          ["ablate"]], ids=["sweep", "ablate"])
     def test_divergence_in_the_shared_pool_prints_one_line(self, tmp_path, command):
@@ -280,5 +288,8 @@ class TestAnyBoundedConfigRuns:
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO)
             if code != EXIT_OK:
                 assert err.getvalue().count("\n") == 1, err.getvalue()
+            else:
+                run = json.loads((out / "run_s0_h0.json").read_text())
+                assert all(abs(e["total"]) <= DIVERGED_LOSS for e in run["epochs"]), run["epochs"]
             if code == EXIT_CONFIG:
                 assert not out.exists()

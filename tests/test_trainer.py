@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ class TestForward:
         model = init_mlp([4, 3], np.random.default_rng(0))
         with pytest.raises(ValueError):
             forward(model, np.ones((1, 5)))
+
+    @pytest.mark.parametrize("sizes", [(16, 64, 64, 5), (64, 256, 256, 40)],
+                             ids=["default", "wide-classes"])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513, 1600])
+    def test_blocks_match_one_product(self, sizes, n):
+        """The row blocks give the bits of one full product per layer; n=257
+        ends on a 1-row remainder, which joins the block before it."""
+        model = init_mlp(list(sizes), np.random.default_rng(3))
+        x = np.random.default_rng(n).standard_normal((n, sizes[0]))
+        assert np.array_equal(forward(model, x), trainer_module._forward_cached(model, x)[0])
 
 
 class TestParameterGradients:
@@ -573,6 +584,22 @@ class TestEvaluate:
         model.flat *= 1e200
         with pytest.raises(DivergenceError, match="target"):
             evaluate(model, sources[0])
+
+    def test_memory_is_bounded_by_blocks(self):
+        """20000 rows through one 512-wide layer: one product would hold 82 MB
+        of activations plus 10 MB of masks; the blocks hold about 1 MB."""
+        rng = np.random.default_rng(0)
+        n = 20000
+        target = DomainDataset(rng.standard_normal((n, 4)), rng.integers(2, size=n),
+                               np.arange(n), np.empty(0, dtype=int), num_classes=2)
+        model = init_mlp([4, 512, 2], rng)
+        tracemalloc.start()
+        try:
+            evaluate(model, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
 
     def test_report_invariants(self):
         sources = toy_sources()
