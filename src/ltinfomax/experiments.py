@@ -103,9 +103,10 @@ class ExperimentConfig:
             self.trainer_config()
             # float64 values of the world, the rotation, the confusion matrix, the
             # network, an epoch's labeled draw (its steps bounded by the whole
-            # unlabeled pool), and a step's stacked rows and an evaluate block of
-            # EVAL_ROWS rows (evaluation is bounded by blocks) through every
-            # layer, bounded before anything of size num_classes is allocated
+            # unlabeled pool), a step's stacked rows and an evaluate block of
+            # EVAL_ROWS rows through every layer, and evaluate's (rows, K)
+            # arrays (the logits and softmax's four), bounded before anything
+            # of size num_classes is allocated
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
             steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
@@ -113,7 +114,8 @@ class ExperimentConfig:
                     + self.feature_dim ** 2 + self.num_classes ** 2
                     + sum(a * b for a, b in zip(layers, layers[1:]))
                     + self.labeled_batch * steps
-                    + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS) * sum(layers))
+                    + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS) * sum(layers)
+                    + 5 * rows * self.num_classes)
             if size > MAX_RUN_VALUES:
                 raise ValueError(f"a run would hold {size} float64 values, "
                                  f"above the limit of {MAX_RUN_VALUES}")

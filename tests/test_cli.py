@@ -213,6 +213,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_evaluate_too_large(self, tmp_path, capsys):
+        """30000 held-out rows x 3000 classes: evaluate's (N, K) arrays alone
+        would be several 0.67 GiB; the world and network are small."""
+        sets = ["num_classes=3000", "n_per_class=10", "feature_dim=1", "m_l=1", "gamma=1"]
+        code = main(["--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
+                     *(arg for kv in sets for arg in ("--set", kv)), "run"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_infeasible_sweep_value_before_any_run(self, tmp_path):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "sweep", "--axis", "ml", "--values", "1,100")

@@ -1,14 +1,21 @@
 """Long-tail protocol, domain mixing, augmentation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ltinfomax
 from ltinfomax.data import (
     DROPOUT_FRAC,
     SIGMA_STRONG,
     SIGMA_WEAK,
     DomainDataset,
     LongTailSpec,
+    _expm,
     augment_pair,
     domain_rotation,
     long_tail_counts,
@@ -99,6 +106,38 @@ class TestGenerateDomain:
 
     def test_rotation_identity_at_zero_strength(self):
         np.testing.assert_array_equal(domain_rotation(5, 77, 0.0), np.eye(5))
+
+
+class TestExpm:
+    """_expm, the numpy [13/13] Pade exponential behind domain_rotation."""
+
+    @pytest.mark.parametrize("t", [0.5, 40.0])
+    def test_plane_rotation_closed_form(self, t):
+        # at t = 40 the 1-norm is above theta_13, so the squaring loop runs
+        c, s = np.cos(t), np.sin(t)
+        np.testing.assert_allclose(_expm(np.array([[0.0, -t], [t, 0.0]])),
+                                   [[c, -s], [s, c]], rtol=0, atol=1e-14)
+
+    def test_inverse_is_exp_of_negation(self):
+        g = np.random.default_rng(3).standard_normal((64, 64))
+        a = g - g.T
+        np.testing.assert_allclose(_expm(a) @ _expm(-a), np.eye(64), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    def test_rotation_matches_scipy(self, dim):
+        """Ties the world to the one scipy.linalg.expm built before."""
+        expm = pytest.importorskip("scipy.linalg").expm
+        g = np.random.default_rng(9).standard_normal((dim, dim))
+        skew = (g - g.T) / 2.0
+        skew /= max(np.linalg.norm(skew, 2), 1e-12)
+        np.testing.assert_allclose(domain_rotation(dim, 9, 0.3), expm(0.3 * np.pi * skew),
+                                   rtol=0, atol=1e-14)
+
+    def test_package_does_not_import_scipy(self):
+        src = Path(ltinfomax.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        code = "import ltinfomax, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestSplit:

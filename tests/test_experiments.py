@@ -259,10 +259,10 @@ class TestSplitPin:
 class TestWorldPin:
     # world shape -> digest of each domain's features and labels from build_domains
     PINNED = {
-        "default": ("12cb42564886aa51", "54b59df41b362160", "b6e834ab9b4a7069",
-                    "f04a9f5cbaf1ca84"),
-        "wide-classes": ("3577b661be1f7729", "d7a5dd39f79328ee", "be5a2798ae7a326d",
-                         "b86bae9d4675a857"),
+        "default": ("4b8181d1669cec7e", "f4071463aec0012d", "c2b8883372fb6c38",
+                    "3f002141377f19db"),
+        "wide-classes": ("785d4a2883d305d5", "0fe382cb46939990", "7f02cd566c0af3ed",
+                         "54ee896c22780af6"),
     }
     SHAPES = {"default": {}, "wide-classes": dict(num_classes=40, feature_dim=64, m_l=2)}
 
