@@ -17,7 +17,6 @@ from ltinfomax import (
     UnlabeledBatch,
     finite_diff_gradient,
     infomax_loss,
-    infomax_loss_grad,
     relative_error,
     shannon_entropy,
     tsallis_entropy,
@@ -72,7 +71,7 @@ unlabeled = UnlabeledBatch(
 for cfg in (LossConfig(alpha=1.0, tau=0.9),
             LossConfig(alpha=1.5, tau=0.9),
             LossConfig(alpha=1.5, tau=0.9, marginal_weight=0.0)):
-    b = infomax_loss(labeled, unlabeled, cfg)
+    b, _ = infomax_loss(labeled, unlabeled, cfg)
     tag = f"alpha={cfg.alpha}, w={cfg.marginal_weight}"
     print(f"{tag:22s} -H_a(pi)={b.neg_marginal_entropy:+.4f} "
           f"ce={b.labeled_ce:.4f} pseudo={b.pseudo_ce:.4f} "
@@ -83,7 +82,7 @@ print("=" * 70)
 print("4. Analytic gradient vs central finite differences")
 print("=" * 70)
 cfg = LossConfig(alpha=1.5, tau=0.9)
-grads = infomax_loss_grad(labeled, unlabeled, cfg)
+_, grads = infomax_loss(labeled, unlabeled, cfg)
 flat_analytic = np.concatenate([grads.labeled.ravel(), grads.weak.ravel(),
                                 grads.strong.ravel()])
 
@@ -92,7 +91,7 @@ def loss_of(flat):
     b = flat[6:12].reshape(2, 3)
     c = flat[12:].reshape(2, 3)
     return infomax_loss(LabeledBatch(a, labeled.labels),
-                        UnlabeledBatch(b, c), cfg).total
+                        UnlabeledBatch(b, c), cfg)[0].total
 
 flat0 = np.concatenate([labeled.logits.ravel(),
                         unlabeled.weak_logits.ravel(),

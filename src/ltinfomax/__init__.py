@@ -11,7 +11,6 @@ from .objectives import (
     LossConfig,
     UnlabeledBatch,
     infomax_loss,
-    infomax_loss_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,

@@ -182,8 +182,8 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
 
     The shapes and label range above are the caller's to guarantee; they
     are not re-checked per step. The batch API checks them in LabeledBatch,
-    UnlabeledBatch and _stack, and training in DomainDataset (labels) and
-    _pool_sources (one K across the sources).
+    UnlabeledBatch and infomax_loss's stacking, and training in
+    DomainDataset (labels) and _pool_sources (one K across the sources).
 
     Returns (LossBreakdown, gradient shaped like ``logits``).
     Raises ValueError when both branches are empty or a logit is not finite.
@@ -241,62 +241,22 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
     return breakdown, grad
 
 
-def _stack(labeled, unlabeled):
-    """Kernel arguments (stacked logits, labels, n_unl) for the batch API;
-    the stacking rejects labeled and unlabeled logits of different K."""
+def infomax_loss(labeled, unlabeled, cfg):
+    """The composite objective and every logit gradient on a LabeledBatch
+    and an UnlabeledBatch, either of which may be None, from one
+    infomax_loss_and_grad call on their stacked rows; the stacking rejects
+    labeled and unlabeled logits of different K. With alpha = 1 and
+    marginal_weight = 0 it is the plain semi-supervised baseline, and with
+    marginal_weight = 0 and no labeled batch the pseudo cross-entropy alone.
+
+    Returns (LossBreakdown, LossGradients).
+    """
     n_lab = len(labeled) if labeled is not None else 0
     n_unl = len(unlabeled) if unlabeled is not None else 0
     stacked = [labeled.logits] if n_lab else []
     if n_unl:
         stacked += [unlabeled.weak_logits, unlabeled.strong_logits]
     logits = np.concatenate(stacked) if stacked else np.empty((0, 0))
-    return logits, labeled.labels if n_lab else (), n_unl
-
-
-def infomax_loss(labeled, unlabeled, cfg):
-    """Forward value of the composite objective on a LabeledBatch and an
-    UnlabeledBatch, either of which may be None (see infomax_loss_and_grad).
-
-    Returns a LossBreakdown. With alpha = 1 and marginal_weight = 0 this
-    reduces exactly to the plain semi-supervised baseline.
-    """
-    return infomax_loss_and_grad(*_stack(labeled, unlabeled), cfg)[0]
-
-
-def infomax_loss_grad(labeled, unlabeled, cfg):
-    """Analytic gradient of infomax_loss().total w.r.t. every input logit."""
-    logits, labels, n_unl = _stack(labeled, unlabeled)
-    grad = infomax_loss_and_grad(logits, labels, n_unl, cfg)[1]
-    lab, weak, strong = branch_rows(len(labels), n_unl)
-    return LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])
-
-
-def pseudo_cross_entropy(batch, tau):
-    """Thresholded pseudo cross-entropy between weak and strong views.
-
-    A sample contributes -log softmax(strong)[yhat] where yhat is the
-    argmax of the weak-view softmax, but only when the weak max-prob
-    reaches ``tau``. The sum is divided by the full batch size (rejected
-    samples contribute 0). Pseudo-labels and the acceptance indicator are
-    constants of the forward pass: no gradient flows through the weak
-    branch here.
-
-    Returns (loss, accepted_fraction); an empty batch yields (0.0, 0.0).
-    """
-    cfg = LossConfig(tau=tau, marginal_weight=0.0)
-    if len(batch) == 0:
-        return 0.0, 0.0
-    breakdown = infomax_loss(None, batch, cfg)
-    return breakdown.pseudo_ce, breakdown.accepted_fraction
-
-
-def pseudo_cross_entropy_grad(batch, tau):
-    """Gradients of pseudo_cross_entropy w.r.t. (weak, strong) logits.
-
-    The weak gradient is identically zero (stop-gradient semantics).
-    """
-    cfg = LossConfig(tau=tau, marginal_weight=0.0)
-    if len(batch) == 0:
-        return np.zeros_like(batch.weak_logits), np.zeros_like(batch.strong_logits)
-    grads = infomax_loss_grad(None, batch, cfg)
-    return grads.weak, grads.strong
+    breakdown, grad = infomax_loss_and_grad(logits, labeled.labels if n_lab else (), n_unl, cfg)
+    lab, weak, strong = branch_rows(n_lab, n_unl)
+    return breakdown, LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])

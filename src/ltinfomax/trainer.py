@@ -216,15 +216,20 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     applies the momentum update in place on the flat buffers. Pass
     unlabeled_x=None (or empty) for a purely supervised step. Returns the
     forward LossBreakdown; raises ValueError, before any state changes,
-    unless there is one integer label in [0, K) per labeled row.
+    unless both batches have the model's input width and there is one
+    integer label in [0, K) per labeled row.
     """
     cfg = state.config
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
+    dim = state.model.weights[0].shape[0]
+    for name, rows, n in (("labeled", labeled_x, n_lab), ("unlabeled", unlabeled_x, n_unl)):
+        if n and np.shape(rows)[1:] != (dim,):
+            raise ValueError(f"expected a (N, {dim}) {name} batch, got {np.shape(rows)}")
     if n_lab:
         labeled_y = check_labels(labeled_y, state.model.num_classes, n_lab)
 
-    x = np.empty((n_lab + 2 * n_unl, state.model.weights[0].shape[0]))
+    x = np.empty((n_lab + 2 * n_unl, dim))
     if n_lab:
         x[:n_lab] = labeled_x
     if n_unl:
@@ -357,10 +362,14 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg)
     per-branch backprop) on fixed, already augmented inputs, without the
     update; the verification path for finite-difference checks through
     the whole network. As in train_step, labels that are not one integer
-    in [0, K) per labeled row raise ValueError.
+    in [0, K) per labeled row raise ValueError, and so do weak and strong
+    views of different shapes.
 
-    Returns (LossBreakdown, flat gradient aligned with flatten_params).
+    Returns (LossBreakdown, flat gradient aligned with ``model.flat``).
     """
+    if np.shape(weak_x) != np.shape(strong_x):
+        raise ValueError(f"weak and strong views must have identical shapes, "
+                         f"got {np.shape(weak_x)} and {np.shape(strong_x)}")
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(weak_x) if weak_x is not None else 0
     if n_lab:
@@ -373,17 +382,3 @@ def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg)
                                      n_unl, loss_cfg, out, model.copy())
     return breakdown, out.flat
 
-
-def flatten_params(model):
-    """All parameters as one flat vector (weights then bias per layer)."""
-    return model.flat.copy()
-
-
-def model_from_flat(template, flat):
-    """A model shaped like ``template`` holding a copy of a flat vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != template.flat.shape:
-        raise ValueError("flat vector length does not match the template")
-    model = template.copy()
-    model.flat[...] = flat
-    return model

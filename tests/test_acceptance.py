@@ -34,17 +34,12 @@ from ltinfomax.objectives import (
     LossConfig,
     UnlabeledBatch,
     infomax_loss,
-    infomax_loss_grad,
-    pseudo_cross_entropy,
-    pseudo_cross_entropy_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,
 )
 from ltinfomax.trainer import (
     TrainerConfig,
-    flatten_params,
-    model_from_flat,
     init_mlp,
     parameter_gradients,
     train,
@@ -87,20 +82,20 @@ class TestCriterion1GradientFidelity:
                 worst = max(worst, err)
                 assert err < LOSS_RTOL
 
-        # pseudo cross-entropy: 100 instances (strong branch; weak is zero)
+        # pseudo cross-entropy alone: 100 instances (strong branch; weak is zero)
         tau = 0.8
+        pseudo_cfg = LossConfig(tau=tau, marginal_weight=0.0)
         for _ in range(100):
             n, k = int(rng.integers(2, 7)), int(rng.integers(3, 6))
             weak, strong = _safe_unlabeled(rng, n, k, tau)
-            batch = UnlabeledBatch(weak, strong)
-            g_weak, g_strong = pseudo_cross_entropy_grad(batch, tau)
-            assert not np.any(g_weak)
+            _, grads = infomax_loss(None, UnlabeledBatch(weak, strong), pseudo_cfg)
+            assert not np.any(grads.weak)
             fd = finite_diff_gradient(
-                lambda flat: pseudo_cross_entropy(
-                    UnlabeledBatch(weak, flat.reshape(n, k)), tau)[0],
+                lambda flat: infomax_loss(
+                    None, UnlabeledBatch(weak, flat.reshape(n, k)), pseudo_cfg)[0].pseudo_ce,
                 strong.ravel(),
             )
-            err = relative_error(g_strong.ravel(), fd)
+            err = relative_error(grads.strong.ravel(), fd)
             worst = max(worst, err)
             assert err < LOSS_RTOL
 
@@ -113,7 +108,7 @@ class TestCriterion1GradientFidelity:
                                    rng.integers(0, k, size=nl))
                 weak, strong = _safe_unlabeled(rng, nu, k, tau)
                 unl = UnlabeledBatch(weak, strong)
-                grads = infomax_loss_grad(lab, unl, cfg)
+                _, grads = infomax_loss(lab, unl, cfg)
                 analytic = np.concatenate([grads.labeled.ravel(),
                                            grads.weak.ravel(),
                                            grads.strong.ravel()])
@@ -123,7 +118,7 @@ class TestCriterion1GradientFidelity:
                     b = flat[nl * k:nl * k + nu * k].reshape(nu, k)
                     c = flat[nl * k + nu * k:].reshape(nu, k)
                     return infomax_loss(LabeledBatch(a, lab.labels),
-                                        UnlabeledBatch(b, c), cfg).total
+                                        UnlabeledBatch(b, c), cfg)[0].total
 
                 flat0 = np.concatenate([lab.logits.ravel(), weak.ravel(),
                                         strong.ravel()])
@@ -144,12 +139,13 @@ class TestCriterion1GradientFidelity:
                                                   weak_x, strong_x, cfg)
 
                 def f(flat):
-                    b, _ = parameter_gradients(model_from_flat(model, flat),
-                                               lab_x, lab_y, weak_x, strong_x, cfg)
+                    m = model.copy()
+                    m.flat[...] = flat
+                    b, _ = parameter_gradients(m, lab_x, lab_y, weak_x, strong_x, cfg)
                     return b.total
 
                 err = relative_error(
-                    analytic, finite_diff_gradient(f, flatten_params(model))
+                    analytic, finite_diff_gradient(f, model.flat.copy())
                 )
                 worst = max(worst, err)
                 assert err < NETWORK_RTOL
@@ -229,8 +225,7 @@ class TestCriterion5ReductionEquivalence:
         tcfg = config.trainer_config()
         full = train(tcfg, sources, seed=0)
         sup = train(tcfg, sources, seed=0, supervised_only=True)
-        assert np.array_equal(flatten_params(full.model),
-                              flatten_params(sup.model))
+        assert np.array_equal(full.model.flat, sup.model.flat)
         assert all(h["pseudo_ce"] == 0.0 and h["accepted_fraction"] == 0.0
                    for h in full.history)
         print("\n[criterion 5] PASS reduction: marginal_weight=0, tau>1 is "

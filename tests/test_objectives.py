@@ -19,9 +19,6 @@ from ltinfomax.objectives import (
     branch_rows,
     infomax_loss,
     infomax_loss_and_grad,
-    infomax_loss_grad,
-    pseudo_cross_entropy,
-    pseudo_cross_entropy_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,
@@ -132,7 +129,7 @@ class TestTsallisGradient:
 
 def cross_entropy(batch):
     """Mean -log softmax(logits)[label]: the labeled term of the objective."""
-    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0)).labeled_ce
+    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0))[0].labeled_ce
 
 
 class TestCrossEntropy:
@@ -159,23 +156,30 @@ def weak_logits_for_prob(p):
     return np.log(np.asarray(p))
 
 
+def pseudo_cross_entropy(batch, tau):
+    """The pseudo cross-entropy alone: no labeled rows, no marginal term.
+    Returns (loss, accepted_fraction, LossGradients)."""
+    b, grads = infomax_loss(None, batch, LossConfig(tau=tau, marginal_weight=0.0))
+    return b.pseudo_ce, b.accepted_fraction, grads
+
+
 class TestPseudoCrossEntropy:
     def test_all_rejected(self):
         batch = UnlabeledBatch(np.zeros((3, 4)), np.zeros((3, 4)))
-        loss, frac = pseudo_cross_entropy(batch, tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(batch, tau=0.95)
         assert loss == 0.0 and frac == 0.0
 
     def test_perfect_agreement_contributes_zero(self):
         weak = weak_logits_for_prob([[0.97, 0.03]])
         strong = np.array([[60.0, 0.0]])
-        loss, frac = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert frac == 1.0
 
     def test_confident_weak_uncertain_strong(self):
         weak = weak_logits_for_prob([[0.97, 0.03]])
         strong = np.zeros((1, 2))
-        loss, frac = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
         assert loss == pytest.approx(LN2, rel=1e-12)
         assert frac == 1.0
 
@@ -183,7 +187,7 @@ class TestPseudoCrossEntropy:
         """Mean is over the full batch, rejections contribute zero."""
         weak = weak_logits_for_prob([[0.97, 0.03], [0.6, 0.4]])
         strong = np.zeros((2, 2))
-        loss, frac = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
         assert loss == pytest.approx(LN2 / 2, rel=1e-12)
         assert frac == 0.5
 
@@ -199,26 +203,20 @@ class TestPseudoCrossEntropy:
     def test_tau_above_one_rejects_everything(self):
         rng = np.random.default_rng(9)
         batch = UnlabeledBatch(rng.normal(size=(10, 3)) * 5, rng.normal(size=(10, 3)))
-        loss, frac = pseudo_cross_entropy(batch, tau=1.0 + 1e-9)
+        loss, frac, _ = pseudo_cross_entropy(batch, tau=1.0 + 1e-9)
         assert loss == 0.0 and frac == 0.0
-
-    def test_empty_batch_defined(self):
-        batch = UnlabeledBatch(np.zeros((0, 3)), np.zeros((0, 3)))
-        assert pseudo_cross_entropy(batch, 0.9) == (0.0, 0.0)
-        g_weak, g_strong = pseudo_cross_entropy_grad(batch, 0.9)
-        assert g_weak.shape == g_strong.shape == (0, 3)
 
     def test_gradient_stop_on_weak_branch(self):
         rng = np.random.default_rng(10)
         batch = UnlabeledBatch(rng.normal(size=(6, 4)) * 3, rng.normal(size=(6, 4)))
-        g_weak, g_strong = pseudo_cross_entropy_grad(batch, tau=0.8)
-        assert not np.any(g_weak)
+        grads = pseudo_cross_entropy(batch, tau=0.8)[2]
+        assert not np.any(grads.weak)
         # FD over the strong logits only
         def f(flat):
             b = UnlabeledBatch(batch.weak_logits, flat.reshape(6, 4))
             return pseudo_cross_entropy(b, 0.8)[0]
         fd = finite_diff_gradient(f, batch.strong_logits.ravel())
-        assert relative_error(g_strong.ravel(), fd) < 1e-5
+        assert relative_error(grads.strong.ravel(), fd) < 1e-5
 
 
 def tiny_fixed_batches():
@@ -270,7 +268,7 @@ class TestInfomaxLoss:
     def test_matches_straight_line_oracle(self):
         lab, unl = tiny_fixed_batches()
         cfg = LossConfig(alpha=1.5, tau=0.9)
-        got = infomax_loss(lab, unl, cfg)
+        got, _ = infomax_loss(lab, unl, cfg)
         total, neg_h, ce, pce = straight_line_total(lab, unl, 1.5, 0.9)
         assert got.total == pytest.approx(total, abs=1e-12)
         assert got.neg_marginal_entropy == pytest.approx(neg_h, abs=1e-12)
@@ -285,7 +283,7 @@ class TestInfomaxLoss:
             unl = UnlabeledBatch(rng.normal(size=(5, 4)) * 2, rng.normal(size=(5, 4)))
             w = float(rng.uniform(0, 2))
             cfg = LossConfig(alpha=float(rng.uniform(0.3, 3)), tau=0.8, marginal_weight=w)
-            b = infomax_loss(lab, unl, cfg)
+            b, _ = infomax_loss(lab, unl, cfg)
             assert b.total == pytest.approx(
                 w * b.neg_marginal_entropy + b.labeled_ce + b.pseudo_ce, abs=1e-12
             )
@@ -294,7 +292,7 @@ class TestInfomaxLoss:
     def test_reduces_to_cross_entropy(self):
         lab, unl = tiny_fixed_batches()
         cfg = LossConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
-        b = infomax_loss(lab, None, cfg)
+        b, _ = infomax_loss(lab, None, cfg)
         assert b.total == b.labeled_ce
         assert b.labeled_ce == pytest.approx(straight_line_total(lab, unl, 1.0, 0.9)[2],
                                              abs=1e-12)
@@ -302,7 +300,7 @@ class TestInfomaxLoss:
 
     def test_alpha_one_marginal_is_shannon(self):
         lab, unl = tiny_fixed_batches()
-        b = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
+        b, _ = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
         pi = np.concatenate([softmax(lab.logits), softmax(unl.weak_logits)]).mean(axis=0)
         assert b.neg_marginal_entropy == pytest.approx(-shannon_entropy(pi), abs=1e-15)
 
@@ -312,7 +310,7 @@ class TestInfomaxLoss:
         for _ in range(20):
             lab = LabeledBatch(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4))
             unl = UnlabeledBatch(rng.normal(size=(6, 3)) * 2, rng.normal(size=(6, 3)))
-            via_alpha = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
+            via_alpha, _ = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
             total, neg_h, ce, pce = straight_line_total(lab, unl, 1.0, 0.9)
             assert via_alpha.total == pytest.approx(total, abs=1e-12)
 
@@ -323,12 +321,12 @@ class TestInfomaxLoss:
         weak = rng.normal(size=(7, 4)) * 2
         strong = rng.normal(size=(7, 4))
         cfg = LossConfig(alpha=1.5, tau=0.8)
-        ref = infomax_loss(LabeledBatch(lab_logits, labels),
-                           UnlabeledBatch(weak, strong), cfg)
+        ref, _ = infomax_loss(LabeledBatch(lab_logits, labels),
+                              UnlabeledBatch(weak, strong), cfg)
         pl = rng.permutation(5)
         pu = rng.permutation(7)
-        per = infomax_loss(LabeledBatch(lab_logits[pl], labels[pl]),
-                           UnlabeledBatch(weak[pu], strong[pu]), cfg)
+        per, _ = infomax_loss(LabeledBatch(lab_logits[pl], labels[pl]),
+                              UnlabeledBatch(weak[pu], strong[pu]), cfg)
         for name in ("neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total",
                      "accepted_fraction"):
             assert getattr(per, name) == pytest.approx(getattr(ref, name), abs=1e-12)
@@ -379,21 +377,21 @@ class TestInfomaxGradients:
         cfg = LossConfig(alpha=alpha, tau=0.8)
         for _ in range(10):
             lab, unl = sample_safe_instance(rng)
-            grads = infomax_loss_grad(lab, unl, cfg)
+            _, grads = infomax_loss(lab, unl, cfg)
             analytic = np.concatenate(
                 [grads.labeled.ravel(), grads.weak.ravel(), grads.strong.ravel()]
             )
             def f(flat):
                 lab2, unl2 = unflatten_instance(flat, lab, unl)
-                return infomax_loss(lab2, unl2, cfg).total
+                return infomax_loss(lab2, unl2, cfg)[0].total
             fd = finite_diff_gradient(f, flatten_instance(lab, unl))
             assert relative_error(analytic, fd) < 1e-5
 
     def test_weak_gradient_zero_without_marginal_term(self):
         rng = np.random.default_rng(33)
         lab, unl = sample_safe_instance(rng)
-        grads = infomax_loss_grad(lab, unl, LossConfig(alpha=1.5, tau=0.8,
-                                                       marginal_weight=0.0))
+        _, grads = infomax_loss(lab, unl, LossConfig(alpha=1.5, tau=0.8,
+                                                     marginal_weight=0.0))
         assert not np.any(grads.weak)
 
     def test_rejected_sample_has_zero_strong_gradient(self):
@@ -402,8 +400,8 @@ class TestInfomaxGradients:
         wp = softmax(unl.weak_logits)
         rejected = wp.max(axis=1) < 0.99
         assert rejected.any()
-        grads = infomax_loss_grad(lab, unl, LossConfig(alpha=1.5, tau=0.99,
-                                                       marginal_weight=0.0))
+        _, grads = infomax_loss(lab, unl, LossConfig(alpha=1.5, tau=0.99,
+                                                     marginal_weight=0.0))
         assert not np.any(grads.strong[rejected])
 
     def test_loss_and_grad_consistent_with_parts(self):
@@ -413,8 +411,7 @@ class TestInfomaxGradients:
         cfg = LossConfig(alpha=2.0, tau=0.8)
         logits = np.concatenate([lab.logits, unl.weak_logits, unl.strong_logits])
         b1, g1 = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
-        b2 = infomax_loss(lab, unl, cfg)
-        g2 = infomax_loss_grad(lab, unl, cfg)
+        b2, g2 = infomax_loss(lab, unl, cfg)
         assert b1 == b2
         assert g1.shape == logits.shape
         for rows, part in zip(branch_rows(len(lab), len(unl)), (g2.labeled, g2.weak, g2.strong)):

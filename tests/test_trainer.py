@@ -23,11 +23,9 @@ from ltinfomax.trainer import (
     MlpModel,
     TrainerConfig,
     evaluate,
-    flatten_params,
     forward,
     init_mlp,
     make_state,
-    model_from_flat,
     parameter_gradients,
     train,
     train_step,
@@ -112,11 +110,12 @@ class TestParameterGradients:
             _, analytic = parameter_gradients(model, lab_x, lab_y, weak_x, strong_x, cfg)
 
             def f(flat):
-                m = model_from_flat(model, flat)
+                m = model.copy()
+                m.flat[...] = flat
                 b, _ = parameter_gradients(m, lab_x, lab_y, weak_x, strong_x, cfg)
                 return b.total
 
-            fd = finite_diff_gradient(f, flatten_params(model))
+            fd = finite_diff_gradient(f, model.flat.copy())
             assert relative_error(analytic, fd) < 1e-4
 
     def test_supervised_only_equals_cross_entropy_backprop(self):
@@ -129,11 +128,12 @@ class TestParameterGradients:
         _, analytic = parameter_gradients(model, lab_x, lab_y, None, None, cfg)
 
         def f(flat):
-            m = model_from_flat(model, flat)
+            m = model.copy()
+            m.flat[...] = flat
             b, _ = parameter_gradients(m, lab_x, lab_y, None, None, cfg)
             return b.total
 
-        fd = finite_diff_gradient(f, flatten_params(model))
+        fd = finite_diff_gradient(f, model.flat.copy())
         assert relative_error(analytic, fd) < 1e-5
 
 
@@ -142,11 +142,11 @@ class TestTrainStep:
         # learning_rate must be > 0; emulate with lr -> tiny
         cfg = TrainerConfig(hidden=(6,), learning_rate=1e-300, loss=LossConfig(tau=0.9))
         state = make_state(cfg, input_dim=4, num_classes=3, seed=1)
-        before = flatten_params(state.model)
+        before = state.model.flat.copy()
         rng = np.random.default_rng(2)
         train_step(state, rng.normal(size=(4, 4)), rng.integers(0, 3, 4),
                    rng.normal(size=(8, 4)))
-        after = flatten_params(state.model)
+        after = state.model.flat.copy()
         np.testing.assert_allclose(after, before, atol=1e-290)
 
     def test_labeled_ce_decreases_on_separable_toy(self):
@@ -185,13 +185,13 @@ class TestStepLabels:
     @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
     def test_train_step_rejects_bad_labels_before_any_state_changes(self, labels):
         state = make_state(TrainerConfig(hidden=(6,)), 4, 3, seed=1)
-        before = flatten_params(state.model)
+        before = state.model.flat.copy()
         augment = state.rngs["augment"].bit_generator.state
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match=r"labels.*\[0, 3\)"):
             train_step(state, rng.normal(size=(2, 4)), np.array(labels),
                        rng.normal(size=(4, 4)))
-        np.testing.assert_array_equal(flatten_params(state.model), before)
+        np.testing.assert_array_equal(state.model.flat, before)
         assert state.rngs["augment"].bit_generator.state == augment
 
     @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
@@ -201,6 +201,33 @@ class TestStepLabels:
         x = rng.normal(size=(2, 4))
         with pytest.raises(ValueError, match=r"labels.*\[0, 3\)"):
             parameter_gradients(model, x, np.array(labels), x, x, LossConfig())
+
+    @pytest.mark.parametrize("strong_rows", [7, 3])
+    def test_parameter_gradients_rejects_views_of_different_shapes(self, strong_rows):
+        """More strong rows were silently dropped and fewer hit an IndexError."""
+        rng = np.random.default_rng(4)
+        model = init_mlp([4, 6, 3], rng)
+        weak_x, strong_x = rng.normal(size=(5, 4)), rng.normal(size=(strong_rows, 4))
+        with pytest.raises(ValueError, match=rf"\(5, 4\) and \({strong_rows}, 4\)"):
+            parameter_gradients(model, rng.normal(size=(2, 4)), [0, 2], weak_x, strong_x,
+                                LossConfig())
+
+    @pytest.mark.parametrize("wrong, labeled_shape, unlabeled_shape",
+                             [("unlabeled", (2, 4), (5, 5)), ("labeled", (2, 5), (5, 4))],
+                             ids=["unlabeled", "labeled"])
+    def test_train_step_rejects_wrong_width_before_any_state_changes(
+            self, wrong, labeled_shape, unlabeled_shape):
+        """A (5, 5) unlabeled batch on a 4-input model used to fail only after
+        augment_pair had drawn from the augment stream."""
+        state = make_state(TrainerConfig(hidden=(6,)), 4, 3, seed=1)
+        before = state.model.flat.copy()
+        augment = state.rngs["augment"].bit_generator.state
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match=rf"\(N, 4\) {wrong} batch, got \(\d, 5\)"):
+            train_step(state, rng.normal(size=labeled_shape), np.array([0, 2]),
+                       rng.normal(size=unlabeled_shape))
+        np.testing.assert_array_equal(state.model.flat, before)
+        assert state.rngs["augment"].bit_generator.state == augment
 
 
 def reference_step(state, lab_x, lab_y, unl_x, loss):
@@ -412,8 +439,7 @@ class TestFlatLayout:
 
     def test_copies_do_not_alias_the_source(self):
         model = init_mlp([4, 6, 3], np.random.default_rng(0))
-        for other in (model.copy(), model_from_flat(model, model.flat),
-                      MlpModel(model.weights, model.biases)):
+        for other in (model.copy(), MlpModel(model.weights, model.biases)):
             np.testing.assert_array_equal(other.flat, model.flat)
             other.weights[0][0, 0] += 1.0
             other.biases[-1][-1] += 1.0
@@ -427,15 +453,15 @@ class TestFlatLayout:
             assert all(v.base is other.flat for v in other.weights + other.biases)
             assert not np.shares_memory(other.flat, model.flat)
 
-    def test_flatten_params_is_a_copy_of_the_buffer(self):
+    def test_flat_is_weight_then_bias_per_layer(self):
         cfg = TrainerConfig(hidden=(6,), loss=LossConfig(tau=0.7))
         state = make_state(cfg, input_dim=4, num_classes=3, seed=2)
         rng = np.random.default_rng(3)
         train_step(state, rng.normal(size=(5, 4)), rng.integers(0, 3, 5), rng.normal(size=(7, 4)))
-        flat = flatten_params(state.model)
-        np.testing.assert_array_equal(flat, state.model.flat)
-        assert not np.shares_memory(flat, state.model.flat)
-        assert np.array_equal(flat[:24], state.model.weights[0].ravel())
+        model = state.model
+        parts = [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+        np.testing.assert_array_equal(model.flat, np.concatenate(parts))
+        assert np.array_equal(model.flat[:24], model.weights[0].ravel())
 
     def test_history_is_the_per_step_mean_of_the_loss_terms(self, monkeypatch):
         records = []
@@ -464,8 +490,7 @@ class TestTrain:
         cfg = TrainerConfig(hidden=(8,), epochs=0)
         state = train(cfg, sources, seed=9)
         fresh = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=9)
-        np.testing.assert_array_equal(flatten_params(state.model),
-                                      flatten_params(fresh.model))
+        np.testing.assert_array_equal(state.model.flat, fresh.model.flat)
         assert state.history == []
 
     def test_deterministic_given_seed(self):
@@ -473,7 +498,7 @@ class TestTrain:
         cfg = TrainerConfig(hidden=(8,), epochs=3)
         a = train(cfg, sources, seed=13)
         b = train(cfg, sources, seed=13)
-        np.testing.assert_array_equal(flatten_params(a.model), flatten_params(b.model))
+        np.testing.assert_array_equal(a.model.flat, b.model.flat)
         assert a.history == b.history
 
     def test_different_seed_differs(self):
@@ -481,7 +506,7 @@ class TestTrain:
         cfg = TrainerConfig(hidden=(8,), epochs=1)
         a = train(cfg, sources, seed=1)
         b = train(cfg, sources, seed=2)
-        assert not np.array_equal(flatten_params(a.model), flatten_params(b.model))
+        assert not np.array_equal(a.model.flat, b.model.flat)
 
     def test_heldin_accuracy_on_separated_domains(self):
         """20 epochs on 3 well-separated sources learns the task."""
@@ -499,8 +524,7 @@ class TestTrain:
         cfg = TrainerConfig(hidden=(8,), epochs=4, loss=loss)
         full = train(cfg, sources, seed=17)
         labeled_only = train(cfg, sources, seed=17, supervised_only=True)
-        np.testing.assert_array_equal(flatten_params(full.model),
-                                      flatten_params(labeled_only.model))
+        np.testing.assert_array_equal(full.model.flat, labeled_only.model.flat)
 
     def test_history_length_matches_epochs(self):
         sources = toy_sources()
@@ -570,10 +594,10 @@ class TestEvaluate:
         sources = toy_sources()
         model = init_mlp([sources[0].dim, 8, sources[0].num_classes],
                          np.random.default_rng(0))
-        before = flatten_params(model)
+        before = model.flat.copy()
         r1 = evaluate(model, sources[0])
         r2 = evaluate(model, sources[0])
-        np.testing.assert_array_equal(flatten_params(model), before)
+        np.testing.assert_array_equal(model.flat, before)
         assert r1.accuracy == r2.accuracy
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
 
