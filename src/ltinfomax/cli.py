@@ -111,6 +111,9 @@ def _cmd_ablate(args):
 
 
 def _cmd_plotdata(args):
+    out_file = args.out_file or Path(args.table).with_suffix(".dat")
+    if Path(out_file).resolve() == Path(args.table).resolve():
+        raise ConfigError(f"output {out_file} is the input table; pass another --out-file")
     table = list(csv.reader(read_text_lines(args.table)))
     if len(table) < 2:
         raise ConfigError(f"no data rows in {args.table}")
@@ -125,7 +128,6 @@ def _cmd_plotdata(args):
         except (IndexError, ValueError):
             raise ConfigError(f"{args.table}:{lineno}: expected numbers in columns "
                               f"{[header[i] for i in numeric]}, got {raw}") from None
-    out_file = args.out_file or Path(args.table).with_suffix(".dat")
     emit_plot_data(rows, out_file, header=tuple(header[i] for i in numeric))
     print(f"wrote {out_file} ({len(rows)} rows)")
     return EXIT_OK

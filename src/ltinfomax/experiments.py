@@ -31,7 +31,7 @@ from .data import (
     long_tail_counts,
     split_labeled_unlabeled,
 )
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, DivergenceError, require_finite
 from .objectives import LossConfig
 from .trainer import EVAL_ROWS, TrainerConfig, evaluate, train
 
@@ -232,8 +232,12 @@ def execute_run(config, seed, heldout, domains):
     pure function of its arguments."""
     sources, split_hash = split_sources(config, domains, seed, heldout)
     t0 = time.perf_counter()
-    state = train(config.trainer_config(), sources, seed)
-    report = evaluate(state.model, domains[heldout])
+    try:
+        state = train(config.trainer_config(), sources, seed)
+        report = evaluate(state.model, domains[heldout])
+    except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
+        seed_note = "" if f"(seed {seed})" in str(exc) else f"seed {seed}, "
+        raise DivergenceError(f"{exc} ({seed_note}held-out domain {heldout})") from None
     wall = time.perf_counter() - t0
     return RunRecord(
         config_hash=config.hash(),

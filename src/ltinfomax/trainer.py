@@ -166,85 +166,70 @@ def make_state(config, input_dim, num_classes, seed):
                       grads=model.copy(), scratch=model.copy(), rngs=rngs)
 
 
-def _objective_gradients(model, x, labels, n_unl, loss_cfg, out, scratch):
-    """One pass of the objective through the network on fixed inputs.
-
-    ``x`` stacks the input rows [labeled; weak; strong]: len(labels)
-    labeled rows, then n_unl rows of each view. Runs one forward pass,
-    evaluates the loss and every logit gradient in one
-    infomax_loss_and_grad call and backpropagates each branch on its rows
-    of the shared cache. An unlabeled branch whose logit gradient is all
-    zero is skipped once another branch has contributed. The parameter
-    gradient is written to the model-shaped ``out``; ``scratch`` is
-    overwritten.
-
-    Returns the LossBreakdown.
-    Raises DivergenceError on non-finite logits or loss.
-    """
-    logits, cache = _forward_cached(model, x)
-    try:
-        breakdown, grad = infomax_loss_and_grad(logits, labels, n_unl, loss_cfg)
-    except ValueError:
-        # the kernel's softmax rejects non-finite logits; only then are they scanned
-        if np.isfinite(logits).all():
-            raise
-        raise DivergenceError(
-            f"non-finite logits; max |param| = {float(np.abs(model.flat).max()):.3g}") from None
-    if not math.isfinite(breakdown.total):
-        raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
-
-    # Backprop stays per branch, summed labeled, weak, strong: BLAS may
-    # round a product over the stacked rows differently from the same
-    # product over one branch's rows, which would change the trained bits.
-    branches = [(rows, grad[rows]) for rows in branch_rows(len(labels), n_unl)
-                if rows.stop > rows.start]
-    _backprop(model, cache, *branches[0], out)
-    for rows, dlogits in branches[1:]:
-        if dlogits.any():
-            _backprop(model, cache, rows, dlogits, scratch)
-            out.flat += scratch.flat
-    return breakdown
-
-
 def train_step(state, labeled_x, labeled_y, unlabeled_x):
-    """One SGD step on a mixed mini-batch.
+    """One SGD step on a mixed mini-batch: the one checked entry into the
+    step core.
 
-    Copies the labeled rows into one stacked input batch and draws the
-    weak/strong views of the unlabeled features into its remaining rows,
-    then runs the stacked forward, the objective kernel and the
-    per-branch backprop of _objective_gradients into ``state.grads`` and
-    applies the momentum update in place on the flat buffers. Pass
-    unlabeled_x=None (or empty) for a purely supervised step. Returns the
-    forward LossBreakdown; raises ValueError, before any state changes,
-    unless both batches have the model's input width and there is one
-    integer label in [0, K) per labeled row.
+    Stacks the labeled rows and the weak/strong views drawn from the
+    unlabeled features into one batch [labeled; weak; strong], runs one
+    forward pass and one infomax_loss_and_grad call, backpropagates each
+    branch on its rows of the shared cache into ``state.grads`` (skipping
+    an all-zero unlabeled branch once another has contributed) and applies
+    the momentum update in place on the flat buffers. After it returns,
+    ``state.grads.flat`` is this step's parameter gradient, aligned with
+    ``model.flat``: the update writes only ``scratch``, ``velocity`` and
+    ``model``.
+
+    Pass unlabeled_x=None (or empty) for a purely supervised step. Returns
+    the forward LossBreakdown. Raises ValueError, before any state changes,
+    unless both batches have the model's input width and one integer label
+    in [0, K) per labeled row, and DivergenceError on non-finite logits or
+    loss.
     """
-    cfg = state.config
+    cfg, model, grads = state.config, state.model, state.grads
     n_lab = len(labeled_x) if labeled_x is not None else 0
     n_unl = len(unlabeled_x) if unlabeled_x is not None else 0
-    dim = state.model.weights[0].shape[0]
+    dim = model.weights[0].shape[0]
     for name, rows, n in (("labeled", labeled_x, n_lab), ("unlabeled", unlabeled_x, n_unl)):
         if n and np.shape(rows)[1:] != (dim,):
             raise ValueError(f"expected a (N, {dim}) {name} batch, got {np.shape(rows)}")
-    if n_lab:
-        labeled_y = check_labels(labeled_y, state.model.num_classes, n_lab)
+    labels = check_labels(labeled_y, model.num_classes, n_lab) if n_lab else ()
 
     x = np.empty((n_lab + 2 * n_unl, dim))
     if n_lab:
         x[:n_lab] = labeled_x
     if n_unl:
         augment_pair(unlabeled_x, state.rngs["augment"], out=x[n_lab:])
+    logits, cache = _forward_cached(model, x)
     try:
-        breakdown = _objective_gradients(state.model, x, labeled_y if n_lab else (), n_unl,
-                                         cfg.loss, state.grads, state.scratch)
-    except DivergenceError as exc:
-        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): {exc}") from None
+        breakdown, dlogits = infomax_loss_and_grad(logits, labels, n_unl, cfg.loss)
+    except ValueError:
+        # the kernel's softmax rejects non-finite logits; only then are they scanned
+        if np.isfinite(logits).all():
+            raise
+        peak = float(np.abs(model.flat).max())
+        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): non-finite "
+                              f"logits; max |param| = {peak:.3g}") from None
+    if not math.isfinite(breakdown.total):
+        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): "
+                              f"non-finite loss: {breakdown.to_dict()}")
+
+    # Backprop stays per branch, summed labeled, weak, strong: BLAS may
+    # round a product over the stacked rows differently from the same
+    # product over one branch's rows, which would change the trained bits.
+    branches = [(rows, dlogits[rows]) for rows in branch_rows(n_lab, n_unl)
+                if rows.stop > rows.start]
+    _backprop(model, cache, *branches[0], grads)
+    for rows, branch in branches[1:]:
+        if branch.any():
+            _backprop(model, cache, rows, branch, state.scratch)
+            grads.flat += state.scratch.flat
 
     velocity, step = state.velocity.flat, state.scratch.flat
     velocity *= MOMENTUM
-    np.multiply(state.grads.flat, cfg.learning_rate, out=step)
+    np.multiply(grads.flat, cfg.learning_rate, out=step)
     velocity -= step
-    state.model.flat += velocity
+    model.flat += velocity
     return breakdown
 
 
@@ -353,32 +338,3 @@ def evaluate(model, target):
         confusion=confusion,
         predicted_marginal=probs.mean(axis=0),
     )
-
-
-def parameter_gradients(model, labeled_x, labeled_y, weak_x, strong_x, loss_cfg):
-    """Objective gradient w.r.t. every network parameter, flattened.
-
-    Runs the step core of train_step (stacked forward, objective kernel,
-    per-branch backprop) on fixed, already augmented inputs, without the
-    update; the verification path for finite-difference checks through
-    the whole network. As in train_step, labels that are not one integer
-    in [0, K) per labeled row raise ValueError, and so do weak and strong
-    views of different shapes.
-
-    Returns (LossBreakdown, flat gradient aligned with ``model.flat``).
-    """
-    if np.shape(weak_x) != np.shape(strong_x):
-        raise ValueError(f"weak and strong views must have identical shapes, "
-                         f"got {np.shape(weak_x)} and {np.shape(strong_x)}")
-    n_lab = len(labeled_x) if labeled_x is not None else 0
-    n_unl = len(weak_x) if weak_x is not None else 0
-    if n_lab:
-        labeled_y = check_labels(labeled_y, model.num_classes, n_lab)
-    stacked = ([labeled_x] if n_lab else []) + ([weak_x, strong_x] if n_unl else [])
-    if not stacked:
-        raise ValueError("both batches are empty")
-    out = model.copy()
-    breakdown = _objective_gradients(model, np.concatenate(stacked), labeled_y if n_lab else (),
-                                     n_unl, loss_cfg, out, model.copy())
-    return breakdown, out.flat
-

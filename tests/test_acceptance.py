@@ -18,6 +18,7 @@ that single cell is expected to fail; see the analysis in the project
 notes.
 """
 
+import copy
 import csv
 import math
 import time
@@ -26,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ltinfomax.data import LongTailSpec, long_tail_counts
+from ltinfomax.data import LongTailSpec, augment_pair, long_tail_counts
 from ltinfomax.experiments import ExperimentConfig, run_suite
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
@@ -34,15 +35,18 @@ from ltinfomax.objectives import (
     LossConfig,
     UnlabeledBatch,
     infomax_loss,
+    infomax_loss_and_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,
 )
 from ltinfomax.trainer import (
     TrainerConfig,
+    forward,
     init_mlp,
-    parameter_gradients,
+    make_state,
     train,
+    train_step,
 )
 
 ALPHAS = (0.5, 1.0, 1.5, 2.0)
@@ -126,27 +130,31 @@ class TestCriterion1GradientFidelity:
                 worst = max(worst, err)
                 assert err < LOSS_RTOL
 
-        # through the network: 25 instances per alpha, d=4 hidden=6 K=3
+        # through the network: 25 instances per alpha, d=4 hidden=6 K=3; the
+        # gradient is the one train_step applies, read from state.grads
         for alpha in ALPHAS:
             cfg = LossConfig(alpha=alpha, tau=tau)
             for _ in range(25):
-                model = init_mlp([4, 6, 3], rng)
+                state = make_state(TrainerConfig(hidden=(6,), loss=cfg), 4, 3, seed=0)
+                state.model.flat[...] = init_mlp([4, 6, 3], rng).flat
+                before = state.model.flat.copy()
                 lab_x = rng.normal(size=(3, 4))
                 lab_y = rng.integers(0, 3, size=3)
-                weak_x = rng.normal(size=(5, 4))
-                strong_x = rng.normal(size=(5, 4))
-                _, analytic = parameter_gradients(model, lab_x, lab_y,
-                                                  weak_x, strong_x, cfg)
+                unl_x = rng.normal(size=(5, 4))
+                views = augment_pair(unl_x, copy.deepcopy(state.rngs["augment"]))
+                x = np.concatenate([lab_x, *views])
 
                 def f(flat):
-                    m = model.copy()
+                    m = state.model.copy()
                     m.flat[...] = flat
-                    b, _ = parameter_gradients(m, lab_x, lab_y, weak_x, strong_x, cfg)
-                    return b.total
+                    return infomax_loss_and_grad(forward(m, x), lab_y, len(unl_x), cfg)[0].total
 
-                err = relative_error(
-                    analytic, finite_diff_gradient(f, model.flat.copy())
-                )
+                fd = finite_diff_gradient(f, before)
+                train_step(state, lab_x, lab_y, unl_x)
+                # from zero velocity the step moves by exactly -lr times that gradient
+                lr = state.config.learning_rate
+                assert np.array_equal(state.model.flat, before - lr * state.grads.flat)
+                err = relative_error(state.grads.flat, fd)
                 worst = max(worst, err)
                 assert err < NETWORK_RTOL
 

@@ -130,6 +130,20 @@ class TestPlotDataCommand:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("*.dat"))
 
+    @pytest.mark.parametrize("table, extra", [("t.csv", ["--out-file", "{dir}/t.csv"]),
+                                              ("t.dat", [])], ids=["out-file", "dat-suffix"])
+    def test_output_onto_the_input_table_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                   table, extra):
+        """An --out-file naming the table, or a table that already ends in .dat,
+        would be overwritten by its own plot form."""
+        monkeypatch.chdir(tmp_path)
+        text = b"gamma,mean_accuracy\n1,0.8\n"
+        (tmp_path / table).write_bytes(text)
+        argv = ["plotdata", table, *(a.format(dir=tmp_path) for a in extra)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (tmp_path / table).read_bytes() == text
+
 
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
@@ -229,11 +243,16 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    def test_divergence(self, tmp_path):
+    def test_divergence(self, tmp_path, capsys):
+        """With every domain held out in turn, the line says which run diverged."""
         with np.errstate(all="ignore"):
-            code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+            code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "all",
                            "--set", "learning_rate=1e150", "run")
         assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("run diverged: at epoch 0 (seed 0): ")
+        assert err.endswith(" (held-out domain 0)\n") and err.count("seed") == 1
+        assert err.count("\n") == 1
 
     @staticmethod
     def _diverge_in_subprocess(tmp_path, *args):

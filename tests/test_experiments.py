@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ltinfomax.experiments as experiments
 from ltinfomax.data import LongTailSpec, split_labeled_unlabeled
-from ltinfomax.errors import ConfigError
+from ltinfomax.errors import ConfigError, DivergenceError
 from ltinfomax.experiments import (
     ExperimentConfig,
     ablation,
@@ -231,6 +231,21 @@ class TestExecuteRun:
         a = execute_run(cfg, 0, 0, domains)
         b = execute_run(cfg, 1, 0, domains)
         assert a.split_hash != b.split_hash
+
+    def test_divergence_on_the_target_names_the_run(self, tmp_path, monkeypatch):
+        """Parameters that overflow only at evaluation: the check is evaluate's own."""
+        cfg = fast_config(tmp_path)
+        real = experiments.evaluate
+
+        def overflowing(model, target):
+            model.flat[...] = 1e300
+            return real(model, target)
+
+        monkeypatch.setattr(experiments, "evaluate", overflowing)
+        with pytest.raises(DivergenceError) as info:
+            execute_run(cfg, 3, 2, build_domains(cfg))
+        assert str(info.value) == ("non-finite logits on the target domain "
+                                   "(seed 3, held-out domain 2)")
 
 
 class TestSplitPin:

@@ -17,7 +17,7 @@ from ltinfomax.data import (
 )
 from ltinfomax.errors import DivergenceError
 from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error
-from ltinfomax.objectives import LossConfig
+from ltinfomax.objectives import LossConfig, infomax_loss_and_grad
 from ltinfomax.trainer import (
     EvalReport,
     MlpModel,
@@ -26,7 +26,6 @@ from ltinfomax.trainer import (
     forward,
     init_mlp,
     make_state,
-    parameter_gradients,
     train,
     train_step,
 )
@@ -95,6 +94,30 @@ class TestForward:
         assert np.array_equal(forward(model, x), trainer_module._forward_cached(model, x)[0])
 
 
+def step_gradient_and_fd(model, lab_x, lab_y, unl_x, loss):
+    """The parameter gradient one train_step from ``model`` applies, read from
+    ``state.grads``, and its central finite-difference reference: the public
+    forward and infomax_loss_and_grad on the views the step draws. Asserts
+    that the step, from zero velocity, moved the parameters by exactly
+    -learning_rate times that gradient."""
+    state = make_state(TrainerConfig(hidden=(6,), loss=loss), 4, 3, seed=0)
+    state.model.flat[...] = model.flat
+    n_unl = 0 if unl_x is None else len(unl_x)
+    views = augment_pair(unl_x, copy.deepcopy(state.rngs["augment"])) if n_unl else ()
+    x = np.concatenate([lab_x, *views])
+
+    def total(flat):
+        m = model.copy()
+        m.flat[...] = flat
+        return infomax_loss_and_grad(forward(m, x), lab_y, n_unl, loss)[0].total
+
+    fd = finite_diff_gradient(total, model.flat.copy())
+    train_step(state, lab_x, lab_y, unl_x)
+    lr = state.config.learning_rate
+    assert np.array_equal(state.model.flat, model.flat - lr * state.grads.flat)
+    return state.grads.flat, fd
+
+
 class TestParameterGradients:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_full_network_matches_finite_differences(self, alpha):
@@ -105,17 +128,8 @@ class TestParameterGradients:
             model = init_mlp([4, 6, 3], rng)
             lab_x = rng.normal(size=(3, 4))
             lab_y = rng.integers(0, 3, size=3)
-            weak_x = rng.normal(size=(5, 4))
-            strong_x = rng.normal(size=(5, 4))
-            _, analytic = parameter_gradients(model, lab_x, lab_y, weak_x, strong_x, cfg)
-
-            def f(flat):
-                m = model.copy()
-                m.flat[...] = flat
-                b, _ = parameter_gradients(m, lab_x, lab_y, weak_x, strong_x, cfg)
-                return b.total
-
-            fd = finite_diff_gradient(f, model.flat.copy())
+            unl_x = rng.normal(size=(5, 4))
+            analytic, fd = step_gradient_and_fd(model, lab_x, lab_y, unl_x, cfg)
             assert relative_error(analytic, fd) < 1e-4
 
     def test_supervised_only_equals_cross_entropy_backprop(self):
@@ -125,15 +139,7 @@ class TestParameterGradients:
         cfg = LossConfig(alpha=1.0, tau=0.95, marginal_weight=0.0)
         lab_x = rng.normal(size=(1, 4))
         lab_y = np.array([2])
-        _, analytic = parameter_gradients(model, lab_x, lab_y, None, None, cfg)
-
-        def f(flat):
-            m = model.copy()
-            m.flat[...] = flat
-            b, _ = parameter_gradients(m, lab_x, lab_y, None, None, cfg)
-            return b.total
-
-        fd = finite_diff_gradient(f, model.flat.copy())
+        analytic, fd = step_gradient_and_fd(model, lab_x, lab_y, None, cfg)
         assert relative_error(analytic, fd) < 1e-5
 
 
@@ -193,24 +199,6 @@ class TestStepLabels:
                        rng.normal(size=(4, 4)))
         np.testing.assert_array_equal(state.model.flat, before)
         assert state.rngs["augment"].bit_generator.state == augment
-
-    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
-    def test_parameter_gradients_rejects_bad_labels(self, labels):
-        rng = np.random.default_rng(3)
-        model = init_mlp([4, 6, 3], rng)
-        x = rng.normal(size=(2, 4))
-        with pytest.raises(ValueError, match=r"labels.*\[0, 3\)"):
-            parameter_gradients(model, x, np.array(labels), x, x, LossConfig())
-
-    @pytest.mark.parametrize("strong_rows", [7, 3])
-    def test_parameter_gradients_rejects_views_of_different_shapes(self, strong_rows):
-        """More strong rows were silently dropped and fewer hit an IndexError."""
-        rng = np.random.default_rng(4)
-        model = init_mlp([4, 6, 3], rng)
-        weak_x, strong_x = rng.normal(size=(5, 4)), rng.normal(size=(strong_rows, 4))
-        with pytest.raises(ValueError, match=rf"\(5, 4\) and \({strong_rows}, 4\)"):
-            parameter_gradients(model, rng.normal(size=(2, 4)), [0, 2], weak_x, strong_x,
-                                LossConfig())
 
     @pytest.mark.parametrize("wrong, labeled_shape, unlabeled_shape",
                              [("unlabeled", (2, 4), (5, 5)), ("labeled", (2, 5), (5, 4))],
