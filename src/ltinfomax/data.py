@@ -61,7 +61,9 @@ class LongTailSpec:
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """Feature matrix with labels and a labeled/unlabeled index split."""
+    """Feature matrix with labels and a labeled/unlabeled index split, immutable
+    once built: C-contiguous, read-only float64 ``features`` that own their
+    buffer are adopted; other features, the labels and the index sets are copied."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -71,8 +73,10 @@ class DomainDataset:
     domain_id: int = 0
 
     def __post_init__(self):
-        # private copies; the dataset is immutable after construction
-        feats = np.array(self.features, dtype=np.float64)
+        feats = self.features
+        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.base is None
+                and feats.flags.c_contiguous and not feats.flags.writeable):
+            feats = np.array(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be (N, d)")
         n = feats.shape[0]
@@ -80,9 +84,11 @@ class DomainDataset:
         lab = np.array(self.labeled_indices, dtype=np.int64)
         unl = np.array(self.unlabeled_indices, dtype=np.int64)
         merged = np.concatenate([lab, unl])
-        if len(np.unique(merged)) != len(merged):
+        # a range check and a row count, not np.unique, which imports numpy.ma
+        in_range = not len(merged) or (merged.min() >= 0 and merged.max() < n)
+        if in_range and np.bincount(merged, minlength=n).max(initial=0) > 1:
             raise ValueError("labeled and unlabeled index sets overlap")
-        if len(merged) != n or (n and (merged.min() < 0 or merged.max() >= n)):
+        if not in_range or len(merged) != n:
             raise ValueError("index sets must partition the rows")
         for arr in (feats, labels, lab, unl):
             arr.flags.writeable = False
@@ -212,9 +218,10 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     The class order is drawn from ``seed`` unless spec.class_order is set
     (pass an explicit order to share it across domains within a run).
     Labeled counts realize long_tail_counts exactly; everything else
-    stays unlabeled. With longtail_unlabeled the leftover pool is
-    additionally thinned to the same decay profile, scaled so the head
-    keeps all its rows, and the dropped rows leave the dataset.
+    stays unlabeled, and the split shares ``data``'s read-only feature
+    rows. With longtail_unlabeled the leftover pool is additionally
+    thinned to the same decay profile, scaled so the head keeps all its
+    rows, and the dropped rows leave the dataset.
 
     Raises ValueError, before any row is drawn, where check_split does.
     """
@@ -229,8 +236,8 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
     labeled_idx = np.sort(np.concatenate([
         rng.choice(np.nonzero(data.labels == k)[0], size=counts[k], replace=False)
         for k in range(spec.num_classes)]))
-    keep = np.arange(data.n_samples)
-    unlabeled_idx = np.setdiff1d(keep, labeled_idx, assume_unique=True)
+    unlabeled_idx = np.setdiff1d(np.arange(data.n_samples), labeled_idx, assume_unique=True)
+    features, labels = data.features, data.labels  # shared, read-only
     if longtail_unlabeled:
         left = pool_sizes - counts
         weights = _by_class(_decay_profile(spec), spec.class_order)
@@ -239,17 +246,15 @@ def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
         unlabeled_idx = np.sort(np.concatenate([
             rng.choice(unlabeled_idx[unl_labels == k], size=int(target[k]), replace=False)
             for k in range(spec.num_classes)]))
+        # rows dropped from the pool leave the dataset, in one private read-only
+        # copy; keep is sorted, so searchsorted gives each kept row's new index
         keep = np.sort(np.concatenate([labeled_idx, unlabeled_idx]))
-    # rows dropped from the pool leave the dataset; keep is sorted, so
-    # searchsorted gives each kept row's new index
-    return DomainDataset(
-        features=data.features[keep],
-        labels=data.labels[keep],
-        labeled_indices=np.searchsorted(keep, labeled_idx),
-        unlabeled_indices=np.searchsorted(keep, unlabeled_idx),
-        num_classes=spec.num_classes,
-        domain_id=data.domain_id,
-    )
+        features, labels = data.features[keep], data.labels[keep]
+        features.flags.writeable = False
+        labeled_idx, unlabeled_idx = (np.searchsorted(keep, labeled_idx),
+                                      np.searchsorted(keep, unlabeled_idx))
+    return DomainDataset(features, labels, labeled_idx, unlabeled_idx, spec.num_classes,
+                         domain_id=data.domain_id)
 
 
 def augment_pair(X, rng, out=None):

@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -101,18 +100,18 @@ class ExperimentConfig:
         try:
             spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
             self.trainer_config()
-            # float64 values of the world, the rotation, the confusion matrix, the
-            # network, an epoch's labeled draw (its steps bounded by the whole
-            # unlabeled pool), a step's stacked rows and an evaluate block of
-            # EVAL_ROWS rows through every layer, and evaluate's (rows, K)
-            # arrays (the logits and softmax's four), bounded before anything
-            # of size num_classes is allocated
+            # float64 values of the world and the pooled source rows, the rotation,
+            # the confusion matrix, the model, velocity, grads and scratch buffers,
+            # an epoch's labeled draw (its steps bounded by the whole unlabeled
+            # pool), a step's stacked rows and an evaluate block of EVAL_ROWS rows
+            # through every layer, and evaluate's (rows, K) arrays (the logits and
+            # softmax's four), bounded before anything of size num_classes is made
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
             steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
-            size = (self.num_domains * rows * self.feature_dim
+            size = ((2 * self.num_domains - 1) * rows * self.feature_dim
                     + self.feature_dim ** 2 + self.num_classes ** 2
-                    + sum(a * b for a, b in zip(layers, layers[1:]))
+                    + 4 * sum((a + 1) * b for a, b in zip(layers, layers[1:]))
                     + self.labeled_batch * steps
                     + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS) * sum(layers)
                     + 5 * rows * self.num_classes)
@@ -296,6 +295,7 @@ def open_runner(config, queued):
     if config.jobs == 1:
         yield lambda tasks: [execute_run(c, s, h, domains) for c, s, h in tasks]
         return
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
     pool = ProcessPoolExecutor(max_workers=min(config.jobs, len(queued)),
                                initializer=_init_worker, initargs=(domains,))
     try:

@@ -239,8 +239,14 @@ def _pool_sources(sources):
     if len(dims) != 1 or len(ks) != 1:
         raise ValueError("source domains must share feature dim and class count")
     xs, ys = zip(*(d.labeled() for d in sources))
-    return (np.concatenate(xs), np.concatenate(ys),
-            np.concatenate([d.unlabeled() for d in sources]), dims.pop(), ks.pop())
+    # the unlabeled rows are gathered straight into one pool; a DomainDataset's
+    # indices are in range, so mode="clip" never clips, and unlike the
+    # default mode it does not buffer the output
+    ends = np.cumsum([len(d.unlabeled_indices) for d in sources])
+    unl_x = np.empty((ends[-1], dims.pop()))
+    for d, lo, hi in zip(sources, [0, *ends], ends):
+        np.take(d.features, d.unlabeled_indices, axis=0, out=unl_x[lo:hi], mode="clip")
+    return np.concatenate(xs), np.concatenate(ys), unl_x, unl_x.shape[1], ks.pop()
 
 
 def train(config, sources, seed, supervised_only=False):

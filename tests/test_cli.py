@@ -237,6 +237,16 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_model_buffers_too_large(self, tmp_path, capsys):
+        """hidden=(5500, 5500): the model, velocity, grads and scratch hold
+        1.21e8 values between them, though the network alone holds 3.04e7."""
+        code = main(["--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
+                     "--set", "hidden=5500,5500", "run"])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "float64 values" in err and err.count("\n") == 1
+
     def test_infeasible_sweep_value_before_any_run(self, tmp_path):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
                        "sweep", "--axis", "ml", "--values", "1,100")

@@ -209,6 +209,23 @@ class TestSplit:
         assert np.all(np.diff(hist) <= 0)  # decays along the shared order
         assert hist[0] / hist[-1] >= 3.0
 
+    def test_unthinned_split_shares_the_domain_rows(self):
+        data, _ = small_world(k=3, n_per_class=30)
+        split = split_labeled_unlabeled(data, LongTailSpec(3, 4, 5.0), seed=1)
+        assert split.features is data.features
+        assert np.shares_memory(split.features, data.features)
+        assert not split.features.flags.writeable
+
+    def test_thinned_split_holds_one_private_read_only_copy(self):
+        data, _ = small_world(k=4, n_per_class=60)
+        split = split_labeled_unlabeled(data, LongTailSpec(4, 3, 10.0), seed=5,
+                                        longtail_unlabeled=True)
+        assert split.n_samples < data.n_samples
+        assert not np.shares_memory(split.features, data.features)
+        assert split.features.base is None and not split.features.flags.writeable
+        rows = {tuple(r) for r in data.features}
+        assert all(tuple(r) in rows for r in split.features)
+
 
 def one_view(x, strength, rng):
     """Oracle for augment_pair: one view of ``x`` per call, 'weak' or 'strong'."""
@@ -261,8 +278,40 @@ class TestDomainDataset:
         with pytest.raises(ValueError):
             data.features[0, 0] = 99.0
 
+    @staticmethod
+    def _dataset(features):
+        return DomainDataset(features, np.zeros(len(features), dtype=int),
+                             labeled_indices=np.empty(0, dtype=int),
+                             unlabeled_indices=np.arange(len(features)), num_classes=2)
+
+    def test_adopts_an_owned_read_only_array(self):
+        feats = np.arange(12.0).reshape(4, 3).copy()
+        feats.flags.writeable = False
+        assert self._dataset(feats).features is feats
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writeable", "read-only-view"])
+    def test_copies_what_the_caller_can_still_write(self, view):
+        caller = np.arange(12.0).reshape(4, 3)
+        given = caller
+        if view:
+            given = caller.view()
+            given.flags.writeable = False
+        data = self._dataset(given)
+        assert not np.shares_memory(data.features, caller)
+        caller[...] = -1.0
+        np.testing.assert_array_equal(data.features, np.arange(12.0).reshape(4, 3))
+        assert not data.features.flags.writeable
+
+    @pytest.mark.parametrize("labeled,unlabeled", [([0, 1], [2, 3, 4]), ([-1, 1], [2, 3]),
+                                                   ([0], [1, 2])])
+    def test_index_sets_that_miss_or_leave_the_rows_rejected(self, labeled, unlabeled):
+        with pytest.raises(ValueError, match="partition"):
+            DomainDataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
+                          labeled_indices=np.array(labeled),
+                          unlabeled_indices=np.array(unlabeled), num_classes=2)
+
     def test_overlapping_split_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overlap"):
             DomainDataset(
                 features=np.zeros((4, 2)),
                 labels=np.zeros(4, dtype=int),

@@ -1,11 +1,15 @@
 """Suite orchestration: run records, sweeps, ablation, persistence."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +44,20 @@ def fast_config(tmp_path, **kw):
 
 
 class TestRunSuite:
+    def test_serial_run_loads_neither_the_pool_nor_numpy_ma(self):
+        """A jobs=1 suite imports no process pool, and its data path no
+        numpy.ma (np.unique imports it)."""
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+        code = ("import sys, ltinfomax\n"
+                "cfg = ltinfomax.ExperimentConfig(num_domains=3, num_classes=3, feature_dim=4,"
+                " n_per_class=25, m_l=3, epochs=1, hidden=(8,), seeds=(0,), held_out=0)\n"
+                "ltinfomax.run_suite(cfg, write=False)\n"
+                "print(sorted({'numpy.ma', 'concurrent.futures.process'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+
     def test_single_seed_fixed_heldout_one_record(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=1)
         records = run_suite(cfg)
@@ -170,7 +188,7 @@ class TestSharedRunner:
                                                              entry):
         pools, worlds, suites = [], [], []
 
-        class CountingPool(experiments.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
@@ -185,7 +203,7 @@ class TestSharedRunner:
             suites.append(original_suite(config, *args, **kwargs))
             return suites[-1]
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(experiments, "build_domains", counting_build)
         monkeypatch.setattr(experiments, "run_suite", recording_suite)
         serial_cfg = fast_config(tmp_path, seeds=(0, 1), held_out=0)
@@ -204,13 +222,13 @@ class TestSharedRunner:
     def test_no_more_workers_than_runs(self, tmp_path, monkeypatch):
         pools = []
 
-        class CountingPool(experiments.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, max_workers, **kwargs):
                 pools.append(max_workers)
                 # never start more than the two workers the suite needs
                 super().__init__(*args, max_workers=min(max_workers, 2), **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         records = run_suite(fast_config(tmp_path, seeds=(0, 1), held_out=0, jobs=8))
         assert pools == [2] and len(records) == 2
 

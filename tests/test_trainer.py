@@ -361,21 +361,27 @@ class TestStepParity:
         if not supervised:
             assert max(accepted) > 0  # the strong branch took part
 
-    @pytest.mark.parametrize("k", [5, 12])
-    def test_bit_identical_at_benchmark_shapes(self, k):
+    @pytest.mark.parametrize("k,dim,hidden,tau,steps", [
+        (5, 16, (64, 64), 0.7, 40),
+        (12, 16, (64, 64), 0.7, 40),
+        (40, 64, (256, 256), 0.3, 20),
+    ], ids=["5", "12", "40-wide"])
+    def test_bit_identical_at_benchmark_shapes(self, k, dim, hidden, tau, steps):
         """The default run's shapes (16 features, hidden 64x64, batches
-        16/64); K=12 takes the >= 8-wide pairwise path of row reductions."""
-        sources = toy_sources(k=k, d=16, n_per_class=40, seed0=200)
+        16/64); K=12 takes the >= 8-wide pairwise path of row reductions.
+        The wide-classes benchmark's shapes (K=40, 64 features, hidden
+        256x256) take BLAS's large-matrix kernels (M*N*K above 10^6)."""
+        sources = toy_sources(k=k, d=dim, n_per_class=40, seed0=200)
         lab_x = np.concatenate([d.labeled()[0] for d in sources])
         lab_y = np.concatenate([d.labeled()[1] for d in sources])
         unl_x = np.concatenate([d.unlabeled() for d in sources])
-        loss = LossConfig(tau=0.7)
-        cfg = TrainerConfig(hidden=(64, 64), loss=loss)
+        loss = LossConfig(tau=tau)
+        cfg = TrainerConfig(hidden=hidden, loss=loss)
         fused = make_state(cfg, sources[0].dim, k, seed=3)
         reference = make_state(cfg, sources[0].dim, k, seed=3)
         rng = np.random.default_rng(8)
         accepted = []
-        for _ in range(40):
+        for _ in range(steps):
             lab = rng.choice(len(lab_x), size=cfg.labeled_batch)
             unl = unl_x[rng.choice(len(unl_x), cfg.unlabeled_batch)]
             accepted.append(train_step(fused, lab_x[lab], lab_y[lab], unl).accepted_fraction)
