@@ -4,7 +4,6 @@ Subcommands:
     run                     execute one suite (|seeds| x |hold-outs| runs)
     sweep --axis A --values execute a suite per value of alpha/gamma/ml
     ablate                  three-variant marginal-entropy ablation
-    plotdata                convert a sweep/aggregate CSV to plot-ready text
 
 Global flags: --config FILE (flat key=value), --seed-list, --out DIR,
 --jobs N; flags override config-file values. Exit codes: 0 success,
@@ -12,9 +11,7 @@ Global flags: --config FILE (flat key=value), --seed-list, --out DIR,
 """
 
 import argparse
-import csv
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, DivergenceError
 from .experiments import (
@@ -22,9 +19,7 @@ from .experiments import (
     ExperimentConfig,
     _coerce,
     ablation,
-    emit_plot_data,
     parse_config_file,
-    read_text_lines,
     run_suite,
     suite_aggregate,
     sweep,
@@ -59,11 +54,6 @@ def _build_parser():
                          help="comma-separated values, e.g. 1,1.5,2")
 
     sub.add_parser("ablate", help="marginal-entropy ablation (3 variants)")
-
-    p_plot = sub.add_parser("plotdata", help="CSV -> whitespace table for plotting")
-    p_plot.add_argument("table", help="input CSV (a sweep or aggregate file)")
-    p_plot.add_argument("--out-file", default=None,
-                        help="output path (default: the table's, with suffix .dat)")
     return parser
 
 
@@ -82,8 +72,7 @@ def _config_from_args(args):
     return ExperimentConfig(**{**file, **flags})
 
 
-def _cmd_run(args):
-    config = _config_from_args(args)
+def _cmd_run(args, config):
     records = run_suite(config)
     agg = suite_aggregate(config, records)
     print(f"{len(records)} runs -> mean accuracy {agg['mean_accuracy']:.4f} "
@@ -91,8 +80,7 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _cmd_sweep(args):
-    config = _config_from_args(args)
+def _cmd_sweep(args, config):
     values = [_coerce(SWEEP_AXES[args.axis], t) for t in args.values.split(",") if t.strip()]
     table = sweep(config, args.axis, values)
     print(f"# {args.axis} mean std")
@@ -101,35 +89,11 @@ def _cmd_sweep(args):
     return EXIT_OK
 
 
-def _cmd_ablate(args):
-    config = _config_from_args(args)
+def _cmd_ablate(args, config):
     rows = ablation(config)
     print("variant, mean, std, delta_vs_baseline")
     for label, mean, std, delta in rows:
         print(f"{label}, {mean:.4f}, {std:.4f}, {delta:+.4f}")
-    return EXIT_OK
-
-
-def _cmd_plotdata(args):
-    out_file = args.out_file or Path(args.table).with_suffix(".dat")
-    if Path(out_file).resolve() == Path(args.table).resolve():
-        raise ConfigError(f"output {out_file} is the input table; pass another --out-file")
-    table = list(csv.reader(read_text_lines(args.table)))
-    if len(table) < 2:
-        raise ConfigError(f"no data rows in {args.table}")
-    header, body = table[0], table[1:]
-    numeric = [i for i, name in enumerate(header) if name != "variant"]
-    if not numeric:
-        raise ConfigError(f"no numeric column in {args.table}")
-    rows = []
-    for lineno, raw in enumerate(body, 2):
-        try:
-            rows.append(tuple(float(raw[i]) for i in numeric))
-        except (IndexError, ValueError):
-            raise ConfigError(f"{args.table}:{lineno}: expected numbers in columns "
-                              f"{[header[i] for i in numeric]}, got {raw}") from None
-    emit_plot_data(rows, out_file, header=tuple(header[i] for i in numeric))
-    print(f"wrote {out_file} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -140,10 +104,9 @@ def main(argv=None):
         "run": _cmd_run,
         "sweep": _cmd_sweep,
         "ablate": _cmd_ablate,
-        "plotdata": _cmd_plotdata,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, _config_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -189,10 +189,14 @@ def build_domains(config):
         drng = np.random.default_rng(np.random.SeedSequence([config.data_seed, 1, d]))
         shift = SHIFT_SCALE * drng.standard_normal(dim)
         rotation = domain_rotation(dim, int(drng.integers(2**31)), ROTATION_STRENGTH)
-        noise = np.random.default_rng(int(drng.integers(2**31))).standard_normal(
+        # the rows are built in the noise buffer, which the dataset then adopts
+        features = np.random.default_rng(int(drng.integers(2**31))).standard_normal(
             (len(labels), dim))
+        features *= NOISE_SCALE
+        features += ((centroids + shift) @ rotation.T)[labels]
+        features.flags.writeable = False
         domains.append(DomainDataset(
-            features=((centroids + shift) @ rotation.T)[labels] + NOISE_SCALE * noise,
+            features=features,
             labels=labels,
             labeled_indices=np.empty(0, dtype=np.int64),
             unlabeled_indices=np.arange(len(labels)),
@@ -488,23 +492,19 @@ def _coerce(key, value):
         raise ConfigError(f"bad value for {key} ({kind.__name__}): {value!r}") from None
 
 
-def read_text_lines(path):
-    """A UTF-8 text file's lines, endings kept for csv.reader; ConfigError if not UTF-8."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return list(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def parse_config_file(path):
     """Flat key=value UTF-8 config file -> dict of typed overrides.
 
-    Lines starting with '#' and blank lines are ignored. Unknown keys,
-    malformed values and non-UTF-8 bytes raise ConfigError.
+    A leading byte-order mark, lines starting with '#' and blank lines are
+    ignored. Unknown keys, malformed values and non-UTF-8 bytes raise ConfigError.
     """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     overrides = {}
-    for lineno, line in enumerate(read_text_lines(path), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

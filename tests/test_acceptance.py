@@ -21,6 +21,7 @@ notes.
 import copy
 import csv
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 from ltinfomax.data import LongTailSpec, augment_pair, long_tail_counts
-from ltinfomax.experiments import ExperimentConfig, run_suite
+from ltinfomax.experiments import ExperimentConfig, _suite_tasks, open_runner, run_suite
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
     LabeledBatch,
@@ -240,21 +241,45 @@ class TestCriterion5ReductionEquivalence:
               "bit-identical to the supervised-only code path")
 
 
+GAMMAS = (1.0, 5.0, 10.0, 20.0, 50.0)
+# criterion 6's baseline, Shannon and alpha suites, then criterion 7's
+# (marginal_weight 1, 0) pair per gamma; the gamma=10 pair repeats criterion
+# 6's baseline and alpha suites
+TREND_SUITES = ([dict(marginal_weight=0.0), dict(marginal_weight=1.0, alpha=1.0),
+                 dict(marginal_weight=1.0, alpha=1.5)]
+                + [dict(gamma=g, marginal_weight=w) for g in GAMMAS for w in (1.0, 0.0)])
+
+
+@pytest.fixture(scope="module")
+def trend_suites():
+    """Criteria 6 and 7's suites on seeds 0-9, each distinct config run once
+    through one runner. Returns (accuracies, elapsed): accuracies(**overrides)
+    is that suite's per-run accuracies by seed, then held-out id, and elapsed
+    the wall time of all of them."""
+    base = ExperimentConfig(seeds=tuple(range(10)), jobs=min(2, os.cpu_count() or 1))
+    # a runner keys its queued runs by task, so each config is queued once
+    configs = list(dict.fromkeys(replace(base, **kw) for kw in TREND_SUITES))
+    start = time.perf_counter()
+    with open_runner(base, [t for c in configs for t in _suite_tasks(c)]) as runner:
+        accuracies = {c: np.array([r.accuracy for r in run_suite(c, write=False, runner=runner)])
+                      for c in configs}
+    elapsed = time.perf_counter() - start
+    return (lambda **kw: accuracies[replace(base, **kw)]), elapsed
+
+
 class TestCriterion6AblationTrend:
-    def test_ordering_on_default_setting(self):
-        start = time.perf_counter()
+    def test_ordering_on_default_setting(self, trend_suites):
+        accuracies, elapsed = trend_suites
         base_cfg = ExperimentConfig(seeds=tuple(range(10)))
         assert (base_cfg.num_domains, base_cfg.num_classes,
                 base_cfg.gamma, base_cfg.m_l) == (4, 5, 10.0, 5)
 
-        def seed_means(cfg):
-            recs = run_suite(cfg, write=False)
-            return np.array([r.accuracy for r in recs]).reshape(10, -1).mean(axis=1)
+        def seed_means(**kw):
+            return accuracies(**kw).reshape(10, -1).mean(axis=1)
 
-        baseline = seed_means(replace(base_cfg, marginal_weight=0.0))
-        shannon = seed_means(replace(base_cfg, marginal_weight=1.0, alpha=1.0))
-        alpha_ent = seed_means(replace(base_cfg, marginal_weight=1.0, alpha=1.5))
-        elapsed = time.perf_counter() - start
+        baseline = seed_means(marginal_weight=0.0)
+        shannon = seed_means(marginal_weight=1.0, alpha=1.0)
+        alpha_ent = seed_means(marginal_weight=1.0, alpha=1.5)
 
         gap = alpha_ent - baseline
         assert baseline.mean() <= shannon.mean() <= alpha_ent.mean(), (
@@ -270,16 +295,12 @@ class TestCriterion6AblationTrend:
 
 
 class TestCriterion7ImbalanceTrend:
-    def test_gap_grows_with_imbalance(self):
-        base_cfg = ExperimentConfig(seeds=tuple(range(10)))
-        gammas = (1.0, 5.0, 10.0, 20.0, 50.0)
+    def test_gap_grows_with_imbalance(self, trend_suites):
+        accuracies, _ = trend_suites
         gaps = {}
-        for gamma in gammas:
-            cfg = replace(base_cfg, gamma=gamma)
-            imax = np.mean([r.accuracy for r in
-                            run_suite(replace(cfg, marginal_weight=1.0), write=False)])
-            plain = np.mean([r.accuracy for r in
-                             run_suite(replace(cfg, marginal_weight=0.0), write=False)])
+        for gamma in GAMMAS:
+            imax = np.mean(accuracies(gamma=gamma, marginal_weight=1.0))
+            plain = np.mean(accuracies(gamma=gamma, marginal_weight=0.0))
             gaps[gamma] = imax - plain
         assert all(g >= 0 for g in gaps.values()), f"negative gap: {gaps}"
         low = np.mean([gaps[1.0], gaps[5.0]])

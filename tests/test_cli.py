@@ -83,68 +83,6 @@ class TestAblateCommand:
         assert (tmp_path / "out" / "ablation.csv").exists()
 
 
-class TestPlotDataCommand:
-    def test_round_trip_from_sweep_csv(self, tmp_path):
-        table = tmp_path / "sweep.csv"
-        with open(table, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["gamma", "mean_accuracy", "std_accuracy"])
-            w.writerow([1.0, 0.8, 0.01])
-            w.writerow([10.0, 0.7, 0.02])
-        code = main(["plotdata", str(table), "--out-file", str(tmp_path / "p.dat")])
-        assert code == EXIT_OK
-        lines = (tmp_path / "p.dat").read_text().splitlines()
-        assert lines[0].startswith("#") and len(lines) == 3
-
-    def test_default_out_file_beside_the_table(self, tmp_path, monkeypatch):
-        """A dot in a directory name is not the table's suffix."""
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "res.v2").mkdir()
-        (tmp_path / "res.v2" / "agg").write_text("gamma,mean_accuracy\n1,0.8\n")
-        assert main(["plotdata", "res.v2/agg"]) == EXIT_OK
-        assert (tmp_path / "res.v2" / "agg.dat").exists()
-        assert not (tmp_path / "res.dat").exists()
-
-    def test_empty_table_exit_code(self, tmp_path):
-        table = tmp_path / "empty.csv"
-        table.write_text("gamma,mean_accuracy,std_accuracy\n")
-        code = main(["plotdata", str(table)])
-        assert code == EXIT_CONFIG
-
-    @pytest.mark.parametrize("text", [
-        "gamma,mean_accuracy,std_accuracy\n1,0.5,x\n",
-        "gamma,mean_accuracy,std_accuracy\n1,0.5\n",
-        "",
-        "variant\nbaseline\nx\n",
-        b"\xffgamma,mean_accuracy\n1,0.5\n",
-    ], ids=["non-numeric-cell", "short-row", "empty-file", "no-numeric-column", "not-utf8"])
-    def test_malformed_table_exit_code(self, tmp_path, capsys, text):
-        table = tmp_path / "bad.csv"
-        if isinstance(text, bytes):
-            table.write_bytes(text)
-        else:
-            table.write_text(text)
-        assert main(["plotdata", str(table)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and str(table) in err
-        assert err.count("\n") == 1
-        assert not list(tmp_path.glob("*.dat"))
-
-    @pytest.mark.parametrize("table, extra", [("t.csv", ["--out-file", "{dir}/t.csv"]),
-                                              ("t.dat", [])], ids=["out-file", "dat-suffix"])
-    def test_output_onto_the_input_table_exit_code(self, tmp_path, monkeypatch, capsys,
-                                                   table, extra):
-        """An --out-file naming the table, or a table that already ends in .dat,
-        would be overwritten by its own plot form."""
-        monkeypatch.chdir(tmp_path)
-        text = b"gamma,mean_accuracy\n1,0.8\n"
-        (tmp_path / table).write_bytes(text)
-        argv = ["plotdata", table, *(a.format(dir=tmp_path) for a in extra)]
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.count("\n") == 1
-        assert (tmp_path / table).read_bytes() == text
-
-
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

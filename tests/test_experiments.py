@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -309,6 +310,22 @@ class TestWorldPin:
         assert tuple(digests) == self.PINNED[shape]
 
 
+class TestWorldBuild:
+    def test_domains_adopt_their_rows_without_a_copy(self):
+        """Each domain's rows are built in one buffer that the dataset adopts, so
+        the build holds at most about one domain's rows beyond the world it keeps
+        (a copy per domain peaks at twice that)."""
+        config = ExperimentConfig(**TestWorldPin.SHAPES["wide-classes"])
+        build_domains(config)  # warm: first-call allocations are not the build's
+        tracemalloc.start()
+        try:
+            domains = build_domains(config)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < 1.5 * domains[0].features.nbytes
+
+
 class TestSweep:
     def test_degenerate_sweep_matches_run_suite(self, tmp_path):
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0)
@@ -510,3 +527,9 @@ class TestConfig:
         path.write_text("alpha = 2.0\n")
         cfg = ExperimentConfig(**{**parse_config_file(path), "alpha": 3.0})
         assert cfg.alpha == 3.0
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        """Editors that save "UTF-8 with BOM" put U+FEFF before the first key."""
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"\xef\xbb\xbfalpha = 2.0\n")
+        assert parse_config_file(path) == {"alpha": 2.0}
