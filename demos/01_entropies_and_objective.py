@@ -12,8 +12,8 @@ Run: python3 demos/01_entropies_and_objective.py
 import numpy as np
 
 from ltinfomax import (
+    ExperimentConfig,
     LabeledBatch,
-    LossConfig,
     UnlabeledBatch,
     finite_diff_gradient,
     infomax_loss,
@@ -68,9 +68,9 @@ unlabeled = UnlabeledBatch(
                           [0.8, 0.6, 0.0]]),  # hedged  -> rejected by tau
     strong_logits=np.array([[1.0, 0.2, -0.1], [0.1, 0.4, -0.2]]),
 )
-for cfg in (LossConfig(alpha=1.0, tau=0.9),
-            LossConfig(alpha=1.5, tau=0.9),
-            LossConfig(alpha=1.5, tau=0.9, marginal_weight=0.0)):
+for cfg in (ExperimentConfig(alpha=1.0, tau=0.9),
+            ExperimentConfig(alpha=1.5, tau=0.9),
+            ExperimentConfig(alpha=1.5, tau=0.9, marginal_weight=0.0)):
     b, _ = infomax_loss(labeled, unlabeled, cfg)
     tag = f"alpha={cfg.alpha}, w={cfg.marginal_weight}"
     print(f"{tag:22s} -H_a(pi)={b.neg_marginal_entropy:+.4f} "
@@ -81,7 +81,7 @@ print()
 print("=" * 70)
 print("4. Analytic gradient vs central finite differences")
 print("=" * 70)
-cfg = LossConfig(alpha=1.5, tau=0.9)
+cfg = ExperimentConfig(alpha=1.5, tau=0.9)
 _, grads = infomax_loss(labeled, unlabeled, cfg)
 flat_analytic = np.concatenate([grads.labeled.ravel(), grads.weak.ravel(),
                                 grads.strong.ravel()])

@@ -28,7 +28,7 @@ n_lab = sum(len(s.labeled_indices) for s in sources)
 n_unl = sum(len(s.unlabeled_indices) for s in sources)
 print(f"pooled sources: {n_lab} labeled / {n_unl} unlabeled (split {split_hash})\n")
 
-state = train(config.trainer_config(), sources, seed=0)
+state = train(config, sources, seed=0)
 
 print(f"{'epoch':>5} {'-H_a(pi)':>9} {'labeled_ce':>11} {'pseudo_ce':>10} "
       f"{'total':>8} {'accepted':>9}")

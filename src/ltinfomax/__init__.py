@@ -8,7 +8,6 @@ from .experiments import ExperimentConfig, ablation, build_domains, run_suite, s
 from .numerics import finite_diff_gradient, relative_error
 from .objectives import (
     LabeledBatch,
-    LossConfig,
     UnlabeledBatch,
     infomax_loss,
     shannon_entropy,

@@ -1,8 +1,4 @@
-"""Exception types shared across the package, and the finiteness check
-every config dataclass runs first."""
-
-import math
-from dataclasses import fields
+"""Exception types shared across the package."""
 
 
 class ConfigError(ValueError):
@@ -11,12 +7,3 @@ class ConfigError(ValueError):
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss; carries a diagnostic message."""
-
-
-def require_finite(config):
-    """Raise ConfigError for the first float field of a config dataclass that
-    is NaN or infinite; NaN slips past every ``x < bound`` check."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type is float and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")

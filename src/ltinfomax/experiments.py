@@ -14,7 +14,9 @@ breakdown.
 
 import csv
 import hashlib
+import io
 import json
+import math
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
@@ -30,9 +32,8 @@ from .data import (
     long_tail_counts,
     split_labeled_unlabeled,
 )
-from .errors import ConfigError, DivergenceError, require_finite
-from .objectives import LossConfig
-from .trainer import EVAL_ROWS, TrainerConfig, evaluate, train
+from .errors import ConfigError, DivergenceError
+from .trainer import EVAL_ROWS, evaluate, train
 
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
 AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
@@ -48,9 +49,9 @@ class ExperimentConfig:
     """Everything a suite needs; flat so it maps 1:1 onto the config file."""
 
     # objective
-    alpha: float = LossConfig.alpha
-    tau: float = LossConfig.tau
-    marginal_weight: float = LossConfig.marginal_weight
+    alpha: float = 1.5
+    tau: float = 0.95
+    marginal_weight: float = 1.0
     # long-tail protocol
     m_l: int = 5
     gamma: float = 10.0
@@ -62,11 +63,11 @@ class ExperimentConfig:
     n_per_class: int = 40
     data_seed: int = 7
     # network / optimizer (augmentation and momentum are constants of data and trainer)
-    hidden: tuple = TrainerConfig.hidden
-    epochs: int = TrainerConfig.epochs
-    learning_rate: float = TrainerConfig.learning_rate
-    labeled_batch: int = TrainerConfig.labeled_batch
-    unlabeled_batch: int = TrainerConfig.unlabeled_batch
+    hidden: tuple = (64, 64)
+    epochs: int = 20
+    learning_rate: float = 0.03
+    labeled_batch: int = 16
+    unlabeled_batch: int = 64
     # protocol
     held_out: int = None          # None rotates over all domains
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -74,7 +75,10 @@ class ExperimentConfig:
     out_dir: str = "runs_out"
 
     def __post_init__(self):
-        require_finite(self)
+        for f in fields(self):  # NaN slips past every `x < bound` check
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not str(self.out_dir).strip():
             raise ConfigError("out_dir must not be empty")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -96,10 +100,23 @@ class ExperimentConfig:
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds {self.seeds} repeat {repeated}")
-        # the spec, the sub-configs and the split hold the remaining rules
+        # the spec, the objective and trainer rules and the split hold the rest
         try:
             spec = LongTailSpec(self.num_classes, self.m_l, self.gamma)
-            self.trainer_config()
+            if not (self.alpha > 0):
+                raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+            if not (self.tau > 0):
+                raise ConfigError(f"tau must be > 0, got {self.tau}")
+            if self.marginal_weight < 0:
+                raise ConfigError("marginal_weight must be >= 0")
+            if not self.learning_rate > 0:
+                raise ConfigError("learning_rate must be > 0")
+            if self.epochs < 0:
+                raise ConfigError("epochs must be >= 0")
+            if self.labeled_batch < 1 or self.unlabeled_batch < 1:
+                raise ConfigError("labeled_batch and unlabeled_batch must be >= 1")
+            if any(h < 1 for h in self.hidden):
+                raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
             # float64 values of the world and the pooled source rows, the rotation,
             # the confusion matrix, the model, velocity, grads and scratch buffers,
             # an epoch's labeled draw (its steps bounded by the whole unlabeled
@@ -127,15 +144,6 @@ class ExperimentConfig:
                         self.longtail_unlabeled)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def _sub_config(self, cls, **given):
-        """``cls`` from ``given`` and this config's fields of the same names;
-        its other fields keep their defaults."""
-        return cls(**given, **{f.name: getattr(self, f.name) for f in fields(cls)
-                               if f.name in _FIELD_TYPES})
-
-    def trainer_config(self):
-        return self._sub_config(TrainerConfig, loss=self._sub_config(LossConfig))
 
     def hash(self):
         """Content hash, independent of field order and output location."""
@@ -236,7 +244,7 @@ def execute_run(config, seed, heldout, domains):
     sources, split_hash = split_sources(config, domains, seed, heldout)
     t0 = time.perf_counter()
     try:
-        state = train(config.trainer_config(), sources, seed)
+        state = train(config, sources, seed)
         report = evaluate(state.model, domains[heldout])
     except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
         seed_note = "" if f"(seed {seed})" in str(exc) else f"seed {seed}, "
@@ -496,15 +504,15 @@ def parse_config_file(path):
     """Flat key=value UTF-8 config file -> dict of typed overrides.
 
     A leading byte-order mark, lines starting with '#' and blank lines are
-    ignored. Unknown keys, malformed values and non-UTF-8 bytes raise ConfigError.
+    ignored. Unknown keys, malformed values and non-UTF-8 bytes (named by their
+    offset in the file) raise ConfigError.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = list(fh)
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     overrides = {}
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -18,32 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError
 from .numerics import LOG_EPS, check_labels, check_prob_vector, softmax
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Hyperparameters of the composite objective.
-
-    alpha: Tsallis entropy order (> 0); alpha = 1 dispatches to Shannon.
-    tau: confidence threshold for pseudo-labels. Values > 1 are legal and
-        reject every unlabeled sample (used for supervised-only reductions).
-    marginal_weight: coefficient on the -H_alpha(pi) term.
-    """
-
-    alpha: float = 1.5
-    tau: float = 0.95
-    marginal_weight: float = 1.0
-
-    def __post_init__(self):
-        require_finite(self)
-        if not (self.alpha > 0):
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.tau > 0):
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.marginal_weight < 0:
-            raise ConfigError("marginal_weight must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -178,7 +154,9 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
         logits: (len(labels) + 2 * n_unl, K) stacked logits.
         labels: integer labels in [0, K) of the labeled rows.
         n_unl: number of unlabeled samples.
-        cfg: LossConfig.
+        cfg: an ExperimentConfig; reads alpha (Tsallis order, 1 is Shannon),
+            tau (pseudo-label threshold; above 1 rejects every unlabeled
+            sample) and marginal_weight (the weight of -H_alpha(pi)).
 
     The shapes and label range above are the caller's to guarantee; they
     are not re-checked per step. The batch API checks them in LabeledBatch,
@@ -248,6 +226,7 @@ def infomax_loss(labeled, unlabeled, cfg):
     labeled and unlabeled logits of different K. With alpha = 1 and
     marginal_weight = 0 it is the plain semi-supervised baseline, and with
     marginal_weight = 0 and no labeled batch the pseudo cross-entropy alone.
+    ``cfg`` is an ExperimentConfig, read as infomax_loss_and_grad reads it.
 
     Returns (LossBreakdown, LossGradients).
     """

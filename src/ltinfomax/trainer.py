@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import augment_pair
-from .errors import ConfigError, DivergenceError, require_finite
+from .errors import DivergenceError
 from .numerics import check_labels, softmax
-from .objectives import LossBreakdown, LossConfig, branch_rows, infomax_loss_and_grad
+from .objectives import LossBreakdown, branch_rows, infomax_loss_and_grad
 
 # RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
@@ -58,37 +58,14 @@ class MlpModel:
         return MlpModel, (self.weights, self.biases)
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Network shape, optimizer and batch composition."""
-
-    hidden: tuple = (64, 64)
-    epochs: int = 20
-    learning_rate: float = 0.03
-    labeled_batch: int = 16
-    unlabeled_batch: int = 64
-    loss: LossConfig = field(default_factory=LossConfig)
-
-    def __post_init__(self):
-        require_finite(self)
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
-            raise ConfigError("labeled_batch and unlabeled_batch must be >= 1")
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
-
-
 @dataclass
 class TrainState:
-    """Mutable state of one training run (single-writer); ``velocity`` and the
-    work buffers ``grads`` and ``scratch`` are shaped like the model, and
-    make_state allocates all three."""
+    """Mutable state of one training run (single-writer) under ``config``,
+    an ExperimentConfig; ``velocity`` and the work buffers ``grads`` and
+    ``scratch`` are shaped like the model, and make_state allocates all three."""
 
     model: MlpModel
-    config: TrainerConfig
+    config: object
     seed: int
     epoch: int = 0
     velocity: MlpModel = None
@@ -155,7 +132,8 @@ def _backprop(model, cache, rows, dlogits, out):
 
 
 def make_state(config, input_dim, num_classes, seed):
-    """Fresh TrainState with isolated RNG streams derived from the seed."""
+    """Fresh TrainState with isolated RNG streams derived from the seed; of
+    ``config`` it reads ``hidden``, the hidden layer widths."""
     rngs = {name: np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
             for stream, name in enumerate(_STREAMS)}
     sizes = [input_dim, *config.hidden, num_classes]
@@ -175,10 +153,11 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     forward pass and one infomax_loss_and_grad call, backpropagates each
     branch on its rows of the shared cache into ``state.grads`` (skipping
     an all-zero unlabeled branch once another has contributed) and applies
-    the momentum update in place on the flat buffers. After it returns,
-    ``state.grads.flat`` is this step's parameter gradient, aligned with
-    ``model.flat``: the update writes only ``scratch``, ``velocity`` and
-    ``model``.
+    the momentum update in place on the flat buffers. Of ``state.config``
+    the kernel reads alpha, tau and marginal_weight, and the update
+    learning_rate. After it returns, ``state.grads.flat`` is this step's
+    parameter gradient, aligned with ``model.flat``: the update writes only
+    ``scratch``, ``velocity`` and ``model``.
 
     Pass unlabeled_x=None (or empty) for a purely supervised step. Returns
     the forward LossBreakdown. Raises ValueError, before any state changes,
@@ -202,7 +181,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         augment_pair(unlabeled_x, state.rngs["augment"], out=x[n_lab:])
     logits, cache = _forward_cached(model, x)
     try:
-        breakdown, dlogits = infomax_loss_and_grad(logits, labels, n_unl, cfg.loss)
+        breakdown, dlogits = infomax_loss_and_grad(logits, labels, n_unl, cfg)
     except ValueError:
         # the kernel's softmax rejects non-finite logits; only then are they scanned
         if np.isfinite(logits).all():
@@ -259,7 +238,8 @@ def train(config, sources, seed, supervised_only=False):
     run with marginal_weight = 0 and tau > 1 lands on bit-identical
     parameters. Overflow warnings are silenced: non-finite logits, loss
     or final parameters, or an epoch-mean total loss above DIVERGED_LOSS,
-    raise DivergenceError instead.
+    raise DivergenceError instead. Of ``config``, an ExperimentConfig, it
+    reads epochs and the two batch sizes; make_state and train_step the rest.
     """
     if len(sources) < 2:
         raise ValueError("need at least 2 source domains")

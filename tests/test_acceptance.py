@@ -33,7 +33,6 @@ from ltinfomax.experiments import ExperimentConfig, _suite_tasks, open_runner, r
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
     LabeledBatch,
-    LossConfig,
     UnlabeledBatch,
     infomax_loss,
     infomax_loss_and_grad,
@@ -42,7 +41,6 @@ from ltinfomax.objectives import (
     tsallis_entropy_grad,
 )
 from ltinfomax.trainer import (
-    TrainerConfig,
     forward,
     init_mlp,
     make_state,
@@ -89,7 +87,7 @@ class TestCriterion1GradientFidelity:
 
         # pseudo cross-entropy alone: 100 instances (strong branch; weak is zero)
         tau = 0.8
-        pseudo_cfg = LossConfig(tau=tau, marginal_weight=0.0)
+        pseudo_cfg = ExperimentConfig(tau=tau, marginal_weight=0.0)
         for _ in range(100):
             n, k = int(rng.integers(2, 7)), int(rng.integers(3, 6))
             weak, strong = _safe_unlabeled(rng, n, k, tau)
@@ -106,7 +104,7 @@ class TestCriterion1GradientFidelity:
 
         # composite loss: 25 instances per alpha, all three logit groups
         for alpha in ALPHAS:
-            cfg = LossConfig(alpha=alpha, tau=tau)
+            cfg = ExperimentConfig(alpha=alpha, tau=tau)
             for _ in range(25):
                 nl, nu, k = 3, 5, 4
                 lab = LabeledBatch(rng.normal(size=(nl, k)) * 2,
@@ -134,9 +132,9 @@ class TestCriterion1GradientFidelity:
         # through the network: 25 instances per alpha, d=4 hidden=6 K=3; the
         # gradient is the one train_step applies, read from state.grads
         for alpha in ALPHAS:
-            cfg = LossConfig(alpha=alpha, tau=tau)
+            cfg = ExperimentConfig(hidden=(6,), alpha=alpha, tau=tau)
             for _ in range(25):
-                state = make_state(TrainerConfig(hidden=(6,), loss=cfg), 4, 3, seed=0)
+                state = make_state(cfg, 4, 3, seed=0)
                 state.model.flat[...] = init_mlp([4, 6, 3], rng).flat
                 before = state.model.flat.copy()
                 lab_x = rng.normal(size=(3, 4))
@@ -231,9 +229,8 @@ class TestCriterion5ReductionEquivalence:
                                   tau=1.0 + 1e-9)
         domains = build_domains(config)
         sources, _ = split_sources(config, domains, seed=0, heldout=2)
-        tcfg = config.trainer_config()
-        full = train(tcfg, sources, seed=0)
-        sup = train(tcfg, sources, seed=0, supervised_only=True)
+        full = train(config, sources, seed=0)
+        sup = train(config, sources, seed=0, supervised_only=True)
         assert np.array_equal(full.model.flat, sup.model.flat)
         assert all(h["pseudo_ce"] == 0.0 and h["accepted_fraction"] == 0.0
                    for h in full.history)

@@ -83,6 +83,27 @@ class TestAblateCommand:
         assert (tmp_path / "out" / "ablation.csv").exists()
 
 
+# one fault per objective and trainer rule, then configs with several: the
+# line each exits 2 with, and so which fault is reported first
+RULE_MESSAGES = [
+    (["alpha=0"], "alpha must be > 0, got 0.0"),
+    (["tau=0"], "tau must be > 0, got 0.0"),
+    (["marginal_weight=-1"], "marginal_weight must be >= 0"),
+    (["learning_rate=0"], "learning_rate must be > 0"),
+    (["epochs=-1"], "epochs must be >= 0"),
+    (["labeled_batch=0"], "labeled_batch and unlabeled_batch must be >= 1"),
+    (["hidden=4,0"], "every hidden width must be >= 1, got (4, 0)"),
+    # several faults: the objective's rules first, then the trainer's in order
+    (["hidden=0", "learning_rate=0", "tau=0", "alpha=0"], "alpha must be > 0, got 0.0"),
+    (["marginal_weight=-1", "learning_rate=0"], "marginal_weight must be >= 0"),
+    (["hidden=0", "epochs=-1", "learning_rate=0"], "learning_rate must be > 0"),
+    (["epochs=-1", "labeled_batch=0", "hidden=4,0"], "epochs must be >= 0"),
+    # finiteness and the class count are checked before them
+    (["alpha=nan", "tau=0"], "alpha must be finite, got nan"),
+    (["hidden=0", "num_classes=1"], "need at least 2 classes"),
+]
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -110,6 +131,15 @@ class TestExitCodes:
                        "--set", override, "run")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides, message", RULE_MESSAGES,
+                             ids=[" ".join(o) for o, _ in RULE_MESSAGES])
+    def test_objective_and_trainer_rule_messages(self, tmp_path, capsys, overrides, message):
+        code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
+                       *(arg for kv in overrides for arg in ("--set", kv)), "run")
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, tmp_path, jobs):
         code = run_cli(tmp_path, "--seed-list", "0", "--held-out", "0",
@@ -122,7 +152,7 @@ class TestExitCodes:
         "num_domains=2",
         # non-finite floats: NaN slips past every `x < bound` check
         "gamma=nan", "marginal_weight=nan",
-        # malformed text, and values only a spec or sub-config rejects
+        # malformed text, and values only a spec or a field rule rejects
         "epochs=abc", "hidden=64,x", "held_out=x", "feature_dim=0", "feature_dim=-3",
         "data_seed=-1",
         # removed estimator options, world scales and augmentation strengths

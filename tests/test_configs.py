@@ -1,7 +1,6 @@
-"""The library config dataclasses reject non-finite float fields with
-ConfigError, so a caller who skips ExperimentConfig cannot train on NaN or
-infinity; and any text for any ExperimentConfig field either builds a
-config or raises ConfigError."""
+"""ExperimentConfig rejects non-finite float fields with ConfigError, so no
+run trains on NaN or infinity; it pins its defaults; and any text for any
+of its fields either builds a config or raises ConfigError."""
 
 import math
 from dataclasses import fields
@@ -12,41 +11,43 @@ from hypothesis import strategies as st
 
 from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import ExperimentConfig, _coerce
-from ltinfomax.objectives import LossConfig
-from ltinfomax.trainer import TrainerConfig
 
-# config class -> (required arguments, float fields, error type)
-CONFIGS = {
-    LossConfig: ({}, ("alpha", "tau", "marginal_weight"), ConfigError),
-    TrainerConfig: ({}, ("learning_rate",), ConfigError),
-}
+# the float fields the objective and the optimizer read
+FLOAT_FIELDS = ("alpha", "tau", "marginal_weight", "learning_rate")
 
 
-@pytest.mark.parametrize("cls,field,value", [
-    (LossConfig, "marginal_weight", math.nan),
-    (LossConfig, "alpha", math.inf),
-    (TrainerConfig, "learning_rate", math.inf),
-], ids=lambda v: getattr(v, "__name__", str(v)))
-def test_non_finite_field_rejected(cls, field, value):
-    required, _, error = CONFIGS[cls]
-    with pytest.raises(error, match=f"{field} must be finite"):
-        cls(**{**required, field: value})
+@pytest.mark.parametrize("field,value", [
+    ("marginal_weight", math.nan),
+    ("alpha", math.inf),
+    ("learning_rate", math.inf),
+], ids=str)
+def test_non_finite_field_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ExperimentConfig(**{field: value})
 
 
 def test_finite_tau_above_one_stays_legal():
-    assert LossConfig(tau=1.5).tau == 1.5
+    assert ExperimentConfig(tau=1.5).tau == 1.5
 
 
-@given(cls=st.sampled_from(list(CONFIGS)), data=st.data())
-def test_any_float_raises_or_gives_finite_fields(cls, data):
-    required, names, error = CONFIGS[cls]
-    field = data.draw(st.sampled_from(names))
-    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())
+def test_default_config_is_pinned():
+    """The objective and trainer defaults, and the hash of the whole default
+    config: a changed default changes every run's config_hash."""
+    config = ExperimentConfig()
+    assert (config.alpha, config.tau, config.marginal_weight) == (1.5, 0.95, 1.0)
+    assert (config.hidden, config.epochs, config.learning_rate) == ((64, 64), 20, 0.03)
+    assert (config.labeled_batch, config.unlabeled_batch) == (16, 64)
+    assert config.hash() == "42e2af23aa261fd4"
+
+
+@given(field=st.sampled_from(FLOAT_FIELDS),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())
+def test_any_float_raises_or_gives_finite_fields(field, value):
     try:
-        config = cls(**{**required, field: value})
-    except error:
+        config = ExperimentConfig(**{field: value})
+    except ConfigError:
         return
-    assert all(math.isfinite(getattr(config, name)) for name in names)
+    assert all(math.isfinite(getattr(config, name)) for name in FLOAT_FIELDS)
 
 
 # Free text holds no digits, so every number comes from a bounded draw:

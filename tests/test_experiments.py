@@ -533,3 +533,21 @@ class TestConfig:
         path = tmp_path / "exp.cfg"
         path.write_bytes(b"\xef\xbb\xbfalpha = 2.0\n")
         assert parse_config_file(path) == {"alpha": 2.0}
+
+    @pytest.mark.parametrize("bom, offset", [(b"", 10000), (b"\xef\xbb\xbf", 10003)],
+                             ids=["plain", "bom"])
+    def test_bad_byte_offset_past_the_first_chunk(self, tmp_path, bom, offset):
+        """The offset counts from the file's first byte, a BOM included, even
+        past the 8 KiB a text reader decodes at a time."""
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(bom + b"#" + b"x" * 9998 + b"\n\xff")
+        with pytest.raises(ConfigError, match=rf"invalid start byte at byte {offset}\)$"):
+            parse_config_file(path)
+
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        """\\n, \\r\\n and \\r end a line; a form feed or U+2028 does not, so
+        the line numbers in messages are an editor's."""
+        path = tmp_path / "exp.cfg"
+        path.write_bytes("# a\x0c b\u2028 c\r\n# d\rbogus = 1\n".encode())
+        with pytest.raises(ConfigError, match=r"exp\.cfg:3: unknown config key: 'bogus'"):
+            parse_config_file(path)

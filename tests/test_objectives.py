@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from ltinfomax.errors import ConfigError
+from ltinfomax.experiments import ExperimentConfig
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
     LabeledBatch,
-    LossConfig,
     UnlabeledBatch,
     branch_rows,
     infomax_loss,
@@ -129,7 +129,7 @@ class TestTsallisGradient:
 
 def cross_entropy(batch):
     """Mean -log softmax(logits)[label]: the labeled term of the objective."""
-    return infomax_loss(batch, None, LossConfig(marginal_weight=0.0))[0].labeled_ce
+    return infomax_loss(batch, None, ExperimentConfig(marginal_weight=0.0))[0].labeled_ce
 
 
 class TestCrossEntropy:
@@ -159,7 +159,7 @@ def weak_logits_for_prob(p):
 def pseudo_cross_entropy(batch, tau):
     """The pseudo cross-entropy alone: no labeled rows, no marginal term.
     Returns (loss, accepted_fraction, LossGradients)."""
-    b, grads = infomax_loss(None, batch, LossConfig(tau=tau, marginal_weight=0.0))
+    b, grads = infomax_loss(None, batch, ExperimentConfig(tau=tau, marginal_weight=0.0))
     return b.pseudo_ce, b.accepted_fraction, grads
 
 
@@ -267,7 +267,7 @@ def straight_line_total(lab, unl, alpha, tau, marginal_weight=1.0):
 class TestInfomaxLoss:
     def test_matches_straight_line_oracle(self):
         lab, unl = tiny_fixed_batches()
-        cfg = LossConfig(alpha=1.5, tau=0.9)
+        cfg = ExperimentConfig(alpha=1.5, tau=0.9)
         got, _ = infomax_loss(lab, unl, cfg)
         total, neg_h, ce, pce = straight_line_total(lab, unl, 1.5, 0.9)
         assert got.total == pytest.approx(total, abs=1e-12)
@@ -282,7 +282,7 @@ class TestInfomaxLoss:
             lab = LabeledBatch(rng.normal(size=(3, 4)), rng.integers(0, 4, size=3))
             unl = UnlabeledBatch(rng.normal(size=(5, 4)) * 2, rng.normal(size=(5, 4)))
             w = float(rng.uniform(0, 2))
-            cfg = LossConfig(alpha=float(rng.uniform(0.3, 3)), tau=0.8, marginal_weight=w)
+            cfg = ExperimentConfig(alpha=float(rng.uniform(0.3, 3)), tau=0.8, marginal_weight=w)
             b, _ = infomax_loss(lab, unl, cfg)
             assert b.total == pytest.approx(
                 w * b.neg_marginal_entropy + b.labeled_ce + b.pseudo_ce, abs=1e-12
@@ -291,7 +291,7 @@ class TestInfomaxLoss:
 
     def test_reduces_to_cross_entropy(self):
         lab, unl = tiny_fixed_batches()
-        cfg = LossConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
+        cfg = ExperimentConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
         b, _ = infomax_loss(lab, None, cfg)
         assert b.total == b.labeled_ce
         assert b.labeled_ce == pytest.approx(straight_line_total(lab, unl, 1.0, 0.9)[2],
@@ -300,7 +300,7 @@ class TestInfomaxLoss:
 
     def test_alpha_one_marginal_is_shannon(self):
         lab, unl = tiny_fixed_batches()
-        b, _ = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
+        b, _ = infomax_loss(lab, unl, ExperimentConfig(alpha=1.0, tau=0.9))
         pi = np.concatenate([softmax(lab.logits), softmax(unl.weak_logits)]).mean(axis=0)
         assert b.neg_marginal_entropy == pytest.approx(-shannon_entropy(pi), abs=1e-15)
 
@@ -310,7 +310,7 @@ class TestInfomaxLoss:
         for _ in range(20):
             lab = LabeledBatch(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4))
             unl = UnlabeledBatch(rng.normal(size=(6, 3)) * 2, rng.normal(size=(6, 3)))
-            via_alpha, _ = infomax_loss(lab, unl, LossConfig(alpha=1.0, tau=0.9))
+            via_alpha, _ = infomax_loss(lab, unl, ExperimentConfig(alpha=1.0, tau=0.9))
             total, neg_h, ce, pce = straight_line_total(lab, unl, 1.0, 0.9)
             assert via_alpha.total == pytest.approx(total, abs=1e-12)
 
@@ -320,7 +320,7 @@ class TestInfomaxLoss:
         labels = rng.integers(0, 4, size=5)
         weak = rng.normal(size=(7, 4)) * 2
         strong = rng.normal(size=(7, 4))
-        cfg = LossConfig(alpha=1.5, tau=0.8)
+        cfg = ExperimentConfig(alpha=1.5, tau=0.8)
         ref, _ = infomax_loss(LabeledBatch(lab_logits, labels),
                               UnlabeledBatch(weak, strong), cfg)
         pl = rng.permutation(5)
@@ -333,10 +333,10 @@ class TestInfomaxLoss:
 
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
-            infomax_loss(None, None, LossConfig())
+            infomax_loss(None, None, ExperimentConfig())
 
     def test_tau_above_one_is_legal_config(self):
-        cfg = LossConfig(tau=1.5)
+        cfg = ExperimentConfig(tau=1.5)
         assert cfg.tau == 1.5
 
 
@@ -374,7 +374,7 @@ class TestInfomaxGradients:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_matches_finite_differences(self, alpha):
         rng = np.random.default_rng(31)
-        cfg = LossConfig(alpha=alpha, tau=0.8)
+        cfg = ExperimentConfig(alpha=alpha, tau=0.8)
         for _ in range(10):
             lab, unl = sample_safe_instance(rng)
             _, grads = infomax_loss(lab, unl, cfg)
@@ -390,8 +390,8 @@ class TestInfomaxGradients:
     def test_weak_gradient_zero_without_marginal_term(self):
         rng = np.random.default_rng(33)
         lab, unl = sample_safe_instance(rng)
-        _, grads = infomax_loss(lab, unl, LossConfig(alpha=1.5, tau=0.8,
-                                                     marginal_weight=0.0))
+        _, grads = infomax_loss(lab, unl, ExperimentConfig(alpha=1.5, tau=0.8,
+                                                           marginal_weight=0.0))
         assert not np.any(grads.weak)
 
     def test_rejected_sample_has_zero_strong_gradient(self):
@@ -400,15 +400,15 @@ class TestInfomaxGradients:
         wp = softmax(unl.weak_logits)
         rejected = wp.max(axis=1) < 0.99
         assert rejected.any()
-        _, grads = infomax_loss(lab, unl, LossConfig(alpha=1.5, tau=0.99,
-                                                     marginal_weight=0.0))
+        _, grads = infomax_loss(lab, unl, ExperimentConfig(alpha=1.5, tau=0.99,
+                                                           marginal_weight=0.0))
         assert not np.any(grads.strong[rejected])
 
     def test_loss_and_grad_consistent_with_parts(self):
         """The stacked kernel equals the batch API bit for bit on every branch."""
         rng = np.random.default_rng(37)
         lab, unl = sample_safe_instance(rng)
-        cfg = LossConfig(alpha=2.0, tau=0.8)
+        cfg = ExperimentConfig(alpha=2.0, tau=0.8)
         logits = np.concatenate([lab.logits, unl.weak_logits, unl.strong_logits])
         b1, g1 = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
         b2, g2 = infomax_loss(lab, unl, cfg)
@@ -435,14 +435,14 @@ class TestInfomaxGradients:
                              ids=MALFORMED.keys())
     def test_batch_api_rejects_malformed_input(self, labeled, unlabeled, message):
         with pytest.raises(ValueError, match=message):
-            infomax_loss(LabeledBatch(*labeled), UnlabeledBatch(*unlabeled), LossConfig())
+            infomax_loss(LabeledBatch(*labeled), UnlabeledBatch(*unlabeled), ExperimentConfig())
 
 
-class TestLossConfigValidation:
+class TestObjectiveConfigValidation:
     def test_alpha_positive(self):
-        with pytest.raises(ConfigError):
-            LossConfig(alpha=0.0)
+        with pytest.raises(ConfigError, match=r"^alpha must be > 0, got 0.0$"):
+            ExperimentConfig(alpha=0.0)
 
     def test_tau_positive(self):
-        with pytest.raises(ConfigError):
-            LossConfig(tau=0.0)
+        with pytest.raises(ConfigError, match=r"^tau must be > 0, got 0.0$"):
+            ExperimentConfig(tau=0.0)

@@ -16,12 +16,12 @@ from ltinfomax.data import (
     split_labeled_unlabeled,
 )
 from ltinfomax.errors import DivergenceError
+from ltinfomax.experiments import ExperimentConfig
 from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error
-from ltinfomax.objectives import LossConfig, infomax_loss_and_grad
+from ltinfomax.objectives import infomax_loss_and_grad
 from ltinfomax.trainer import (
     EvalReport,
     MlpModel,
-    TrainerConfig,
     evaluate,
     forward,
     init_mlp,
@@ -94,13 +94,13 @@ class TestForward:
         assert np.array_equal(forward(model, x), trainer_module._forward_cached(model, x)[0])
 
 
-def step_gradient_and_fd(model, lab_x, lab_y, unl_x, loss):
+def step_gradient_and_fd(model, lab_x, lab_y, unl_x, cfg):
     """The parameter gradient one train_step from ``model`` applies, read from
     ``state.grads``, and its central finite-difference reference: the public
     forward and infomax_loss_and_grad on the views the step draws. Asserts
     that the step, from zero velocity, moved the parameters by exactly
     -learning_rate times that gradient."""
-    state = make_state(TrainerConfig(hidden=(6,), loss=loss), 4, 3, seed=0)
+    state = make_state(cfg, 4, 3, seed=0)
     state.model.flat[...] = model.flat
     n_unl = 0 if unl_x is None else len(unl_x)
     views = augment_pair(unl_x, copy.deepcopy(state.rngs["augment"])) if n_unl else ()
@@ -109,7 +109,7 @@ def step_gradient_and_fd(model, lab_x, lab_y, unl_x, loss):
     def total(flat):
         m = model.copy()
         m.flat[...] = flat
-        return infomax_loss_and_grad(forward(m, x), lab_y, n_unl, loss)[0].total
+        return infomax_loss_and_grad(forward(m, x), lab_y, n_unl, cfg)[0].total
 
     fd = finite_diff_gradient(total, model.flat.copy())
     train_step(state, lab_x, lab_y, unl_x)
@@ -123,7 +123,7 @@ class TestParameterGradients:
     def test_full_network_matches_finite_differences(self, alpha):
         """d=4, hidden 6, K=3 mixed batch; rel err < 1e-4 against FD."""
         rng = np.random.default_rng(42)
-        cfg = LossConfig(alpha=alpha, tau=0.8)
+        cfg = ExperimentConfig(hidden=(6,), alpha=alpha, tau=0.8)
         for _ in range(5):
             model = init_mlp([4, 6, 3], rng)
             lab_x = rng.normal(size=(3, 4))
@@ -136,7 +136,7 @@ class TestParameterGradients:
         """marginal_weight 0, no unlabeled: gradient is CE backprop, FD-checked."""
         rng = np.random.default_rng(7)
         model = init_mlp([4, 6, 3], rng)
-        cfg = LossConfig(alpha=1.0, tau=0.95, marginal_weight=0.0)
+        cfg = ExperimentConfig(hidden=(6,), alpha=1.0, tau=0.95, marginal_weight=0.0)
         lab_x = rng.normal(size=(1, 4))
         lab_y = np.array([2])
         analytic, fd = step_gradient_and_fd(model, lab_x, lab_y, None, cfg)
@@ -146,7 +146,7 @@ class TestParameterGradients:
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
         # learning_rate must be > 0; emulate with lr -> tiny
-        cfg = TrainerConfig(hidden=(6,), learning_rate=1e-300, loss=LossConfig(tau=0.9))
+        cfg = ExperimentConfig(hidden=(6,), learning_rate=1e-300, tau=0.9)
         state = make_state(cfg, input_dim=4, num_classes=3, seed=1)
         before = state.model.flat.copy()
         rng = np.random.default_rng(2)
@@ -162,8 +162,7 @@ class TestTrainStep:
         x = np.concatenate([rng.normal(size=(20, 2)) + 4.0,
                             rng.normal(size=(20, 2)) - 4.0])
         y = np.array([0] * 20 + [1] * 20)
-        cfg = TrainerConfig(hidden=(8,), learning_rate=0.02,
-                            loss=LossConfig(marginal_weight=0.0, tau=2.0))
+        cfg = ExperimentConfig(hidden=(8,), learning_rate=0.02, marginal_weight=0.0, tau=2.0)
         state = make_state(cfg, 2, 2, seed=5)
         losses = [train_step(state, x, y, None).labeled_ce for _ in range(60)]
         windows = [np.mean(losses[i:i + 5]) for i in range(5, 55, 5)]
@@ -171,7 +170,7 @@ class TestTrainStep:
         assert losses[-1] < losses[5]
 
     def test_divergence_raises(self):
-        cfg = TrainerConfig(hidden=(6, 6), learning_rate=1e150)
+        cfg = ExperimentConfig(hidden=(6, 6), learning_rate=1e150)
         state = make_state(cfg, 4, 3, seed=1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 4))
@@ -190,7 +189,7 @@ BAD_LABELS = {"label-negative": [-1, 0], "label-K": [3, 0], "label-count": [0],
 class TestStepLabels:
     @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
     def test_train_step_rejects_bad_labels_before_any_state_changes(self, labels):
-        state = make_state(TrainerConfig(hidden=(6,)), 4, 3, seed=1)
+        state = make_state(ExperimentConfig(hidden=(6,)), 4, 3, seed=1)
         before = state.model.flat.copy()
         augment = state.rngs["augment"].bit_generator.state
         rng = np.random.default_rng(2)
@@ -207,7 +206,7 @@ class TestStepLabels:
             self, wrong, labeled_shape, unlabeled_shape):
         """A (5, 5) unlabeled batch on a 4-input model used to fail only after
         augment_pair had drawn from the augment stream."""
-        state = make_state(TrainerConfig(hidden=(6,)), 4, 3, seed=1)
+        state = make_state(ExperimentConfig(hidden=(6,)), 4, 3, seed=1)
         before = state.model.flat.copy()
         augment = state.rngs["augment"].bit_generator.state
         rng = np.random.default_rng(2)
@@ -218,7 +217,7 @@ class TestStepLabels:
         assert state.rngs["augment"].bit_generator.state == augment
 
 
-def reference_step(state, lab_x, lab_y, unl_x, loss):
+def reference_step(state, lab_x, lab_y, unl_x):
     """Straight-line SGD step: a forward pass, a softmax and a backprop per
     branch, with the composite logit gradient written out term by term.
 
@@ -252,25 +251,25 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
 
     marginal = [name for name in probs if name != "strong"]
     pi = np.concatenate([probs[name] for name in marginal]).mean(axis=0)
-    if loss.marginal_weight > 0:
-        a, p = loss.alpha, np.maximum(pi, LOG_EPS)
+    if cfg.marginal_weight > 0:
+        a, p = cfg.alpha, np.maximum(pi, LOG_EPS)
         d_entropy = -(np.log(p) + 1.0) if a == 1 else -a / (a - 1.0) * p ** (a - 1.0)
         g_pi = -d_entropy
-        coef = loss.marginal_weight / sum(len(probs[name]) for name in marginal)
+        coef = cfg.marginal_weight / sum(len(probs[name]) for name in marginal)
         for name in marginal:
             inner = probs[name] @ g_pi
             dlogits[name] += coef * probs[name] * (g_pi[None, :] - inner[:, None])
     g = probs["labeled"].copy()
     g[np.arange(len(lab_y)), lab_y] -= 1.0
     dlogits["labeled"] += g / len(lab_y)
-    a = loss.alpha
+    a = cfg.alpha
     entropy = (-np.sum(pi * np.log(np.maximum(pi, LOG_EPS))) if a == 1
                else (1.0 - np.sum(np.maximum(pi, 0.0) ** a)) / (a - 1.0))
     terms = {"neg_marginal_entropy": -entropy, "pseudo_ce": 0.0, "accepted_fraction": 0.0,
              "labeled_ce": -np.sum(log_softmax_rows(branches["labeled"][1][-1])
                                    [np.arange(len(lab_y)), lab_y]) / len(lab_y)}
     if unl_x is not None:
-        accepted = probs["weak"].max(axis=1) >= loss.tau
+        accepted = probs["weak"].max(axis=1) >= cfg.tau
         if accepted.any():
             logp = log_softmax_rows(branches["strong"][1][-1])
             pseudo = np.argmax(probs["weak"], axis=1)
@@ -300,7 +299,7 @@ def reference_step(state, lab_x, lab_y, unl_x, loss):
             v *= trainer_module.MOMENTUM
             v -= cfg.learning_rate * g
             w += v
-    terms["total"] = loss.marginal_weight * terms["neg_marginal_entropy"] + \
+    terms["total"] = cfg.marginal_weight * terms["neg_marginal_entropy"] + \
         terms["labeled_ce"] + terms["pseudo_ce"]
     return terms
 
@@ -320,17 +319,17 @@ def reference_train(config, sources, seed, supervised_only=False):
         for s in range(steps):
             lab = state.rngs["labeled"].integers(len(lab_x), size=config.labeled_batch)
             unl = None if supervised_only else unl_x[order[s * batch:(s + 1) * batch]]
-            terms.append(reference_step(state, lab_x[lab], lab_y[lab], unl, config.loss))
+            terms.append(reference_step(state, lab_x[lab], lab_y[lab], unl))
         history.append({**{k: float(np.mean([t[k] for t in terms])) for k in terms[0]},
                         "epoch": epoch})
     return state, history
 
 
 PARITY_CASES = {
-    "no-marginal": (LossConfig(marginal_weight=0.0, tau=0.7), False),
-    "shannon": (LossConfig(alpha=1.0, tau=0.7), False),
-    "tsallis": (LossConfig(alpha=1.5, tau=0.7), False),
-    "supervised-only": (LossConfig(tau=0.7), True),
+    "no-marginal": (dict(marginal_weight=0.0, tau=0.7), False),
+    "shannon": (dict(alpha=1.0, tau=0.7), False),
+    "tsallis": (dict(alpha=1.5, tau=0.7), False),
+    "supervised-only": (dict(tau=0.7), True),
 }
 
 
@@ -339,13 +338,13 @@ class TestStepParity:
     def test_bit_identical_to_per_branch_reference(self, name):
         """The stacked step lands on exactly the parameters of the
         per-branch reference after three epochs of steps."""
-        loss, supervised = PARITY_CASES[name]
+        objective, supervised = PARITY_CASES[name]
         sources = toy_sources()
         lab_x = np.concatenate([d.labeled()[0] for d in sources])
         lab_y = np.concatenate([d.labeled()[1] for d in sources])
         unl_x = np.concatenate([d.unlabeled() for d in sources])
-        cfg = TrainerConfig(hidden=(16, 16), learning_rate=0.1, labeled_batch=12,
-                            unlabeled_batch=24, loss=loss)
+        cfg = ExperimentConfig(hidden=(16, 16), learning_rate=0.1, labeled_batch=12,
+                               unlabeled_batch=24, **objective)
         fused = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
         reference = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
         rng = np.random.default_rng(6)
@@ -354,7 +353,7 @@ class TestStepParity:
             lab = rng.choice(len(lab_x), size=cfg.labeled_batch)
             unl = None if supervised else unl_x[rng.choice(len(unl_x), cfg.unlabeled_batch)]
             accepted.append(train_step(fused, lab_x[lab], lab_y[lab], unl).accepted_fraction)
-            reference_step(reference, lab_x[lab], lab_y[lab], unl, loss)
+            reference_step(reference, lab_x[lab], lab_y[lab], unl)
         for got, want in zip(fused.model.weights + fused.model.biases,
                              reference.model.weights + reference.model.biases):
             assert np.array_equal(got, want)
@@ -375,8 +374,7 @@ class TestStepParity:
         lab_x = np.concatenate([d.labeled()[0] for d in sources])
         lab_y = np.concatenate([d.labeled()[1] for d in sources])
         unl_x = np.concatenate([d.unlabeled() for d in sources])
-        loss = LossConfig(tau=tau)
-        cfg = TrainerConfig(hidden=hidden, loss=loss)
+        cfg = ExperimentConfig(hidden=hidden, tau=tau)
         fused = make_state(cfg, sources[0].dim, k, seed=3)
         reference = make_state(cfg, sources[0].dim, k, seed=3)
         rng = np.random.default_rng(8)
@@ -385,7 +383,7 @@ class TestStepParity:
             lab = rng.choice(len(lab_x), size=cfg.labeled_batch)
             unl = unl_x[rng.choice(len(unl_x), cfg.unlabeled_batch)]
             accepted.append(train_step(fused, lab_x[lab], lab_y[lab], unl).accepted_fraction)
-            reference_step(reference, lab_x[lab], lab_y[lab], unl, loss)
+            reference_step(reference, lab_x[lab], lab_y[lab], unl)
         for got, want in zip(fused.model.weights + fused.model.biases,
                              reference.model.weights + reference.model.biases):
             assert np.array_equal(got, want)
@@ -397,10 +395,10 @@ class TestTrainParity:
     def test_train_matches_the_straight_line_loop(self, name):
         """train() lands on exactly the parameters and history of a loop that
         draws labeled indices per step and calls reference_step."""
-        loss, supervised = PARITY_CASES[name]
+        objective, supervised = PARITY_CASES[name]
         sources = toy_sources()
-        cfg = TrainerConfig(hidden=(16, 16), epochs=3, learning_rate=0.1, labeled_batch=12,
-                            unlabeled_batch=24, loss=loss)
+        cfg = ExperimentConfig(hidden=(16, 16), epochs=3, learning_rate=0.1, labeled_batch=12,
+                               unlabeled_batch=24, **objective)
         state = train(cfg, sources, seed=5, supervised_only=supervised)
         reference, history = reference_train(cfg, sources, seed=5, supervised_only=supervised)
         assert np.array_equal(state.model.flat, reference.model.flat)
@@ -425,7 +423,7 @@ class TestTrainParity:
 
 class TestFlatLayout:
     def test_parameters_and_velocities_are_views_of_one_buffer(self):
-        state = make_state(TrainerConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
+        state = make_state(ExperimentConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
         for owner in (state.model, state.velocity, state.grads, state.scratch):
             views = owner.weights + owner.biases
             assert all(v.base is owner.flat for v in views)
@@ -448,7 +446,7 @@ class TestFlatLayout:
             assert not np.shares_memory(other.flat, model.flat)
 
     def test_flat_is_weight_then_bias_per_layer(self):
-        cfg = TrainerConfig(hidden=(6,), loss=LossConfig(tau=0.7))
+        cfg = ExperimentConfig(hidden=(6,), tau=0.7)
         state = make_state(cfg, input_dim=4, num_classes=3, seed=2)
         rng = np.random.default_rng(3)
         train_step(state, rng.normal(size=(5, 4)), rng.integers(0, 3, 5), rng.normal(size=(7, 4)))
@@ -467,8 +465,8 @@ class TestFlatLayout:
 
         monkeypatch.setattr(trainer_module, "train_step", recording_step)
         sources = toy_sources()
-        state = train(TrainerConfig(hidden=(8,), epochs=3, unlabeled_batch=40,
-                                    loss=LossConfig(tau=0.6)), sources, seed=4)
+        state = train(ExperimentConfig(hidden=(8,), epochs=3, unlabeled_batch=40, tau=0.6),
+                      sources, seed=4)
         steps = len(records) // 3
         assert steps > 1 and len(records) == 3 * steps
         for epoch, history in enumerate(state.history):
@@ -481,7 +479,7 @@ class TestFlatLayout:
 class TestTrain:
     def test_zero_epochs_returns_initial_state(self):
         sources = toy_sources()
-        cfg = TrainerConfig(hidden=(8,), epochs=0)
+        cfg = ExperimentConfig(hidden=(8,), epochs=0)
         state = train(cfg, sources, seed=9)
         fresh = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=9)
         np.testing.assert_array_equal(state.model.flat, fresh.model.flat)
@@ -489,7 +487,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         sources = toy_sources()
-        cfg = TrainerConfig(hidden=(8,), epochs=3)
+        cfg = ExperimentConfig(hidden=(8,), epochs=3)
         a = train(cfg, sources, seed=13)
         b = train(cfg, sources, seed=13)
         np.testing.assert_array_equal(a.model.flat, b.model.flat)
@@ -497,7 +495,7 @@ class TestTrain:
 
     def test_different_seed_differs(self):
         sources = toy_sources()
-        cfg = TrainerConfig(hidden=(8,), epochs=1)
+        cfg = ExperimentConfig(hidden=(8,), epochs=1)
         a = train(cfg, sources, seed=1)
         b = train(cfg, sources, seed=2)
         assert not np.array_equal(a.model.flat, b.model.flat)
@@ -505,7 +503,7 @@ class TestTrain:
     def test_heldin_accuracy_on_separated_domains(self):
         """20 epochs on 3 well-separated sources learns the task."""
         sources = toy_sources(k=3, d=8, n_per_class=30, noise=0.3, m_l=5)
-        cfg = TrainerConfig(hidden=(32,), epochs=20)
+        cfg = ExperimentConfig(hidden=(32,), epochs=20)
         state = train(cfg, sources, seed=11)
         report = evaluate(state.model, sources[0])
         assert report.accuracy > 0.9
@@ -514,15 +512,14 @@ class TestTrain:
         """marginal_weight=0 and tau>1 lands on the same parameters as a
         run that never touches the unlabeled data."""
         sources = toy_sources()
-        loss = LossConfig(marginal_weight=0.0, tau=1.0 + 1e-9)
-        cfg = TrainerConfig(hidden=(8,), epochs=4, loss=loss)
+        cfg = ExperimentConfig(hidden=(8,), epochs=4, marginal_weight=0.0, tau=1.0 + 1e-9)
         full = train(cfg, sources, seed=17)
         labeled_only = train(cfg, sources, seed=17, supervised_only=True)
         np.testing.assert_array_equal(full.model.flat, labeled_only.model.flat)
 
     def test_history_length_matches_epochs(self):
         sources = toy_sources()
-        cfg = TrainerConfig(hidden=(8,), epochs=5)
+        cfg = ExperimentConfig(hidden=(8,), epochs=5)
         state = train(cfg, sources, seed=3)
         assert len(state.history) == 5
         assert [h["epoch"] for h in state.history] == list(range(5))
@@ -534,14 +531,14 @@ class TestTrain:
         """One step whose update overflows: no later logits check sees it."""
         sources = toy_sources()
         assert sum(len(d.unlabeled()) for d in sources) < 1000  # a single step
-        cfg = TrainerConfig(hidden=(32,), epochs=1, learning_rate=1e308, unlabeled_batch=1000)
+        cfg = ExperimentConfig(hidden=(32,), epochs=1, learning_rate=1e308, unlabeled_batch=1000)
         with pytest.raises(DivergenceError, match=r"epoch 0 \(seed 4\).*non-finite param"):
             train(cfg, sources, seed=4)
 
     def test_needs_two_sources(self):
         sources = toy_sources(num_domains=1)
         with pytest.raises(ValueError):
-            train(TrainerConfig(), sources, seed=0)
+            train(ExperimentConfig(), sources, seed=0)
 
 
 class TestEvaluate:
