@@ -13,10 +13,9 @@ import numpy as np
 
 from ltinfomax import (
     ExperimentConfig,
-    LabeledBatch,
-    UnlabeledBatch,
+    branch_rows,
     finite_diff_gradient,
-    infomax_loss,
+    infomax_loss_and_grad,
     relative_error,
     shannon_entropy,
     tsallis_entropy,
@@ -59,19 +58,16 @@ print()
 print("=" * 70)
 print("3. Composite loss on a tiny mixed batch (K = 3)")
 print("=" * 70)
-labeled = LabeledBatch(
-    logits=np.array([[2.0, -0.5, 0.1], [-0.3, 0.2, 1.4]]),
-    labels=np.array([0, 2]),
-)
-unlabeled = UnlabeledBatch(
-    weak_logits=np.array([[4.0, 0.0, 0.0],    # confident -> pseudo-labeled
-                          [0.8, 0.6, 0.0]]),  # hedged  -> rejected by tau
-    strong_logits=np.array([[1.0, 0.2, -0.1], [0.1, 0.4, -0.2]]),
-)
+# the kernel takes one stacked array of rows [labeled; weak; strong]
+logits = np.array([[2.0, -0.5, 0.1], [-0.3, 0.2, 1.4],   # labeled
+                   [4.0, 0.0, 0.0],     # weak: confident -> pseudo-labeled
+                   [0.8, 0.6, 0.0],     # weak: hedged    -> rejected by tau
+                   [1.0, 0.2, -0.1], [0.1, 0.4, -0.2]])  # strong
+labels, n_unl = np.array([0, 2]), 2
 for cfg in (ExperimentConfig(alpha=1.0, tau=0.9),
             ExperimentConfig(alpha=1.5, tau=0.9),
             ExperimentConfig(alpha=1.5, tau=0.9, marginal_weight=0.0)):
-    b, _ = infomax_loss(labeled, unlabeled, cfg)
+    b, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
     tag = f"alpha={cfg.alpha}, w={cfg.marginal_weight}"
     print(f"{tag:22s} -H_a(pi)={b.neg_marginal_entropy:+.4f} "
           f"ce={b.labeled_ce:.4f} pseudo={b.pseudo_ce:.4f} "
@@ -82,25 +78,14 @@ print("=" * 70)
 print("4. Analytic gradient vs central finite differences")
 print("=" * 70)
 cfg = ExperimentConfig(alpha=1.5, tau=0.9)
-_, grads = infomax_loss(labeled, unlabeled, cfg)
-flat_analytic = np.concatenate([grads.labeled.ravel(), grads.weak.ravel(),
-                                grads.strong.ravel()])
-
-def loss_of(flat):
-    a = flat[:6].reshape(2, 3)
-    b = flat[6:12].reshape(2, 3)
-    c = flat[12:].reshape(2, 3)
-    return infomax_loss(LabeledBatch(a, labeled.labels),
-                        UnlabeledBatch(b, c), cfg)[0].total
-
-flat0 = np.concatenate([labeled.logits.ravel(),
-                        unlabeled.weak_logits.ravel(),
-                        unlabeled.strong_logits.ravel()])
-fd = finite_diff_gradient(loss_of, flat0)
-print(f"relative error over all 18 logits: {relative_error(flat_analytic, fd):.2e}")
+_, grad = infomax_loss_and_grad(logits, labels, n_unl, cfg)
+fd = finite_diff_gradient(
+    lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, n_unl, cfg)[0].total,
+    logits.ravel())
+print(f"relative error over all 18 logits: {relative_error(grad, fd):.2e}")
 print("note the weak-branch gradient flows only through the marginal term:")
 print("d total / d weak_logits =")
-print(np.array2string(grads.weak, precision=5))
+print(np.array2string(grad[branch_rows(len(labels), n_unl)[1]], precision=5))
 
 # small check on the entropy gradient as well
 p = np.array([0.5, 0.3, 0.2])

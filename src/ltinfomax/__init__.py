@@ -7,9 +7,8 @@ from .errors import ConfigError, DivergenceError
 from .experiments import ExperimentConfig, ablation, build_domains, run_suite, sweep
 from .numerics import finite_diff_gradient, relative_error
 from .objectives import (
-    LabeledBatch,
-    UnlabeledBatch,
-    infomax_loss,
+    branch_rows,
+    infomax_loss_and_grad,
     shannon_entropy,
     tsallis_entropy,
     tsallis_entropy_grad,

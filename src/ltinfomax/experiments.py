@@ -17,7 +17,10 @@ import hashlib
 import io
 import json
 import math
+import numbers
+import operator
 import time
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -42,6 +45,20 @@ MAX_RUN_VALUES = 10**8  # float64 values one run may allocate (800 MB)
 # the synthetic world's scales: class centroid spread, per-domain mean shift,
 # within-class noise and per-domain axis mixing
 CENTROID_SCALE, SHIFT_SCALE, NOISE_SCALE, ROTATION_STRENGTH = 2.0, 1.0, 1.5, 0.3
+# what a config field of each type must hold, as its ConfigError names it
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a bool", tuple: "integers"}
+
+
+def _field_value(kind, value):
+    """``value`` as a field of type ``kind``: operator.index for an int field or tuple
+    entry, float of a real number for a float field, a bool for a bool field; TypeError
+    on any other value (a bool for a number too), OverflowError on a huge int."""
+    if kind is tuple:
+        return tuple(_field_value(int, v) for v in value)
+    if isinstance(value, bool) != (kind is bool) or (
+            kind is float and not isinstance(value, numbers.Real)):
+        raise TypeError
+    return operator.index(value) if kind is int else float(value) if kind is float else value
 
 
 @dataclass(frozen=True)
@@ -75,14 +92,19 @@ class ExperimentConfig:
     out_dir: str = "runs_out"
 
     def __post_init__(self):
-        for f in fields(self):  # NaN slips past every `x < bound` check
+        for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
+            if f.type is not str and not (f.name == "held_out" and value is None):
+                try:
+                    value = _field_value(f.type, value)
+                except (TypeError, OverflowError):
+                    raise ConfigError(f"{f.name} must be {_KIND_NAMES[f.type]}, "
+                                      f"got {value!r}") from None
+                object.__setattr__(self, f.name, value)
+            if f.type is float and not math.isfinite(value):  # NaN passes `x < bound`
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if not str(self.out_dir).strip():
             raise ConfigError("out_dir must not be empty")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.num_domains < 3:
             raise ConfigError(f"need at least 3 domains (two source domains plus the "
                               f"held-out one), got {self.num_domains}")
@@ -97,7 +119,7 @@ class ExperimentConfig:
             raise ConfigError(f"held_out must be in [0, {self.num_domains}) or None")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        repeated = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
         if repeated:
             raise ConfigError(f"seeds {self.seeds} repeat {repeated}")
         # the spec, the objective and trainer rules and the split hold the rest
@@ -150,7 +172,7 @@ class ExperimentConfig:
         d = asdict(self)
         d.pop("out_dir")
         d.pop("jobs")
-        blob = json.dumps(d, sort_keys=True, default=str)
+        blob = json.dumps(d, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -385,15 +407,12 @@ def sweep(config, axis, values):
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if axis == "ml" and any(int(v) != v for v in values):
-        raise ConfigError(f"m_l must be an integer, got {values}")
 
     field, subdirs = SWEEP_AXES[axis], [f"{axis}_{v:g}" for v in values]
     repeated = sorted({d for d in subdirs if subdirs.count(d) > 1})
     if repeated:
         raise ConfigError(f"sweep values {values} share the output directories {repeated}")
-    suites = _run_variants(config, [(d, {field: _FIELD_TYPES[field](v)})
-                                    for d, v in zip(subdirs, values)])
+    suites = _run_variants(config, [(d, {field: v}) for d, v in zip(subdirs, values)])
     table = []
     for v, (cfg, records) in zip(values, suites):
         agg = suite_aggregate(cfg, records)

@@ -40,61 +40,9 @@ class LossBreakdown:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
-    """Logits (L, K) with integer labels (L,) in {0..K-1}."""
-
-    logits: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValueError("labeled logits must be 2-D (batch, classes)")
-        labels = check_labels(self.labels, logits.shape[1], logits.shape[0])
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self):
-        return self.logits.shape[0]
-
-
-@dataclass(frozen=True)
-class UnlabeledBatch:
-    """Weak- and strong-view logits of the same unlabeled samples, both (U, K)."""
-
-    weak_logits: np.ndarray
-    strong_logits: np.ndarray
-
-    def __post_init__(self):
-        weak = np.asarray(self.weak_logits, dtype=np.float64)
-        strong = np.asarray(self.strong_logits, dtype=np.float64)
-        if weak.ndim != 2 or strong.ndim != 2:
-            raise ValueError("unlabeled logits must be 2-D (batch, classes)")
-        if weak.shape != strong.shape:
-            raise ValueError("weak and strong logits must have identical shapes")
-        object.__setattr__(self, "weak_logits", weak)
-        object.__setattr__(self, "strong_logits", strong)
-
-    def __len__(self):
-        return self.weak_logits.shape[0]
-
-
-@dataclass(frozen=True)
-class LossGradients:
-    """d(total)/d(logit) for every input logit, shaped like the inputs."""
-
-    labeled: np.ndarray
-    weak: np.ndarray
-    strong: np.ndarray
-
-
 def shannon_entropy(p, validate=True):
     """-sum(p log p) with natural log, in [0, log K]."""
-    if validate:
-        p = check_prob_vector(p)
-    else:
-        p = np.asarray(p, dtype=np.float64)
+    p = check_prob_vector(p) if validate else np.asarray(p, dtype=np.float64)
     return float(-np.add.reduce(p * np.log(np.maximum(p, LOG_EPS)), axis=None))
 
 
@@ -106,10 +54,7 @@ def tsallis_entropy(p, alpha, validate=True):
     """
     if not (alpha > 0):
         raise ConfigError(f"alpha must be > 0, got {alpha}")
-    if validate:
-        p = check_prob_vector(p)
-    else:
-        p = np.asarray(p, dtype=np.float64)
+    p = check_prob_vector(p) if validate else np.asarray(p, dtype=np.float64)
     if alpha == 1:
         return shannon_entropy(p, validate=False)
     return float((1.0 - np.add.reduce(np.maximum(p, 0.0) ** alpha, axis=None)) / (alpha - 1.0))
@@ -153,20 +98,23 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
     Args:
         logits: (len(labels) + 2 * n_unl, K) stacked logits.
         labels: integer labels in [0, K) of the labeled rows.
-        n_unl: number of unlabeled samples.
+        n_unl: number of unlabeled samples, an integer >= 0.
         cfg: an ExperimentConfig; reads alpha (Tsallis order, 1 is Shannon),
             tau (pseudo-label threshold; above 1 rejects every unlabeled
             sample) and marginal_weight (the weight of -H_alpha(pi)).
 
-    The shapes and label range above are the caller's to guarantee; they
-    are not re-checked per step. The batch API checks them in LabeledBatch,
-    UnlabeledBatch and infomax_loss's stacking, and training in
-    DomainDataset (labels) and _pool_sources (one K across the sources).
-
-    Returns (LossBreakdown, gradient shaped like ``logits``).
-    Raises ValueError when both branches are empty or a logit is not finite.
+    Returns (LossBreakdown, gradient shaped like ``logits``). Raises
+    ValueError, before any arithmetic, unless the arguments are as above,
+    and when both branches are empty or a logit is not finite.
     """
-    n_lab = len(labels)
+    n_lab = np.size(labels)
+    if np.ndim(logits) != 2:
+        raise ValueError(f"logits must be 2-D (rows, classes), got ndim {np.ndim(logits)}")
+    if isinstance(n_unl, bool) or not isinstance(n_unl, (int, np.integer)) or n_unl < 0:
+        raise ValueError(f"n_unl must be a non-negative integer, got {n_unl!r}")
+    if len(logits) != n_lab + 2 * n_unl:
+        raise ValueError(f"expected {n_lab} + 2 * {n_unl} stacked rows, got {len(logits)}")
+    labels = check_labels(labels, np.shape(logits)[1], n_lab)
     if n_lab == 0 and n_unl == 0:
         raise ValueError("both batches are empty")
     probs, logp = softmax(logits, with_log=True)
@@ -217,25 +165,3 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
         accepted_fraction=accepted_fraction,
     )
     return breakdown, grad
-
-
-def infomax_loss(labeled, unlabeled, cfg):
-    """The composite objective and every logit gradient on a LabeledBatch
-    and an UnlabeledBatch, either of which may be None, from one
-    infomax_loss_and_grad call on their stacked rows; the stacking rejects
-    labeled and unlabeled logits of different K. With alpha = 1 and
-    marginal_weight = 0 it is the plain semi-supervised baseline, and with
-    marginal_weight = 0 and no labeled batch the pseudo cross-entropy alone.
-    ``cfg`` is an ExperimentConfig, read as infomax_loss_and_grad reads it.
-
-    Returns (LossBreakdown, LossGradients).
-    """
-    n_lab = len(labeled) if labeled is not None else 0
-    n_unl = len(unlabeled) if unlabeled is not None else 0
-    stacked = [labeled.logits] if n_lab else []
-    if n_unl:
-        stacked += [unlabeled.weak_logits, unlabeled.strong_logits]
-    logits = np.concatenate(stacked) if stacked else np.empty((0, 0))
-    breakdown, grad = infomax_loss_and_grad(logits, labeled.labels if n_lab else (), n_unl, cfg)
-    lab, weak, strong = branch_rows(n_lab, n_unl)
-    return breakdown, LossGradients(labeled=grad[lab], weak=grad[weak], strong=grad[strong])

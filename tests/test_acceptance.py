@@ -32,9 +32,6 @@ from ltinfomax.data import LongTailSpec, augment_pair, long_tail_counts
 from ltinfomax.experiments import ExperimentConfig, _suite_tasks, open_runner, run_suite
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
-    LabeledBatch,
-    UnlabeledBatch,
-    infomax_loss,
     infomax_loss_and_grad,
     shannon_entropy,
     tsallis_entropy,
@@ -91,41 +88,33 @@ class TestCriterion1GradientFidelity:
         for _ in range(100):
             n, k = int(rng.integers(2, 7)), int(rng.integers(3, 6))
             weak, strong = _safe_unlabeled(rng, n, k, tau)
-            _, grads = infomax_loss(None, UnlabeledBatch(weak, strong), pseudo_cfg)
-            assert not np.any(grads.weak)
+            _, grad = infomax_loss_and_grad(np.concatenate([weak, strong]), [], n, pseudo_cfg)
+            assert not np.any(grad[:n])
             fd = finite_diff_gradient(
-                lambda flat: infomax_loss(
-                    None, UnlabeledBatch(weak, flat.reshape(n, k)), pseudo_cfg)[0].pseudo_ce,
+                lambda flat: infomax_loss_and_grad(
+                    np.concatenate([weak, flat.reshape(n, k)]), [], n, pseudo_cfg)[0].pseudo_ce,
                 strong.ravel(),
             )
-            err = relative_error(grads.strong.ravel(), fd)
+            err = relative_error(grad[n:].ravel(), fd)
             worst = max(worst, err)
             assert err < LOSS_RTOL
 
-        # composite loss: 25 instances per alpha, all three logit groups
+        # composite loss: 25 instances per alpha, all three logit groups of
+        # the stacked [labeled; weak; strong] rows
         for alpha in ALPHAS:
             cfg = ExperimentConfig(alpha=alpha, tau=tau)
             for _ in range(25):
                 nl, nu, k = 3, 5, 4
-                lab = LabeledBatch(rng.normal(size=(nl, k)) * 2,
-                                   rng.integers(0, k, size=nl))
+                lab_logits = rng.normal(size=(nl, k)) * 2
+                labels = rng.integers(0, k, size=nl)
                 weak, strong = _safe_unlabeled(rng, nu, k, tau)
-                unl = UnlabeledBatch(weak, strong)
-                _, grads = infomax_loss(lab, unl, cfg)
-                analytic = np.concatenate([grads.labeled.ravel(),
-                                           grads.weak.ravel(),
-                                           grads.strong.ravel()])
-
-                def f(flat):
-                    a = flat[:nl * k].reshape(nl, k)
-                    b = flat[nl * k:nl * k + nu * k].reshape(nu, k)
-                    c = flat[nl * k + nu * k:].reshape(nu, k)
-                    return infomax_loss(LabeledBatch(a, lab.labels),
-                                        UnlabeledBatch(b, c), cfg)[0].total
-
-                flat0 = np.concatenate([lab.logits.ravel(), weak.ravel(),
-                                        strong.ravel()])
-                err = relative_error(analytic, finite_diff_gradient(f, flat0))
+                logits = np.concatenate([lab_logits, weak, strong])
+                _, grad = infomax_loss_and_grad(logits, labels, nu, cfg)
+                fd = finite_diff_gradient(
+                    lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, nu,
+                                                       cfg)[0].total,
+                    logits.ravel())
+                err = relative_error(grad.ravel(), fd)
                 worst = max(worst, err)
                 assert err < LOSS_RTOL
 

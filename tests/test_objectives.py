@@ -14,10 +14,7 @@ from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import ExperimentConfig
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
-    LabeledBatch,
-    UnlabeledBatch,
     branch_rows,
-    infomax_loss,
     infomax_loss_and_grad,
     shannon_entropy,
     tsallis_entropy,
@@ -127,28 +124,27 @@ class TestTsallisGradient:
             assert relative_error(analytic, fd) < 1e-5
 
 
-def cross_entropy(batch):
+def cross_entropy(logits, labels):
     """Mean -log softmax(logits)[label]: the labeled term of the objective."""
-    return infomax_loss(batch, None, ExperimentConfig(marginal_weight=0.0))[0].labeled_ce
+    cfg = ExperimentConfig(marginal_weight=0.0)
+    return infomax_loss_and_grad(logits, labels, 0, cfg)[0].labeled_ce
 
 
 class TestCrossEntropy:
     def test_perfect_predictions(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-        batch = LabeledBatch(logits, np.array([0, 1]))
-        assert cross_entropy(batch) == pytest.approx(0.0, abs=1e-12)
+        assert cross_entropy(logits, np.array([0, 1])) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_predictions_give_log_k(self):
-        batch = LabeledBatch(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
-        assert cross_entropy(batch) == pytest.approx(math.log(3), rel=1e-12)
+        loss = cross_entropy(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
+        assert loss == pytest.approx(math.log(3), rel=1e-12)
 
     def test_fair_coin_single_sample(self):
-        batch = LabeledBatch(np.zeros((1, 2)), np.array([0]))
-        assert cross_entropy(batch) == pytest.approx(LN2, rel=1e-15)
+        assert cross_entropy(np.zeros((1, 2)), np.array([0])) == pytest.approx(LN2, rel=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="both batches are empty"):
-            cross_entropy(LabeledBatch(np.zeros((0, 2)), np.array([], dtype=int)))
+            cross_entropy(np.zeros((0, 2)), np.array([], dtype=int))
 
 
 def weak_logits_for_prob(p):
@@ -156,30 +152,30 @@ def weak_logits_for_prob(p):
     return np.log(np.asarray(p))
 
 
-def pseudo_cross_entropy(batch, tau):
+def pseudo_cross_entropy(weak, strong, tau):
     """The pseudo cross-entropy alone: no labeled rows, no marginal term.
-    Returns (loss, accepted_fraction, LossGradients)."""
-    b, grads = infomax_loss(None, batch, ExperimentConfig(tau=tau, marginal_weight=0.0))
-    return b.pseudo_ce, b.accepted_fraction, grads
+    Returns (loss, accepted_fraction, gradient of the stacked [weak; strong])."""
+    b, grad = infomax_loss_and_grad(np.concatenate([weak, strong]), [], len(weak),
+                                    ExperimentConfig(tau=tau, marginal_weight=0.0))
+    return b.pseudo_ce, b.accepted_fraction, grad
 
 
 class TestPseudoCrossEntropy:
     def test_all_rejected(self):
-        batch = UnlabeledBatch(np.zeros((3, 4)), np.zeros((3, 4)))
-        loss, frac, _ = pseudo_cross_entropy(batch, tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(np.zeros((3, 4)), np.zeros((3, 4)), tau=0.95)
         assert loss == 0.0 and frac == 0.0
 
     def test_perfect_agreement_contributes_zero(self):
         weak = weak_logits_for_prob([[0.97, 0.03]])
         strong = np.array([[60.0, 0.0]])
-        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(weak, strong, tau=0.95)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert frac == 1.0
 
     def test_confident_weak_uncertain_strong(self):
         weak = weak_logits_for_prob([[0.97, 0.03]])
         strong = np.zeros((1, 2))
-        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(weak, strong, tau=0.95)
         assert loss == pytest.approx(LN2, rel=1e-12)
         assert frac == 1.0
 
@@ -187,7 +183,7 @@ class TestPseudoCrossEntropy:
         """Mean is over the full batch, rejections contribute zero."""
         weak = weak_logits_for_prob([[0.97, 0.03], [0.6, 0.4]])
         strong = np.zeros((2, 2))
-        loss, frac, _ = pseudo_cross_entropy(UnlabeledBatch(weak, strong), tau=0.95)
+        loss, frac, _ = pseudo_cross_entropy(weak, strong, tau=0.95)
         assert loss == pytest.approx(LN2 / 2, rel=1e-12)
         assert frac == 0.5
 
@@ -195,41 +191,38 @@ class TestPseudoCrossEntropy:
         rng = np.random.default_rng(8)
         weak = rng.normal(size=(40, 5)) * 2
         strong = rng.normal(size=(40, 5))
-        batch = UnlabeledBatch(weak, strong)
-        fracs = [pseudo_cross_entropy(batch, tau)[1]
+        fracs = [pseudo_cross_entropy(weak, strong, tau)[1]
                  for tau in (0.3, 0.5, 0.7, 0.9, 0.99, 1.0)]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
     def test_tau_above_one_rejects_everything(self):
         rng = np.random.default_rng(9)
-        batch = UnlabeledBatch(rng.normal(size=(10, 3)) * 5, rng.normal(size=(10, 3)))
-        loss, frac, _ = pseudo_cross_entropy(batch, tau=1.0 + 1e-9)
+        weak, strong = rng.normal(size=(10, 3)) * 5, rng.normal(size=(10, 3))
+        loss, frac, _ = pseudo_cross_entropy(weak, strong, tau=1.0 + 1e-9)
         assert loss == 0.0 and frac == 0.0
 
     def test_gradient_stop_on_weak_branch(self):
         rng = np.random.default_rng(10)
-        batch = UnlabeledBatch(rng.normal(size=(6, 4)) * 3, rng.normal(size=(6, 4)))
-        grads = pseudo_cross_entropy(batch, tau=0.8)[2]
-        assert not np.any(grads.weak)
+        weak, strong = rng.normal(size=(6, 4)) * 3, rng.normal(size=(6, 4))
+        grad = pseudo_cross_entropy(weak, strong, tau=0.8)[2]
+        _, weak_rows, strong_rows = branch_rows(0, 6)
+        assert not np.any(grad[weak_rows])
         # FD over the strong logits only
-        def f(flat):
-            b = UnlabeledBatch(batch.weak_logits, flat.reshape(6, 4))
-            return pseudo_cross_entropy(b, 0.8)[0]
-        fd = finite_diff_gradient(f, batch.strong_logits.ravel())
-        assert relative_error(grads.strong.ravel(), fd) < 1e-5
+        fd = finite_diff_gradient(
+            lambda flat: pseudo_cross_entropy(weak, flat.reshape(6, 4), 0.8)[0], strong.ravel())
+        assert relative_error(grad[strong_rows].ravel(), fd) < 1e-5
 
 
-def tiny_fixed_batches():
-    """2 labeled, 2 unlabeled, K = 3; weak sample 0 passes tau = 0.9."""
+def tiny_fixed_instance():
+    """Stacked logits, labels and n_unl: 2 labeled, 2 unlabeled, K = 3;
+    weak sample 0 passes tau = 0.9."""
     lab_logits = np.array([[1.2, -0.3, 0.4], [-0.5, 0.8, 0.1]])
-    lab = LabeledBatch(lab_logits, np.array([0, 2]))
     weak = np.array([[4.0, 0.0, 0.0], [1.0, 0.5, 0.0]])
     strong = np.array([[0.7, -0.2, 0.1], [0.2, 0.3, -0.4]])
-    unl = UnlabeledBatch(weak, strong)
-    return lab, unl
+    return np.concatenate([lab_logits, weak, strong]), np.array([0, 2]), 2
 
 
-def straight_line_total(lab, unl, alpha, tau, marginal_weight=1.0):
+def straight_line_total(logits, labels, n_unl, alpha, tau, marginal_weight=1.0):
     """Independent reimplementation: explicit loops, math.exp / math.log."""
     def sm(row):
         mx = max(row)
@@ -237,9 +230,10 @@ def straight_line_total(lab, unl, alpha, tau, marginal_weight=1.0):
         s = sum(ex)
         return [e / s for e in ex]
 
-    lab_probs = [sm(list(r)) for r in lab.logits]
-    weak_probs = [sm(list(r)) for r in unl.weak_logits]
-    strong_probs = [sm(list(r)) for r in unl.strong_logits]
+    lab, weak, strong = branch_rows(len(labels), n_unl)
+    lab_probs = [sm(list(r)) for r in logits[lab]]
+    weak_probs = [sm(list(r)) for r in logits[weak]]
+    strong_probs = [sm(list(r)) for r in logits[strong]]
     k = len(lab_probs[0])
 
     everything = lab_probs + weak_probs
@@ -250,7 +244,7 @@ def straight_line_total(lab, unl, alpha, tau, marginal_weight=1.0):
         h_marg = (1.0 - sum(pj**alpha for pj in pi)) / (alpha - 1.0)
 
     ce = 0.0
-    for probs, y in zip(lab_probs, lab.labels):
+    for probs, y in zip(lab_probs, labels):
         ce -= math.log(probs[y])
     ce /= len(lab_probs)
 
@@ -264,12 +258,19 @@ def straight_line_total(lab, unl, alpha, tau, marginal_weight=1.0):
     return marginal_weight * (-h_marg) + ce + pce, -h_marg, ce, pce
 
 
+def random_instance(rng, n_lab, n_unl, k):
+    """Stacked logits [labeled; weak; strong] and labels, weak rows at scale 2."""
+    lab_logits, labels = rng.normal(size=(n_lab, k)), rng.integers(0, k, size=n_lab)
+    weak, strong = rng.normal(size=(n_unl, k)) * 2, rng.normal(size=(n_unl, k))
+    return np.concatenate([lab_logits, weak, strong]), labels
+
+
 class TestInfomaxLoss:
     def test_matches_straight_line_oracle(self):
-        lab, unl = tiny_fixed_batches()
+        logits, labels, n_unl = tiny_fixed_instance()
         cfg = ExperimentConfig(alpha=1.5, tau=0.9)
-        got, _ = infomax_loss(lab, unl, cfg)
-        total, neg_h, ce, pce = straight_line_total(lab, unl, 1.5, 0.9)
+        got, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
+        total, neg_h, ce, pce = straight_line_total(logits, labels, n_unl, 1.5, 0.9)
         assert got.total == pytest.approx(total, abs=1e-12)
         assert got.neg_marginal_entropy == pytest.approx(neg_h, abs=1e-12)
         assert got.labeled_ce == pytest.approx(ce, abs=1e-12)
@@ -279,39 +280,39 @@ class TestInfomaxLoss:
     def test_breakdown_sum_invariant(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            lab = LabeledBatch(rng.normal(size=(3, 4)), rng.integers(0, 4, size=3))
-            unl = UnlabeledBatch(rng.normal(size=(5, 4)) * 2, rng.normal(size=(5, 4)))
+            logits, labels = random_instance(rng, 3, 5, 4)
             w = float(rng.uniform(0, 2))
             cfg = ExperimentConfig(alpha=float(rng.uniform(0.3, 3)), tau=0.8, marginal_weight=w)
-            b, _ = infomax_loss(lab, unl, cfg)
+            b, _ = infomax_loss_and_grad(logits, labels, 5, cfg)
             assert b.total == pytest.approx(
                 w * b.neg_marginal_entropy + b.labeled_ce + b.pseudo_ce, abs=1e-12
             )
             assert b.labeled_ce >= 0 and b.pseudo_ce >= 0
 
     def test_reduces_to_cross_entropy(self):
-        lab, unl = tiny_fixed_batches()
+        logits, labels, n_unl = tiny_fixed_instance()
         cfg = ExperimentConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
-        b, _ = infomax_loss(lab, None, cfg)
+        b, _ = infomax_loss_and_grad(logits[:len(labels)], labels, 0, cfg)
         assert b.total == b.labeled_ce
-        assert b.labeled_ce == pytest.approx(straight_line_total(lab, unl, 1.0, 0.9)[2],
-                                             abs=1e-12)
+        assert b.labeled_ce == pytest.approx(
+            straight_line_total(logits, labels, n_unl, 1.0, 0.9)[2], abs=1e-12)
         assert b.pseudo_ce == 0.0 and b.accepted_fraction == 0.0
 
     def test_alpha_one_marginal_is_shannon(self):
-        lab, unl = tiny_fixed_batches()
-        b, _ = infomax_loss(lab, unl, ExperimentConfig(alpha=1.0, tau=0.9))
-        pi = np.concatenate([softmax(lab.logits), softmax(unl.weak_logits)]).mean(axis=0)
+        logits, labels, n_unl = tiny_fixed_instance()
+        cfg = ExperimentConfig(alpha=1.0, tau=0.9)
+        b, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
+        pi = softmax(logits[:len(labels) + n_unl]).mean(axis=0)
         assert b.neg_marginal_entropy == pytest.approx(-shannon_entropy(pi), abs=1e-15)
 
     def test_shannon_special_case_of_general_objective(self):
         """The alpha = 1 objective equals the general form at alpha = 1."""
         rng = np.random.default_rng(21)
         for _ in range(20):
-            lab = LabeledBatch(rng.normal(size=(4, 3)), rng.integers(0, 3, size=4))
-            unl = UnlabeledBatch(rng.normal(size=(6, 3)) * 2, rng.normal(size=(6, 3)))
-            via_alpha, _ = infomax_loss(lab, unl, ExperimentConfig(alpha=1.0, tau=0.9))
-            total, neg_h, ce, pce = straight_line_total(lab, unl, 1.0, 0.9)
+            logits, labels = random_instance(rng, 4, 6, 3)
+            cfg = ExperimentConfig(alpha=1.0, tau=0.9)
+            via_alpha, _ = infomax_loss_and_grad(logits, labels, 6, cfg)
+            total, neg_h, ce, pce = straight_line_total(logits, labels, 6, 1.0, 0.9)
             assert via_alpha.total == pytest.approx(total, abs=1e-12)
 
     def test_permutation_invariance(self):
@@ -321,19 +322,19 @@ class TestInfomaxLoss:
         weak = rng.normal(size=(7, 4)) * 2
         strong = rng.normal(size=(7, 4))
         cfg = ExperimentConfig(alpha=1.5, tau=0.8)
-        ref, _ = infomax_loss(LabeledBatch(lab_logits, labels),
-                              UnlabeledBatch(weak, strong), cfg)
+        logits = np.concatenate([lab_logits, weak, strong])
+        ref, _ = infomax_loss_and_grad(logits, labels, 7, cfg)
         pl = rng.permutation(5)
         pu = rng.permutation(7)
-        per, _ = infomax_loss(LabeledBatch(lab_logits[pl], labels[pl]),
-                              UnlabeledBatch(weak[pu], strong[pu]), cfg)
+        per, _ = infomax_loss_and_grad(
+            np.concatenate([lab_logits[pl], weak[pu], strong[pu]]), labels[pl], 7, cfg)
         for name in ("neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total",
                      "accepted_fraction"):
             assert getattr(per, name) == pytest.approx(getattr(ref, name), abs=1e-12)
 
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
-            infomax_loss(None, None, ExperimentConfig())
+            infomax_loss_and_grad(np.zeros((0, 4)), [], 0, ExperimentConfig())
 
     def test_tau_above_one_is_legal_config(self):
         cfg = ExperimentConfig(tau=1.5)
@@ -341,10 +342,12 @@ class TestInfomaxLoss:
 
 
 def sample_safe_instance(rng, n_lab=3, n_unl=5, k=4, tau=0.8):
-    """Random batches kept away from argmax ties and the tau boundary,
-    so central differences see the same locally-constant pseudo-labels."""
+    """Random stacked logits and labels kept away from argmax ties and the
+    tau boundary, so central differences see the same locally-constant
+    pseudo-labels."""
     while True:
-        lab = LabeledBatch(rng.normal(size=(n_lab, k)) * 2, rng.integers(0, k, size=n_lab))
+        lab_logits = rng.normal(size=(n_lab, k)) * 2
+        labels = rng.integers(0, k, size=n_lab)
         weak = rng.normal(size=(n_unl, k)) * 3
         strong = rng.normal(size=(n_unl, k)) * 2
         wp = softmax(weak)
@@ -353,21 +356,7 @@ def sample_safe_instance(rng, n_lab=3, n_unl=5, k=4, tau=0.8):
             continue
         if np.any(top[:, -1] - top[:, -2] < 1e-3):
             continue
-        return lab, UnlabeledBatch(weak, strong)
-
-
-def flatten_instance(lab, unl):
-    return np.concatenate([lab.logits.ravel(), unl.weak_logits.ravel(),
-                           unl.strong_logits.ravel()])
-
-
-def unflatten_instance(flat, lab, unl):
-    nl, k = lab.logits.shape
-    nu = unl.weak_logits.shape[0]
-    a = flat[: nl * k].reshape(nl, k)
-    b = flat[nl * k: nl * k + nu * k].reshape(nu, k)
-    c = flat[nl * k + nu * k:].reshape(nu, k)
-    return LabeledBatch(a, lab.labels), UnlabeledBatch(b, c)
+        return np.concatenate([lab_logits, weak, strong]), labels
 
 
 class TestInfomaxGradients:
@@ -376,66 +365,53 @@ class TestInfomaxGradients:
         rng = np.random.default_rng(31)
         cfg = ExperimentConfig(alpha=alpha, tau=0.8)
         for _ in range(10):
-            lab, unl = sample_safe_instance(rng)
-            _, grads = infomax_loss(lab, unl, cfg)
-            analytic = np.concatenate(
-                [grads.labeled.ravel(), grads.weak.ravel(), grads.strong.ravel()]
-            )
-            def f(flat):
-                lab2, unl2 = unflatten_instance(flat, lab, unl)
-                return infomax_loss(lab2, unl2, cfg)[0].total
-            fd = finite_diff_gradient(f, flatten_instance(lab, unl))
-            assert relative_error(analytic, fd) < 1e-5
+            logits, labels = sample_safe_instance(rng)
+            _, grad = infomax_loss_and_grad(logits, labels, 5, cfg)
+            assert grad.shape == logits.shape
+            fd = finite_diff_gradient(
+                lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, 5,
+                                                   cfg)[0].total,
+                logits.ravel())
+            assert relative_error(grad.ravel(), fd) < 1e-5
 
     def test_weak_gradient_zero_without_marginal_term(self):
         rng = np.random.default_rng(33)
-        lab, unl = sample_safe_instance(rng)
-        _, grads = infomax_loss(lab, unl, ExperimentConfig(alpha=1.5, tau=0.8,
-                                                           marginal_weight=0.0))
-        assert not np.any(grads.weak)
+        logits, labels = sample_safe_instance(rng)
+        _, grad = infomax_loss_and_grad(logits, labels, 5, ExperimentConfig(
+            alpha=1.5, tau=0.8, marginal_weight=0.0))
+        assert not np.any(grad[branch_rows(3, 5)[1]])
 
     def test_rejected_sample_has_zero_strong_gradient(self):
         rng = np.random.default_rng(34)
-        lab, unl = sample_safe_instance(rng, tau=0.99)
-        wp = softmax(unl.weak_logits)
+        logits, labels = sample_safe_instance(rng, tau=0.99)
+        _, weak, strong = branch_rows(3, 5)
+        wp = softmax(logits[weak])
         rejected = wp.max(axis=1) < 0.99
         assert rejected.any()
-        _, grads = infomax_loss(lab, unl, ExperimentConfig(alpha=1.5, tau=0.99,
-                                                           marginal_weight=0.0))
-        assert not np.any(grads.strong[rejected])
+        _, grad = infomax_loss_and_grad(logits, labels, 5, ExperimentConfig(
+            alpha=1.5, tau=0.99, marginal_weight=0.0))
+        assert not np.any(grad[strong][rejected])
 
-    def test_loss_and_grad_consistent_with_parts(self):
-        """The stacked kernel equals the batch API bit for bit on every branch."""
-        rng = np.random.default_rng(37)
-        lab, unl = sample_safe_instance(rng)
-        cfg = ExperimentConfig(alpha=2.0, tau=0.8)
-        logits = np.concatenate([lab.logits, unl.weak_logits, unl.strong_logits])
-        b1, g1 = infomax_loss_and_grad(logits, lab.labels, len(unl), cfg)
-        b2, g2 = infomax_loss(lab, unl, cfg)
-        assert b1 == b2
-        assert g1.shape == logits.shape
-        for rows, part in zip(branch_rows(len(lab), len(unl)), (g2.labeled, g2.weak, g2.strong)):
-            np.testing.assert_array_equal(g1[rows], part)
-
-    # (LabeledBatch args, UnlabeledBatch args, expected message) with K = 4,
-    # 2 labeled rows and 3 unlabeled samples; the kernel itself does not
-    # re-check, so the batch API is where malformed input is caught
-    GOOD_LAB, GOOD_UNL = (np.zeros((2, 4)), [0, 3]), (np.zeros((3, 4)), np.zeros((3, 4)))
+    # (logits, labels, n_unl, expected message), all with K = 4; the kernel
+    # checks its stacked batch before any arithmetic
     MALFORMED = {
-        "label-negative": ((np.zeros((2, 4)), [-1, 3]), GOOD_UNL, "labels must be one integer"),
-        "label-K": ((np.zeros((2, 4)), [0, 4]), GOOD_UNL, "labels must be one integer"),
-        "label-count": ((np.zeros((2, 4)), [0, 1, 3]), GOOD_UNL, "labels must be one integer"),
-        "label-float": ((np.zeros((2, 4)), [1.7, 0.2]), GOOD_UNL, "labels must be one integer"),
-        "logits-1d": ((np.zeros(2), [0, 3]), GOOD_UNL, "2-D"),
-        "weak-strong-shape": (GOOD_LAB, (np.zeros((3, 4)), np.zeros((3, 5))), "identical"),
-        "labeled-unlabeled-K": (GOOD_LAB, (np.zeros((3, 5)), np.zeros((3, 5))), "dimension"),
+        "label-negative": (np.zeros((8, 4)), [-1, 3], 3, "labels must be one integer"),
+        "label-K": (np.zeros((8, 4)), [0, 4], 3, "labels must be one integer"),
+        "label-count": (np.zeros((8, 4)), [0, 1, 3], 3, "rows"),
+        "label-float": (np.zeros((8, 4)), [1.7, 0.2], 3, "labels must be one integer"),
+        "label-bool": (np.zeros((8, 4)), [True, False], 3, "labels must be one integer"),
+        "logits-1d": (np.zeros(8), [0, 3], 3, "2-D"),
+        # 2 labeled rows, 3 weak rows and 2 strong rows
+        "weak-strong-shape": (np.zeros((7, 4)), [0, 3], 3, "rows"),
+        "n_unl-negative": (np.zeros((0, 4)), [0, 3], -1, "n_unl must be"),
+        "n_unl-fractional": (np.zeros((7, 4)), [0, 3], 2.5, "n_unl must be"),
     }
 
-    @pytest.mark.parametrize("labeled, unlabeled, message", MALFORMED.values(),
+    @pytest.mark.parametrize("logits, labels, n_unl, message", MALFORMED.values(),
                              ids=MALFORMED.keys())
-    def test_batch_api_rejects_malformed_input(self, labeled, unlabeled, message):
+    def test_batch_api_rejects_malformed_input(self, logits, labels, n_unl, message):
         with pytest.raises(ValueError, match=message):
-            infomax_loss(LabeledBatch(*labeled), UnlabeledBatch(*unlabeled), ExperimentConfig())
+            infomax_loss_and_grad(logits, labels, n_unl, ExperimentConfig())
 
 
 class TestObjectiveConfigValidation:
