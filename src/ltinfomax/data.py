@@ -62,8 +62,10 @@ class LongTailSpec:
 @dataclass(frozen=True)
 class DomainDataset:
     """Feature matrix with labels and a labeled/unlabeled index split, immutable
-    once built: C-contiguous, read-only float64 ``features`` that own their
-    buffer are adopted; other features, the labels and the index sets are copied."""
+    once built: C-contiguous, read-only float64 ``features`` are adopted when
+    they own their buffer or view a read-only array that owns its buffer (as
+    build_domains' domains view the world); other features, the labels and
+    the index sets are copied."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -74,8 +76,11 @@ class DomainDataset:
 
     def __post_init__(self):
         feats = self.features
-        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.base is None
-                and feats.flags.c_contiguous and not feats.flags.writeable):
+        owner = feats if getattr(feats, "base", None) is None else feats.base
+        if not (type(feats) is np.ndarray and feats.dtype == np.float64
+                and type(owner) is np.ndarray and owner.base is None
+                and feats.flags.c_contiguous and not (feats.flags.writeable
+                                                      or owner.flags.writeable)):
             feats = np.array(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be (N, d)")

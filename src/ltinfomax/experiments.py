@@ -139,12 +139,14 @@ class ExperimentConfig:
                 raise ConfigError("labeled_batch and unlabeled_batch must be >= 1")
             if any(h < 1 for h in self.hidden):
                 raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
-            # float64 values of the world and the pooled source rows, the rotation,
-            # the confusion matrix, the model, velocity, grads and scratch buffers,
-            # an epoch's labeled draw (its steps bounded by the whole unlabeled
-            # pool), a step's stacked rows and an evaluate block of EVAL_ROWS rows
-            # through every layer, and evaluate's (rows, K) arrays (the logits and
-            # softmax's four), bounded before anything of size num_classes is made
+            # float64 values of the world and the pooled source rows (sources that
+            # share no buffer are concatenated), the rotation, the confusion
+            # matrix, the model, velocity, grads and scratch buffers, an epoch's
+            # labeled draw (its steps bounded by the whole unlabeled pool), a
+            # step's stacked rows and an evaluate block of EVAL_ROWS rows through
+            # every layer, and evaluate's (rows, K) logits and softmax's four
+            # (EVAL_ROWS, K) block arrays, bounded before anything of size
+            # num_classes is made
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
             steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
@@ -153,7 +155,7 @@ class ExperimentConfig:
                     + 4 * sum((a + 1) * b for a, b in zip(layers, layers[1:]))
                     + self.labeled_batch * steps
                     + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS) * sum(layers)
-                    + 5 * rows * self.num_classes)
+                    + (rows + 4 * EVAL_ROWS) * self.num_classes)
             if size > MAX_RUN_VALUES:
                 raise ValueError(f"a run would hold {size} float64 values, "
                                  f"above the limit of {MAX_RUN_VALUES}")
@@ -208,32 +210,28 @@ def build_domains(config):
     and noise seed come in that order from stream [data_seed, 1, d]. Domains
     differ in their inputs and share the label distribution. The world depends
     only on the config's data fields, so every run of a suite (and every
-    ablation variant) sees identical features.
+    ablation variant) sees identical features. The rows are built in one
+    read-only (num_domains, rows, dim) buffer, each domain's noise drawn into
+    its slice, which its dataset adopts; train gathers batches from it.
     """
     dim = config.feature_dim
     root = np.random.default_rng(np.random.SeedSequence([config.data_seed, 0]))
     centroids = CENTROID_SCALE * root.standard_normal((config.num_classes, dim))
     labels = np.repeat(np.arange(config.num_classes), config.n_per_class)
-    domains = []
-    for d in range(config.num_domains):
+    world = np.empty((config.num_domains, len(labels), dim))
+    for d, features in enumerate(world):
         drng = np.random.default_rng(np.random.SeedSequence([config.data_seed, 1, d]))
         shift = SHIFT_SCALE * drng.standard_normal(dim)
         rotation = domain_rotation(dim, int(drng.integers(2**31)), ROTATION_STRENGTH)
-        # the rows are built in the noise buffer, which the dataset then adopts
-        features = np.random.default_rng(int(drng.integers(2**31))).standard_normal(
-            (len(labels), dim))
+        np.random.default_rng(int(drng.integers(2**31))).standard_normal(out=features)
         features *= NOISE_SCALE
         features += ((centroids + shift) @ rotation.T)[labels]
-        features.flags.writeable = False
-        domains.append(DomainDataset(
-            features=features,
-            labels=labels,
-            labeled_indices=np.empty(0, dtype=np.int64),
-            unlabeled_indices=np.arange(len(labels)),
-            num_classes=config.num_classes,
-            domain_id=d,
-        ))
-    return domains
+    world.flags.writeable = False
+    return [DomainDataset(features=features, labels=labels,
+                          labeled_indices=np.empty(0, dtype=np.int64),
+                          unlabeled_indices=np.arange(len(labels)),
+                          num_classes=config.num_classes, domain_id=d)
+            for d, features in enumerate(world)]
 
 
 def split_sources(config, domains, seed, heldout):

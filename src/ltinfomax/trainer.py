@@ -213,19 +213,28 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
 
 
 def _pool_sources(sources):
+    """(rows, labeled row ids, their labels, unlabeled row ids, K): sources whose
+    features are row blocks of one float64 owner, as build_domains' world, are
+    indexed in it; other sources' rows are concatenated once."""
     dims = {d.dim for d in sources}
     ks = {d.num_classes for d in sources}
     if len(dims) != 1 or len(ks) != 1:
         raise ValueError("source domains must share feature dim and class count")
-    xs, ys = zip(*(d.labeled() for d in sources))
-    # the unlabeled rows are gathered straight into one pool; a DomainDataset's
-    # indices are in range, so mode="clip" never clips, and unlike the
-    # default mode it does not buffer the output
-    ends = np.cumsum([len(d.unlabeled_indices) for d in sources])
-    unl_x = np.empty((ends[-1], dims.pop()))
-    for d, lo, hi in zip(sources, [0, *ends], ends):
-        np.take(d.features, d.unlabeled_indices, axis=0, out=unl_x[lo:hi], mode="clip")
-    return np.concatenate(xs), np.concatenate(ys), unl_x, unl_x.shape[1], ks.pop()
+    dim, owner = dims.pop(), sources[0].features.base
+    shared = (owner is not None and owner.dtype == np.float64 and owner.flags.c_contiguous
+              and owner.size % dim == 0 and all(d.features.base is owner for d in sources))
+    if shared:
+        rows = owner.reshape(-1, dim)
+        starts, offsets = np.divmod([d.features.ctypes.data - rows.ctypes.data
+                                     for d in sources], rows.strides[0])
+        shared = not offsets.any()
+    if not shared:
+        rows = np.concatenate([d.features for d in sources])
+        starts = np.cumsum([0, *(d.n_samples for d in sources[:-1])])
+    lab_ids, unl_ids = (np.concatenate([s + getattr(d, name) for s, d in zip(starts, sources)])
+                        for name in ("labeled_indices", "unlabeled_indices"))
+    lab_y = np.concatenate([d.labels[d.labeled_indices] for d in sources])
+    return rows, lab_ids, lab_y, unl_ids, ks.pop()
 
 
 def train(config, sources, seed, supervised_only=False):
@@ -233,7 +242,8 @@ def train(config, sources, seed, supervised_only=False):
 
     Per step a labeled mini-batch is resampled with replacement and an
     unlabeled mini-batch is taken from a per-epoch shuffle of the pooled
-    unlabeled features. ``supervised_only`` skips the unlabeled side
+    unlabeled rows; each batch is gathered by row id from the sources' rows
+    (see _pool_sources). ``supervised_only`` skips the unlabeled side
     entirely but keeps the same step schedule and labeled draws, so a
     run with marginal_weight = 0 and tau > 1 lands on bit-identical
     parameters. Overflow warnings are silenced: non-finite logits, loss
@@ -243,32 +253,33 @@ def train(config, sources, seed, supervised_only=False):
     """
     if len(sources) < 2:
         raise ValueError("need at least 2 source domains")
-    lab_x, lab_y, unl_x, dim, num_classes = _pool_sources(sources)
-    if len(lab_x) == 0:
+    rows, lab_ids, lab_y, unl_ids, num_classes = _pool_sources(sources)
+    if len(lab_ids) == 0:
         raise ValueError("no labeled samples in the source pool")
 
-    state = make_state(config, dim, num_classes, seed)
-    n_unl = len(unl_x)
+    state = make_state(config, rows.shape[1], num_classes, seed)
+    n_unl = len(unl_ids)
     steps = max(1, n_unl // config.unlabeled_batch if n_unl
-                else len(lab_x) // config.labeled_batch)
+                else len(lab_ids) // config.labeled_batch)
 
     terms = np.empty((len(_LOSS_TERMS), steps))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             state.epoch = epoch
             if n_unl and not supervised_only:
-                order = state.rngs["unlabeled"].permutation(n_unl)
+                unl_order = unl_ids[state.rngs["unlabeled"].permutation(n_unl)]
             # one call draws what a call per step of size labeled_batch would
-            # (the same draws as choice(len(lab_x), size, replace=True))
-            lab_idx = state.rngs["labeled"].integers(len(lab_x),
+            # (the same draws as choice(len(lab_ids), size, replace=True))
+            lab_idx = state.rngs["labeled"].integers(len(lab_ids),
                                                      size=(steps, config.labeled_batch))
+            lab_order = lab_ids[lab_idx]
             for s in range(steps):
                 if n_unl and not supervised_only:
-                    chunk = order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
-                    batch_unl = unl_x[chunk]
+                    chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
+                    batch_unl = rows[chunk]
                 else:
                     batch_unl = None
-                breakdown = train_step(state, lab_x[lab_idx[s]], lab_y[lab_idx[s]], batch_unl)
+                breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]], batch_unl)
                 terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
             state.history.append({**means, "epoch": epoch})
@@ -311,8 +322,12 @@ def evaluate(model, target):
         logits = forward(model, target.features)
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits on the target domain")
-    probs = softmax(logits)
     preds = np.argmax(logits, axis=-1)
+    # softmax is row-wise, so each block's probabilities can overwrite its
+    # logits: the buffer ends up holding softmax(logits) bit for bit
+    probs = logits
+    for lo in range(0, len(probs), EVAL_ROWS):
+        probs[lo:lo + EVAL_ROWS] = softmax(probs[lo:lo + EVAL_ROWS])
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (target.labels, preds), 1)
     row_sums = confusion.sum(axis=1)

@@ -196,8 +196,9 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_evaluate_too_large(self, tmp_path, capsys):
-        """30000 held-out rows x 3000 classes: evaluate's (N, K) arrays alone
-        would be several 0.67 GiB; the world and network are small."""
+        """30000 held-out rows x 3000 classes: evaluate's (N, K) logits alone
+        would take 0.67 GiB, and the confusion matrix 72 MB more; the world and
+        network are small."""
         sets = ["num_classes=3000", "n_per_class=10", "feature_dim=1", "m_l=1", "gamma=1"]
         code = main(["--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
                      *(arg for kv in sets for arg in ("--set", kv)), "run"])

@@ -33,6 +33,7 @@ from ltinfomax.experiments import (
     suite_aggregate,
     sweep,
 )
+from ltinfomax.trainer import _pool_sources, train
 
 # small but real: 3 domains, K=3, quick training
 FAST = dict(num_domains=3, num_classes=3, feature_dim=6, n_per_class=25,
@@ -312,9 +313,9 @@ class TestWorldPin:
 
 class TestWorldBuild:
     def test_domains_adopt_their_rows_without_a_copy(self):
-        """Each domain's rows are built in one buffer that the dataset adopts, so
-        the build holds at most about one domain's rows beyond the world it keeps
-        (a copy per domain peaks at twice that)."""
+        """The world's rows are built in one buffer whose slices the datasets
+        adopt, so the build holds at most about one domain's rows beyond the
+        world it keeps (a copy per domain peaks at twice that)."""
         config = ExperimentConfig(**TestWorldPin.SHAPES["wide-classes"])
         build_domains(config)  # warm: first-call allocations are not the build's
         tracemalloc.start()
@@ -324,6 +325,43 @@ class TestWorldBuild:
         finally:
             tracemalloc.stop()
         assert peak - retained < 1.5 * domains[0].features.nbytes
+
+
+class TestCopyFreeRun:
+    WIDE = dict(num_classes=40, feature_dim=64, hidden=(256, 256), m_l=2, epochs=1,
+                held_out=0, seeds=(0,))
+
+    def test_pooled_rows_are_the_world(self):
+        """train gathers its batches from the world's own buffer, by row ids that
+        pick out each source's labeled and unlabeled rows in source order."""
+        config = ExperimentConfig()
+        domains = build_domains(config)
+        sources, _ = split_sources(config, domains, seed=0, heldout=0)
+        rows, lab_ids, lab_y, unl_ids, k = _pool_sources(sources)
+        assert k == config.num_classes
+        assert all(np.shares_memory(rows, d.features) for d in domains)
+        np.testing.assert_array_equal(rows[lab_ids],
+                                      np.concatenate([d.labeled()[0] for d in sources]))
+        np.testing.assert_array_equal(lab_y, np.concatenate([d.labeled()[1] for d in sources]))
+        np.testing.assert_array_equal(rows[unl_ids],
+                                      np.concatenate([d.unlabeled() for d in sources]))
+
+    def test_wide_run_holds_less_than_its_unlabeled_rows(self):
+        """Beyond the model, velocity, grads and scratch buffers, a wide run's
+        training peak stays below the bytes of the unlabeled rows it trains on
+        (2.23 MiB): a run that copies its pool holds them all at once."""
+        config = ExperimentConfig(**self.WIDE)
+        domains = build_domains(config)
+        sources, _ = split_sources(config, domains, seed=0, heldout=0)
+        train(config, sources, seed=0)  # warm: first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            state = train(config, sources, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unlabeled = sum(len(d.unlabeled_indices) for d in sources) * config.feature_dim * 8
+        assert peak - 4 * state.model.flat.nbytes < unlabeled, (peak, unlabeled)
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
 """Elementary numerics: softmax, log-softmax, finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ltinfomax.numerics import (
+    check_labels,
     check_prob_vector,
     finite_diff_gradient,
     relative_error,
@@ -125,3 +128,25 @@ class TestHelpers:
 
     def test_check_prob_vector_tolerance(self):
         check_prob_vector([0.5, 0.5 + 5e-10])
+
+    @pytest.mark.parametrize("dtype", ["int8", "uint8", "int16", "uint16", "int32", "uint32",
+                                       "int64", "uint64", ">i2"])
+    def test_check_labels_bounds_like_min_and_max(self, dtype):
+        """One reduction over the unsigned view accepts exactly the labels with
+        min >= 0 and max < num_classes, also where a negative int8 label's
+        unsigned view (128-255) lies below num_classes."""
+        info = np.iinfo(dtype)
+        values = {-128, -1, 0, 2, 126, 127, 128, 200, 255, 256, 299, 300, int(info.max)}
+        for num_classes, value in itertools.product(
+                [1, 3, 127, 128, 129, 255, 256, 300, 2**40], values):
+            if not info.min <= value <= info.max:
+                continue
+            labels = np.array([0, value], dtype=dtype)
+            want = labels.min() >= 0 and labels.max() < num_classes
+            try:
+                got = check_labels(labels, num_classes, 2)
+            except ValueError:
+                assert not want, (num_classes, labels)
+            else:
+                assert want, (num_classes, labels)
+                assert got.dtype == np.int64 and got.tolist() == [0, value]

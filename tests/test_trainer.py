@@ -17,7 +17,7 @@ from ltinfomax.data import (
 )
 from ltinfomax.errors import DivergenceError
 from ltinfomax.experiments import ExperimentConfig
-from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error
+from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import infomax_loss_and_grad
 from ltinfomax.trainer import (
     EvalReport,
@@ -183,7 +183,8 @@ class TestTrainStep:
 
 # labels a K=3 model must reject: out of [0, K), not integers, or not one per labeled row
 BAD_LABELS = {"label-negative": [-1, 0], "label-K": [3, 0], "label-count": [0],
-              "label-float": [1.5, 0.0], "label-bool": [True, False]}
+              "label-float": [1.5, 0.0], "label-bool": [True, False],
+              "label-int8-negative": np.array([-1, 0], dtype=np.int8)}
 
 
 class TestStepLabels:
@@ -198,6 +199,16 @@ class TestStepLabels:
                        rng.normal(size=(4, 4)))
         np.testing.assert_array_equal(state.model.flat, before)
         assert state.rngs["augment"].bit_generator.state == augment
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint64, np.dtype(">i4")])
+    def test_train_step_takes_any_integer_labels_as_int64(self, dtype):
+        """Labels of any integer dtype in [0, K) give the int64 labels' step."""
+        rng = np.random.default_rng(2)
+        x, unl = rng.normal(size=(2, 4)), rng.normal(size=(4, 4))
+        states = [make_state(ExperimentConfig(hidden=(6,)), 4, 3, seed=1) for _ in range(2)]
+        for state, labels in zip(states, (np.array([2, 0], dtype=dtype), np.array([2, 0]))):
+            train_step(state, x, labels, unl)
+        np.testing.assert_array_equal(states[0].model.flat, states[1].model.flat)
 
     @pytest.mark.parametrize("wrong, labeled_shape, unlabeled_shape",
                              [("unlabeled", (2, 4), (5, 5)), ("labeled", (2, 5), (5, 4))],
@@ -615,6 +626,28 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, peak
+
+    @pytest.mark.parametrize("k,n", [(12, 2 * 256 + 1), (40, 1600), (5, 200), (3, 1000)])
+    def test_blocked_softmax_gives_the_whole_target_bits(self, k, n):
+        """The softmax runs one EVAL_ROWS block at a time, yet the report equals
+        softmax over all logits followed by .mean(axis=0), bit for bit; at K=12
+        the row sums take numpy's >= 8-wide pairwise path, and 2 * 256 + 1 rows
+        end on a 257-row block."""
+        rng = np.random.default_rng(k)
+        target = DomainDataset(rng.standard_normal((n, 6)), rng.integers(k, size=n),
+                               np.arange(n), np.empty(0, dtype=int), num_classes=k)
+        model = init_mlp([6, 16, k], rng)
+        report = evaluate(model, target)
+        logits = forward(model, target.features)
+        preds = np.argmax(logits, axis=-1)
+        confusion = np.zeros((k, k), dtype=np.int64)
+        np.add.at(confusion, (target.labels, preds), 1)
+        rows = confusion.sum(axis=1)
+        assert report.accuracy == np.trace(confusion) / n
+        np.testing.assert_array_equal(report.confusion, confusion)
+        np.testing.assert_array_equal(report.per_class_accuracy, np.divide(
+            np.diag(confusion), rows, out=np.zeros(k), where=rows > 0))
+        assert np.array_equal(report.predicted_marginal, softmax(logits).mean(axis=0))
 
     def test_report_invariants(self):
         sources = toy_sources()
