@@ -37,10 +37,11 @@ print("=" * 70)
 print("2. A four-domain synthetic world (shared centroids, per-domain shift)")
 print("=" * 70)
 config = ExperimentConfig()
-domains = build_domains(config)
-for d in domains:
-    mean_norm = np.linalg.norm(d.features.mean(axis=0))
-    print(f"domain {d.domain_id}: {d.n_samples} samples, dim {d.dim}, "
+world = build_domains(config)
+for d in range(config.num_domains):
+    features, _ = world.domain(d)
+    mean_norm = np.linalg.norm(features.mean(axis=0))
+    print(f"domain {d}: {len(features)} samples, dim {features.shape[1]}, "
           f"|grand mean| = {mean_norm:.2f}")
 
 print()
@@ -48,13 +49,14 @@ print("=" * 70)
 print("3. Long-tail split of domain 0 (gamma = 10, seed-drawn class order)")
 print("=" * 70)
 spec = LongTailSpec(config.num_classes, config.m_l, config.gamma)
+_, labels = world.domain(0)
 for seed in (0, 1):
-    split = split_labeled_unlabeled(domains[0], spec, seed=seed)
-    hist = np.bincount(split.labels[split.labeled_indices],
+    split = split_labeled_unlabeled(world, 0, spec, seed=seed)
+    hist = np.bincount(labels[split.labeled_indices],
                        minlength=config.num_classes)
     print(f"seed {seed}: labeled per class {hist.tolist()} "
           f"({len(split.labeled_indices)} labeled / "
           f"{len(split.unlabeled_indices)} unlabeled)")
-unl_hist = np.bincount(split.labels[split.unlabeled_indices],
+unl_hist = np.bincount(labels[split.unlabeled_indices],
                        minlength=config.num_classes)
 print(f"unlabeled pool stays (approximately) balanced: {unl_hist.tolist()}")

@@ -22,8 +22,8 @@ print(f"world: {config.num_domains} domains, K={config.num_classes}, "
 print(f"training on domains {[d for d in range(config.num_domains) if d != HELD_OUT]}, "
       f"evaluating on held-out domain {HELD_OUT}\n")
 
-domains = build_domains(config)
-sources, split_hash = split_sources(config, domains, seed=0, heldout=HELD_OUT)
+world = build_domains(config)
+sources, split_hash = split_sources(config, world, seed=0, heldout=HELD_OUT)
 n_lab = sum(len(s.labeled_indices) for s in sources)
 n_unl = sum(len(s.unlabeled_indices) for s in sources)
 print(f"pooled sources: {n_lab} labeled / {n_unl} unlabeled (split {split_hash})\n")
@@ -38,7 +38,7 @@ for h in state.history:
               f"{h['labeled_ce']:>11.4f} {h['pseudo_ce']:>10.4f} "
               f"{h['total']:>8.4f} {h['accepted_fraction']:>9.2f}")
 
-report = evaluate(state.model, domains[HELD_OUT])
+report = evaluate(state.model, world, HELD_OUT)
 print(f"\nheld-out accuracy: {report.accuracy:.4f}")
 print(f"per-class accuracy: {np.round(report.per_class_accuracy, 3).tolist()}")
 print(f"predicted marginal: {np.round(report.predicted_marginal, 3).tolist()}")

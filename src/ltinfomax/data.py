@@ -1,12 +1,13 @@
 """The long-tail protocol and the rows it works on.
 
-A DomainDataset holds one domain's rows with a labeled/unlabeled index
-split. Labeled subsets follow an exponentially decaying per-class count
-profile with head/tail ratio gamma, the class order reshuffled per seed.
-domain_rotation is the seeded axis mixing that makes the synthetic
-domains (experiments.build_domains) differ, a matrix exponential taken
-by numpy-only Pade scaling and squaring (_expm); augment_pair draws the
-weak and strong views that training perturbs them with.
+A World holds every domain's rows in one read-only buffer, and a Split
+is row ids into one of its domains. Labeled subsets follow an
+exponentially decaying per-class count profile with head/tail ratio
+gamma, the class order reshuffled per seed. domain_rotation is the
+seeded axis mixing that makes the synthetic domains (build_domains)
+differ, a matrix exponential taken by numpy-only Pade scaling and
+squaring (_expm); augment_pair draws the weak and strong views that
+training perturbs them with.
 """
 
 from dataclasses import dataclass
@@ -59,62 +60,69 @@ class LongTailSpec:
             object.__setattr__(self, "class_order", order)
 
 
-@dataclass(frozen=True)
-class DomainDataset:
-    """Feature matrix with labels and a labeled/unlabeled index split, immutable
-    once built: C-contiguous, read-only float64 ``features`` are adopted when
-    they own their buffer or view a read-only array that owns its buffer (as
-    build_domains' domains view the world); other features, the labels and
-    the index sets are copied."""
+@dataclass(frozen=True, eq=False)
+class World:
+    """Every domain's rows in one read-only (rows, d) float64 buffer, one label
+    in [0, num_classes) per row; domain d is rows bounds[d]:bounds[d + 1].
+    ``features`` are adopted if a C-contiguous, read-only float64 array that
+    owns its buffer, else copied, as are the labels and bounds. Unpickling
+    runs this constructor, so a pool worker's copy is checked and read-only."""
 
     features: np.ndarray
     labels: np.ndarray
-    labeled_indices: np.ndarray
-    unlabeled_indices: np.ndarray
+    bounds: np.ndarray
     num_classes: int
-    domain_id: int = 0
 
     def __post_init__(self):
         feats = self.features
-        owner = feats if getattr(feats, "base", None) is None else feats.base
-        if not (type(feats) is np.ndarray and feats.dtype == np.float64
-                and type(owner) is np.ndarray and owner.base is None
-                and feats.flags.c_contiguous and not (feats.flags.writeable
-                                                      or owner.flags.writeable)):
+        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.base is None
+                and feats.flags.c_contiguous and not feats.flags.writeable):
             feats = np.array(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be (N, d)")
-        n = feats.shape[0]
-        labels = np.array(check_labels(self.labels, self.num_classes, n))
+        labels = np.array(check_labels(self.labels, self.num_classes, len(feats)))
+        bounds = np.array(self.bounds, dtype=np.int64)
+        if not (bounds.ndim == 1 and len(bounds) > 1 and bounds[0] == 0
+                and bounds[-1] == len(feats) and (np.diff(bounds) >= 0).all()):
+            raise ValueError(f"bounds must rise from 0 to the {len(feats)} rows")
+        for name, arr in (("features", feats), ("labels", labels), ("bounds", bounds)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def domain(self, d):
+        """Domain ``d``'s read-only (features, labels) views."""
+        if not 0 <= d < len(self.bounds) - 1:
+            raise ValueError(f"no domain {d} among {len(self.bounds) - 1}")
+        rows = slice(self.bounds[d], self.bounds[d + 1])
+        return self.features[rows], self.labels[rows]
+
+    def __reduce__(self):
+        return World, (self.features, self.labels, self.bounds, self.num_classes)
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """Labeled and unlabeled row ids, local to domain ``domain`` of ``world``, in
+    range and disjoint (rows in neither set take no part), copied read-only."""
+
+    world: World
+    domain: int
+    labeled_indices: np.ndarray
+    unlabeled_indices: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.world.domain(self.domain)[1])
         lab = np.array(self.labeled_indices, dtype=np.int64)
         unl = np.array(self.unlabeled_indices, dtype=np.int64)
         merged = np.concatenate([lab, unl])
         # a range check and a row count, not np.unique, which imports numpy.ma
-        in_range = not len(merged) or (merged.min() >= 0 and merged.max() < n)
-        if in_range and np.bincount(merged, minlength=n).max(initial=0) > 1:
+        if len(merged) and not (merged.min() >= 0 and merged.max() < n):
+            raise ValueError(f"row ids must lie in the domain's rows [0, {n})")
+        if np.bincount(merged, minlength=n).max(initial=0) > 1:
             raise ValueError("labeled and unlabeled index sets overlap")
-        if not in_range or len(merged) != n:
-            raise ValueError("index sets must partition the rows")
-        for arr in (feats, labels, lab, unl):
+        for name, arr in (("labeled_indices", lab), ("unlabeled_indices", unl)):
             arr.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "labeled_indices", lab)
-        object.__setattr__(self, "unlabeled_indices", unl)
-
-    @property
-    def n_samples(self):
-        return self.features.shape[0]
-
-    @property
-    def dim(self):
-        return self.features.shape[1]
-
-    def labeled(self):
-        return self.features[self.labeled_indices], self.labels[self.labeled_indices]
-
-    def unlabeled(self):
-        return self.features[self.unlabeled_indices]
+            object.__setattr__(self, name, arr)
 
 
 def long_tail_counts(spec):
@@ -217,49 +225,41 @@ def _expm(a):
     return r
 
 
-def split_labeled_unlabeled(data, spec, seed, longtail_unlabeled=False):
-    """Carve the long-tailed labeled subset out of a domain.
+def split_labeled_unlabeled(world, domain, spec, seed, longtail_unlabeled=False):
+    """Carve the long-tailed labeled subset out of domain ``domain`` of ``world``.
 
     The class order is drawn from ``seed`` unless spec.class_order is set
     (pass an explicit order to share it across domains within a run).
     Labeled counts realize long_tail_counts exactly; everything else
-    stays unlabeled, and the split shares ``data``'s read-only feature
-    rows. With longtail_unlabeled the leftover pool is additionally
-    thinned to the same decay profile, scaled so the head keeps all its
-    rows, and the dropped rows leave the dataset.
+    stays unlabeled. With longtail_unlabeled the leftover pool is
+    additionally thinned to the same decay profile, scaled so the head
+    keeps all its rows: the dropped rows are in neither id set. Either way
+    the Split is row ids into ``world`` and copies no rows.
 
     Raises ValueError, before any row is drawn, where check_split does.
     """
+    _, labels = world.domain(domain)
     rng = np.random.default_rng(seed)
     if spec.class_order is None:
         order = tuple(int(c) for c in rng.permutation(spec.num_classes))
         spec = LongTailSpec(spec.num_classes, spec.per_class, spec.gamma, order)
     counts = long_tail_counts(spec)
-    pool_sizes = np.bincount(data.labels, minlength=spec.num_classes)
+    pool_sizes = np.bincount(labels, minlength=spec.num_classes)
     check_split(counts, pool_sizes, longtail_unlabeled)
 
     labeled_idx = np.sort(np.concatenate([
-        rng.choice(np.nonzero(data.labels == k)[0], size=counts[k], replace=False)
+        rng.choice(np.nonzero(labels == k)[0], size=counts[k], replace=False)
         for k in range(spec.num_classes)]))
-    unlabeled_idx = np.setdiff1d(np.arange(data.n_samples), labeled_idx, assume_unique=True)
-    features, labels = data.features, data.labels  # shared, read-only
+    unlabeled_idx = np.setdiff1d(np.arange(len(labels)), labeled_idx, assume_unique=True)
     if longtail_unlabeled:
         left = pool_sizes - counts
         weights = _by_class(_decay_profile(spec), spec.class_order)
         target = np.minimum(left, np.maximum(1, np.rint(left[spec.class_order[0]] * weights)))
-        unl_labels = data.labels[unlabeled_idx]
+        unl_labels = labels[unlabeled_idx]
         unlabeled_idx = np.sort(np.concatenate([
             rng.choice(unlabeled_idx[unl_labels == k], size=int(target[k]), replace=False)
             for k in range(spec.num_classes)]))
-        # rows dropped from the pool leave the dataset, in one private read-only
-        # copy; keep is sorted, so searchsorted gives each kept row's new index
-        keep = np.sort(np.concatenate([labeled_idx, unlabeled_idx]))
-        features, labels = data.features[keep], data.labels[keep]
-        features.flags.writeable = False
-        labeled_idx, unlabeled_idx = (np.searchsorted(keep, labeled_idx),
-                                      np.searchsorted(keep, unlabeled_idx))
-    return DomainDataset(features, labels, labeled_idx, unlabeled_idx, spec.num_classes,
-                         domain_id=data.domain_id)
+    return Split(world, domain, labeled_idx, unlabeled_idx)
 
 
 def augment_pair(X, rng, out=None):

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DomainDataset,
     LongTailSpec,
+    World,
     check_split,
     domain_rotation,
     long_tail_counts,
@@ -139,18 +139,17 @@ class ExperimentConfig:
                 raise ConfigError("labeled_batch and unlabeled_batch must be >= 1")
             if any(h < 1 for h in self.hidden):
                 raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
-            # float64 values of the world and the pooled source rows (sources that
-            # share no buffer are concatenated), the rotation, the confusion
-            # matrix, the model, velocity, grads and scratch buffers, an epoch's
-            # labeled draw (its steps bounded by the whole unlabeled pool), a
-            # step's stacked rows and an evaluate block of EVAL_ROWS rows through
-            # every layer, and evaluate's (rows, K) logits and softmax's four
-            # (EVAL_ROWS, K) block arrays, bounded before anything of size
-            # num_classes is made
+            # float64 values of the world (runs gather from it and copy no rows),
+            # the rotation, the confusion matrix, the model, velocity, grads and
+            # scratch buffers, an epoch's labeled draw (its steps bounded by the
+            # whole unlabeled pool), a step's stacked rows and an evaluate block
+            # of EVAL_ROWS rows through every layer, and evaluate's (rows, K)
+            # logits and softmax's four (EVAL_ROWS, K) block arrays, bounded
+            # before anything of size num_classes is made
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
             steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
-            size = ((2 * self.num_domains - 1) * rows * self.feature_dim
+            size = (self.num_domains * rows * self.feature_dim
                     + self.feature_dim ** 2 + self.num_classes ** 2
                     + 4 * sum((a + 1) * b for a, b in zip(layers, layers[1:]))
                     + self.labeled_batch * steps
@@ -201,7 +200,7 @@ class RunRecord:
 
 
 def build_domains(config):
-    """The synthetic world: one unsplit DomainDataset per domain.
+    """The synthetic world: every domain's rows in one World, unsplit.
 
     K Gaussian class centroids (CENTROID_SCALE, stream [data_seed, 0]) are,
     per domain d, moved by a Gaussian mean shift (SHIFT_SCALE), their axes
@@ -211,35 +210,33 @@ def build_domains(config):
     differ in their inputs and share the label distribution. The world depends
     only on the config's data fields, so every run of a suite (and every
     ablation variant) sees identical features. The rows are built in one
-    read-only (num_domains, rows, dim) buffer, each domain's noise drawn into
-    its slice, which its dataset adopts; train gathers batches from it.
+    (num_domains * rows, dim) buffer, each domain's noise drawn into its
+    block, and the World adopts it read-only; train gathers batches from it.
     """
     dim = config.feature_dim
     root = np.random.default_rng(np.random.SeedSequence([config.data_seed, 0]))
     centroids = CENTROID_SCALE * root.standard_normal((config.num_classes, dim))
     labels = np.repeat(np.arange(config.num_classes), config.n_per_class)
-    world = np.empty((config.num_domains, len(labels), dim))
-    for d, features in enumerate(world):
+    features = np.empty((config.num_domains * len(labels), dim))
+    for d, block in enumerate(features.reshape(config.num_domains, len(labels), dim)):
         drng = np.random.default_rng(np.random.SeedSequence([config.data_seed, 1, d]))
         shift = SHIFT_SCALE * drng.standard_normal(dim)
         rotation = domain_rotation(dim, int(drng.integers(2**31)), ROTATION_STRENGTH)
-        np.random.default_rng(int(drng.integers(2**31))).standard_normal(out=features)
-        features *= NOISE_SCALE
-        features += ((centroids + shift) @ rotation.T)[labels]
-    world.flags.writeable = False
-    return [DomainDataset(features=features, labels=labels,
-                          labeled_indices=np.empty(0, dtype=np.int64),
-                          unlabeled_indices=np.arange(len(labels)),
-                          num_classes=config.num_classes, domain_id=d)
-            for d, features in enumerate(world)]
+        np.random.default_rng(int(drng.integers(2**31))).standard_normal(out=block)
+        block *= NOISE_SCALE
+        block += ((centroids + shift) @ rotation.T)[labels]
+    features.flags.writeable = False
+    return World(features, np.tile(labels, config.num_domains),
+                 np.arange(config.num_domains + 1) * len(labels), config.num_classes)
 
 
-def split_sources(config, domains, seed, heldout):
-    """Long-tail split of the source domains for one run.
+def split_sources(config, world, seed, heldout):
+    """Long-tail split of the source domains of ``world`` for one run.
 
     One class order is drawn from the run seed and shared across the
     run's source domains; per-domain index sampling uses child seeds.
-    Returns (sources, split_hash).
+    Returns (sources, split_hash): a Split per source domain, in order, and
+    a hash of the class order and their domain-local labeled ids.
     """
     order_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 100]))
     order = tuple(int(c) for c in order_rng.permutation(config.num_classes))
@@ -251,21 +248,21 @@ def split_sources(config, domains, seed, heldout):
         if d == heldout:
             continue
         split_seed = int(np.random.SeedSequence([int(seed), 101, d]).generate_state(1)[0])
-        split = split_labeled_unlabeled(domains[d], spec, split_seed,
+        split = split_labeled_unlabeled(world, d, spec, split_seed,
                                         longtail_unlabeled=config.longtail_unlabeled)
         hasher.update(np.ascontiguousarray(split.labeled_indices).tobytes())
         sources.append(split)
     return sources, hasher.hexdigest()[:16]
 
 
-def execute_run(config, seed, heldout, domains):
-    """One leave-one-domain-out run on the world ``domains`` (build_domains);
-    pure function of its arguments."""
-    sources, split_hash = split_sources(config, domains, seed, heldout)
+def execute_run(config, seed, heldout, world):
+    """One leave-one-domain-out run on ``world`` (build_domains); pure
+    function of its arguments."""
+    sources, split_hash = split_sources(config, world, seed, heldout)
     t0 = time.perf_counter()
     try:
         state = train(config, sources, seed)
-        report = evaluate(state.model, domains[heldout])
+        report = evaluate(state.model, world, heldout)
     except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
         seed_note = "" if f"(seed {seed})" in str(exc) else f"seed {seed}, "
         raise DivergenceError(f"{exc} ({seed_note}held-out domain {heldout})") from None
@@ -288,17 +285,17 @@ def execute_run(config, seed, heldout, domains):
 
 # A pool worker's copy of the world, set once by _init_worker; it stays
 # None in the process that opens the runner.
-_worker_domains = None
+_worker_world = None
 
 
-def _init_worker(domains):
-    global _worker_domains
-    _worker_domains = domains
+def _init_worker(world):
+    global _worker_world
+    _worker_world = world
 
 
 def _run_worker(args):
     config, seed, heldout = args
-    return execute_run(config, seed, heldout, _worker_domains)
+    return execute_run(config, seed, heldout, _worker_world)
 
 
 def _suite_tasks(config):
@@ -317,19 +314,20 @@ def open_runner(config, queued):
     config.jobs == 1 a runner call runs its tasks serially in this process.
     Otherwise the tasks go to one process pool of at most one worker per
     ``queued`` task, whose workers receive the world once at start-up
-    (inherited, not pickled, under fork). The pool starts on the queued
+    (inherited under fork, else unpickled through World's constructor,
+    which makes the copy read-only). The pool starts on the queued
     tasks at once, so its workers keep busy while the caller writes one
     suite's results; a runner call collects the records of its queued
     tasks. On exit the pool is shut down and, after an error, its pending
     tasks are cancelled.
     """
-    domains = build_domains(config)
+    world = build_domains(config)
     if config.jobs == 1:
-        yield lambda tasks: [execute_run(c, s, h, domains) for c, s, h in tasks]
+        yield lambda tasks: [execute_run(c, s, h, world) for c, s, h in tasks]
         return
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
     pool = ProcessPoolExecutor(max_workers=min(config.jobs, len(queued)),
-                               initializer=_init_worker, initargs=(domains,))
+                               initializer=_init_worker, initargs=(world,))
     try:
         submitted = {task: pool.submit(_run_worker, task) for task in queued}
 

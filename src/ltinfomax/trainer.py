@@ -213,28 +213,15 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
 
 
 def _pool_sources(sources):
-    """(rows, labeled row ids, their labels, unlabeled row ids, K): sources whose
-    features are row blocks of one float64 owner, as build_domains' world, are
-    indexed in it; other sources' rows are concatenated once."""
-    dims = {d.dim for d in sources}
-    ks = {d.num_classes for d in sources}
-    if len(dims) != 1 or len(ks) != 1:
-        raise ValueError("source domains must share feature dim and class count")
-    dim, owner = dims.pop(), sources[0].features.base
-    shared = (owner is not None and owner.dtype == np.float64 and owner.flags.c_contiguous
-              and owner.size % dim == 0 and all(d.features.base is owner for d in sources))
-    if shared:
-        rows = owner.reshape(-1, dim)
-        starts, offsets = np.divmod([d.features.ctypes.data - rows.ctypes.data
-                                     for d in sources], rows.strides[0])
-        shared = not offsets.any()
-    if not shared:
-        rows = np.concatenate([d.features for d in sources])
-        starts = np.cumsum([0, *(d.n_samples for d in sources[:-1])])
+    """(rows, labeled row ids, their labels, unlabeled row ids, K) of Splits of one
+    world: its own buffer, and each split's ids offset by its domain's first row."""
+    world = sources[0].world
+    if any(d.world is not world for d in sources):
+        raise ValueError("source splits must share one world")
+    starts = world.bounds[[d.domain for d in sources]]
     lab_ids, unl_ids = (np.concatenate([s + getattr(d, name) for s, d in zip(starts, sources)])
                         for name in ("labeled_indices", "unlabeled_indices"))
-    lab_y = np.concatenate([d.labels[d.labeled_indices] for d in sources])
-    return rows, lab_ids, lab_y, unl_ids, ks.pop()
+    return world.features, lab_ids, world.labels[lab_ids], unl_ids, world.num_classes
 
 
 def train(config, sources, seed, supervised_only=False):
@@ -242,11 +229,11 @@ def train(config, sources, seed, supervised_only=False):
 
     Per step a labeled mini-batch is resampled with replacement and an
     unlabeled mini-batch is taken from a per-epoch shuffle of the pooled
-    unlabeled rows; each batch is gathered by row id from the sources' rows
-    (see _pool_sources). ``supervised_only`` skips the unlabeled side
-    entirely but keeps the same step schedule and labeled draws, so a
-    run with marginal_weight = 0 and tau > 1 lands on bit-identical
-    parameters. Overflow warnings are silenced: non-finite logits, loss
+    unlabeled rows; ``sources`` are Splits of one world, and each batch is
+    gathered by row id from its buffer (see _pool_sources). ``supervised_only``
+    skips the unlabeled side entirely but keeps the same step schedule and
+    labeled draws, so a run with marginal_weight = 0 and tau > 1 lands on
+    bit-identical parameters. Overflow warnings are silenced: non-finite logits, loss
     or final parameters, or an epoch-mean total loss above DIVERGED_LOSS,
     raise DivergenceError instead. Of ``config``, an ExperimentConfig, it
     reads epochs and the two batch sizes; make_state and train_step the rest.
@@ -311,15 +298,16 @@ class EvalReport:
         }
 
 
-def evaluate(model, target):
-    """Argmax evaluation over every row of the target domain (read-only)."""
-    if target.n_samples == 0:
+def evaluate(model, world, domain):
+    """Argmax evaluation over every row of domain ``domain`` of ``world`` (read-only)."""
+    features, labels = world.domain(domain)
+    if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty target")
-    k = target.num_classes
+    k = world.num_classes
     if model.num_classes != k:
         raise ValueError("model and target disagree on the number of classes")
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(model, target.features)
+        logits = forward(model, features)
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite logits on the target domain")
     preds = np.argmax(logits, axis=-1)
@@ -329,7 +317,7 @@ def evaluate(model, target):
     for lo in range(0, len(probs), EVAL_ROWS):
         probs[lo:lo + EVAL_ROWS] = softmax(probs[lo:lo + EVAL_ROWS])
     confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (target.labels, preds), 1)
+    np.add.at(confusion, (labels, preds), 1)
     row_sums = confusion.sum(axis=1)
     per_class = np.divide(np.diag(confusion), row_sums,
                           out=np.zeros(k, dtype=np.float64), where=row_sums > 0)

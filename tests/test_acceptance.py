@@ -216,8 +216,8 @@ class TestCriterion5ReductionEquivalence:
                                   num_domains=3, num_classes=3, feature_dim=6,
                                   hidden=(16,), marginal_weight=0.0,
                                   tau=1.0 + 1e-9)
-        domains = build_domains(config)
-        sources, _ = split_sources(config, domains, seed=0, heldout=2)
+        world = build_domains(config)
+        sources, _ = split_sources(config, world, seed=0, heldout=2)
         full = train(config, sources, seed=0)
         sup = train(config, sources, seed=0, supervised_only=True)
         assert np.array_equal(full.model.flat, sup.model.flat)

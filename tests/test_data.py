@@ -13,8 +13,9 @@ from ltinfomax.data import (
     DROPOUT_FRAC,
     SIGMA_STRONG,
     SIGMA_WEAK,
-    DomainDataset,
     LongTailSpec,
+    Split,
+    World,
     _expm,
     augment_pair,
     domain_rotation,
@@ -87,13 +88,12 @@ class TestLongTailCounts:
 
 
 def small_world(k=3, d=4, n_per_class=30, noise=0.5, seed=123):
-    """One unsplit domain: Gaussian blobs around mixed centroids."""
+    """A one-domain world: Gaussian blobs around mixed centroids."""
     centroids = 3.0 * np.random.default_rng(0).standard_normal((k, d))
     labels = np.repeat(np.arange(k), n_per_class)
     features = ((centroids @ domain_rotation(d, 5, 0.15).T)[labels]
                 + noise * np.random.default_rng(seed).standard_normal((len(labels), d)))
-    return DomainDataset(features, labels, labeled_indices=np.empty(0, dtype=int),
-                         unlabeled_indices=np.arange(len(labels)), num_classes=k), centroids
+    return World(features, labels, [0, len(labels)], k), centroids
 
 
 class TestGenerateDomain:
@@ -144,8 +144,8 @@ class TestSplit:
     def test_histogram_matches_counts(self):
         data, _ = small_world(k=5, n_per_class=30)
         spec = LongTailSpec(5, 5, 10.0)
-        split = split_labeled_unlabeled(data, spec, seed=11)
-        labels = split.labels[split.labeled_indices]
+        split = split_labeled_unlabeled(data, 0, spec, seed=11)
+        labels = data.labels[split.labeled_indices]
         hist = np.bincount(labels, minlength=5)
         # recompute independently with the realized order
         order = np.argsort(-hist, kind="stable")
@@ -156,8 +156,8 @@ class TestSplit:
 
     def test_balanced_when_gamma_one(self):
         data, _ = small_world(k=3, n_per_class=40)
-        split = split_labeled_unlabeled(data, LongTailSpec(3, 5, 1.0), seed=2)
-        hist = np.bincount(split.labels[split.labeled_indices], minlength=3)
+        split = split_labeled_unlabeled(data, 0, LongTailSpec(3, 5, 1.0), seed=2)
+        hist = np.bincount(data.labels[split.labeled_indices], minlength=3)
         np.testing.assert_array_equal(hist, [5, 5, 5])
 
     def test_seeds_draw_different_orders(self):
@@ -165,66 +165,68 @@ class TestSplit:
         spec = LongTailSpec(5, 5, 10.0)
         hists = []
         for seed in range(6):
-            split = split_labeled_unlabeled(data, spec, seed=seed)
-            hists.append(tuple(np.bincount(split.labels[split.labeled_indices],
+            split = split_labeled_unlabeled(data, 0, spec, seed=seed)
+            hists.append(tuple(np.bincount(data.labels[split.labeled_indices],
                                            minlength=5)))
         assert len(set(hists)) > 1
 
     def test_partition_no_leakage(self):
         data, _ = small_world(k=3, n_per_class=30)
-        split = split_labeled_unlabeled(data, LongTailSpec(3, 4, 5.0), seed=1)
+        split = split_labeled_unlabeled(data, 0, LongTailSpec(3, 4, 5.0), seed=1)
         merged = np.concatenate([split.labeled_indices, split.unlabeled_indices])
-        assert len(np.unique(merged)) == split.n_samples
+        assert len(np.unique(merged)) == len(data.labels)
 
     def test_deterministic(self):
         data, _ = small_world(k=4, n_per_class=30)
         spec = LongTailSpec(4, 4, 10.0)
-        a = split_labeled_unlabeled(data, spec, seed=21)
-        b = split_labeled_unlabeled(data, spec, seed=21)
+        a = split_labeled_unlabeled(data, 0, spec, seed=21)
+        b = split_labeled_unlabeled(data, 0, spec, seed=21)
         np.testing.assert_array_equal(a.labeled_indices, b.labeled_indices)
 
     def test_explicit_order_shared(self):
         data, _ = small_world(k=4, n_per_class=30)
         spec = LongTailSpec(4, 4, 10.0, class_order=(3, 1, 0, 2))
-        split = split_labeled_unlabeled(data, spec, seed=9)
-        hist = np.bincount(split.labels[split.labeled_indices], minlength=4)
+        split = split_labeled_unlabeled(data, 0, spec, seed=9)
+        hist = np.bincount(data.labels[split.labeled_indices], minlength=4)
         by_rank = long_tail_counts(LongTailSpec(4, 4, 10.0))
         assert hist[3] == by_rank[0] and hist[2] == by_rank[3]
 
     def test_insufficient_class_raises(self):
         data, _ = small_world(k=3, n_per_class=5)
         with pytest.raises(ValueError, match="spare|class"):
-            split_labeled_unlabeled(data, LongTailSpec(3, 5, 10.0), seed=0)
+            split_labeled_unlabeled(data, 0, LongTailSpec(3, 5, 10.0), seed=0)
 
     def test_unlabeled_ratio_enforced(self):
         data, _ = small_world(k=3, n_per_class=12)
         with pytest.raises(ValueError, match="pool"):
-            split_labeled_unlabeled(data, LongTailSpec(3, 5, 1.0), seed=0)
+            split_labeled_unlabeled(data, 0, LongTailSpec(3, 5, 1.0), seed=0)
 
     def test_longtail_unlabeled_flag(self):
         data, _ = small_world(k=4, n_per_class=60)
         spec = LongTailSpec(4, 3, 10.0, class_order=(0, 1, 2, 3))
-        split = split_labeled_unlabeled(data, spec, seed=5, longtail_unlabeled=True)
-        hist = np.bincount(split.labels[split.unlabeled_indices], minlength=4)
+        split = split_labeled_unlabeled(data, 0, spec, seed=5, longtail_unlabeled=True)
+        hist = np.bincount(data.labels[split.unlabeled_indices], minlength=4)
         assert np.all(np.diff(hist) <= 0)  # decays along the shared order
         assert hist[0] / hist[-1] >= 3.0
 
     def test_unthinned_split_shares_the_domain_rows(self):
         data, _ = small_world(k=3, n_per_class=30)
-        split = split_labeled_unlabeled(data, LongTailSpec(3, 4, 5.0), seed=1)
-        assert split.features is data.features
-        assert np.shares_memory(split.features, data.features)
-        assert not split.features.flags.writeable
+        split = split_labeled_unlabeled(data, 0, LongTailSpec(3, 4, 5.0), seed=1)
+        assert split.world is data
+        merged = np.sort(np.concatenate([split.labeled_indices, split.unlabeled_indices]))
+        np.testing.assert_array_equal(merged, np.arange(len(data.labels)))
 
-    def test_thinned_split_holds_one_private_read_only_copy(self):
+    def test_thinned_split_only_shrinks_the_unlabeled_ids(self):
+        """Thinning draws a smaller unlabeled id set into the same world; the
+        labeled draw is the unthinned one, and the dropped rows are in neither set."""
         data, _ = small_world(k=4, n_per_class=60)
-        split = split_labeled_unlabeled(data, LongTailSpec(4, 3, 10.0), seed=5,
-                                        longtail_unlabeled=True)
-        assert split.n_samples < data.n_samples
-        assert not np.shares_memory(split.features, data.features)
-        assert split.features.base is None and not split.features.flags.writeable
-        rows = {tuple(r) for r in data.features}
-        assert all(tuple(r) in rows for r in split.features)
+        spec = LongTailSpec(4, 3, 10.0)
+        full = split_labeled_unlabeled(data, 0, spec, seed=5)
+        thinned = split_labeled_unlabeled(data, 0, spec, seed=5, longtail_unlabeled=True)
+        assert thinned.world is data
+        np.testing.assert_array_equal(thinned.labeled_indices, full.labeled_indices)
+        assert len(thinned.unlabeled_indices) < len(full.unlabeled_indices)
+        assert np.isin(thinned.unlabeled_indices, full.unlabeled_indices).all()
 
 
 def one_view(x, strength, rng):
@@ -273,21 +275,24 @@ class TestAugment:
 
 
 class TestDomainDataset:
+    """A domain's data: the World that holds every domain's rows, and the
+    Splits of row ids into one of its domains."""
+
     def test_immutable_arrays(self):
         data, _ = small_world()
         with pytest.raises(ValueError):
             data.features[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            data.domain(0)[1][0] = 1
 
     @staticmethod
-    def _dataset(features):
-        return DomainDataset(features, np.zeros(len(features), dtype=int),
-                             labeled_indices=np.empty(0, dtype=int),
-                             unlabeled_indices=np.arange(len(features)), num_classes=2)
+    def _world(features):
+        return World(features, np.zeros(len(features), dtype=int), [0, len(features)], 2)
 
     def test_adopts_an_owned_read_only_array(self):
         feats = np.arange(12.0).reshape(4, 3).copy()
         feats.flags.writeable = False
-        assert self._dataset(feats).features is feats
+        assert self._world(feats).features is feats
 
     @pytest.mark.parametrize("view", [False, True], ids=["writeable", "read-only-view"])
     def test_copies_what_the_caller_can_still_write(self, view):
@@ -296,37 +301,42 @@ class TestDomainDataset:
         if view:
             given = caller.view()
             given.flags.writeable = False
-        data = self._dataset(given)
+        data = self._world(given)
         assert not np.shares_memory(data.features, caller)
         caller[...] = -1.0
         np.testing.assert_array_equal(data.features, np.arange(12.0).reshape(4, 3))
         assert not data.features.flags.writeable
 
-    @pytest.mark.parametrize("labeled,unlabeled", [([0, 1], [2, 3, 4]), ([-1, 1], [2, 3]),
-                                                   ([0], [1, 2])])
+    @pytest.mark.parametrize("bounds", [[0, 3], [1, 4], [0, 3, 2, 4], [4]])
+    def test_bounds_that_miss_the_rows_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            World(np.zeros((4, 2)), np.zeros(4, dtype=int), bounds, 2)
+
+    @pytest.mark.parametrize("labeled,unlabeled", [([0, 1], [2, 3, 4]), ([-1, 1], [2, 3])])
     def test_index_sets_that_miss_or_leave_the_rows_rejected(self, labeled, unlabeled):
-        with pytest.raises(ValueError, match="partition"):
-            DomainDataset(np.zeros((4, 2)), np.zeros(4, dtype=int),
-                          labeled_indices=np.array(labeled),
-                          unlabeled_indices=np.array(unlabeled), num_classes=2)
+        with pytest.raises(ValueError, match="row ids"):
+            Split(self._world(np.zeros((4, 2))), 0, labeled, unlabeled)
+
+    def test_index_sets_that_leave_rows_out_accepted(self):
+        split = Split(self._world(np.zeros((4, 2))), 0, [0], [1, 2])
+        assert list(split.labeled_indices) == [0] and list(split.unlabeled_indices) == [1, 2]
+        assert not split.unlabeled_indices.flags.writeable
+
+    def test_ids_are_local_to_their_domain(self):
+        """Domain 1 of two 4-row domains: id 4 is a world row but not one of its rows."""
+        world = World(np.zeros((8, 2)), np.zeros(8, dtype=int), [0, 4, 8], 2)
+        assert len(Split(world, 1, [3], [0, 1]).labeled_indices) == 1
+        with pytest.raises(ValueError, match=r"row ids must lie in the domain's rows \[0, 4\)"):
+            Split(world, 1, [0], [4])
+        with pytest.raises(ValueError, match="no domain 2"):
+            Split(world, 2, [0], [1])
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            DomainDataset(
-                features=np.zeros((4, 2)),
-                labels=np.zeros(4, dtype=int),
-                labeled_indices=np.array([0, 1]),
-                unlabeled_indices=np.array([1, 2, 3]),
-                num_classes=2,
-            )
+            Split(self._world(np.zeros((4, 2))), 0, labeled_indices=np.array([0, 1]),
+                  unlabeled_indices=np.array([1, 2, 3]))
 
     @pytest.mark.parametrize("bad_label", [-1, 2, 0.5])
     def test_label_out_of_range_rejected(self, bad_label):
         with pytest.raises(ValueError, match="labels must be one integer"):
-            DomainDataset(
-                features=np.zeros((4, 2)),
-                labels=np.array([0, 1, bad_label, 0]),
-                labeled_indices=np.array([0, 1]),
-                unlabeled_indices=np.array([2, 3]),
-                num_classes=2,
-            )
+            World(np.zeros((4, 2)), np.array([0, 1, bad_label, 0]), [0, 4], num_classes=2)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -153,6 +154,20 @@ class TestRunSuite:
                                   out_dir=str(tmp_path / "sweep")), "gamma", [1.0, 10.0])
         assert len(table) == 2
 
+    def test_spawned_pool_matches_serial(self, tmp_path):
+        """Under spawn each worker unpickles the world; its records equal the
+        serial ones apart from wall_s."""
+        cfg = fast_config(tmp_path, seeds=(0, 1), held_out=0, epochs=1)
+        serial = run_suite(cfg, write=False)
+        method = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            spawned = run_suite(replace(cfg, jobs=2), write=False)
+        finally:
+            multiprocessing.set_start_method(method, force=True)
+        assert [replace(r, wall_s=0.0) for r in spawned] == [replace(r, wall_s=0.0)
+                                                            for r in serial]
+
     def test_runs_csv_column_contract(self, tmp_path):
         """The headers of runs.csv, aggregate.csv and ablation.csv."""
         ablation(fast_config(tmp_path, seeds=(0,), held_out=0))
@@ -247,9 +262,9 @@ class TestExecuteRun:
 
     def test_seed_changes_split(self, tmp_path):
         cfg = fast_config(tmp_path)
-        domains = build_domains(cfg)
-        a = execute_run(cfg, 0, 0, domains)
-        b = execute_run(cfg, 1, 0, domains)
+        world = build_domains(cfg)
+        a = execute_run(cfg, 0, 0, world)
+        b = execute_run(cfg, 1, 0, world)
         assert a.split_hash != b.split_hash
 
     def test_divergence_on_the_target_names_the_run(self, tmp_path, monkeypatch):
@@ -257,9 +272,9 @@ class TestExecuteRun:
         cfg = fast_config(tmp_path)
         real = experiments.evaluate
 
-        def overflowing(model, target):
+        def overflowing(model, world, domain):
             model.flat[...] = 1e300
-            return real(model, target)
+            return real(model, world, domain)
 
         monkeypatch.setattr(experiments, "evaluate", overflowing)
         with pytest.raises(DivergenceError) as info:
@@ -269,24 +284,26 @@ class TestExecuteRun:
 
 
 class TestSplitPin:
-    # (longtail_unlabeled, seed) -> (split_hash, digest of every source's labeled and
-    # unlabeled indices and labels); split_hash alone misses the thinned unlabeled pool
+    # (longtail_unlabeled, seed) -> (split_hash, digest of every source's domain-local
+    # labeled and unlabeled ids and its domain's labels); split_hash alone misses the
+    # thinned unlabeled pool, and hashes a thinned split like the unthinned one
     PINNED = {
         (False, 0): ("32c954e7ee61e09d", "ba0428a0e7f8700e"),
         (False, 1): ("d2ee72508fe8e635", "b32001767c7ced7b"),
-        (True, 0): ("a5bc1541a7a4cfa0", "ef62941c21fa4be1"),
-        (True, 1): ("cf87419f48a56aea", "ffbf115c997edd92"),
+        (True, 0): ("32c954e7ee61e09d", "93e32b95a8fd4304"),
+        (True, 1): ("d2ee72508fe8e635", "4b0b4275a6180321"),
     }
 
     @pytest.mark.parametrize("longtail", [False, True])
     def test_default_split_is_pinned(self, longtail):
         cfg = ExperimentConfig(longtail_unlabeled=longtail)
-        domains = build_domains(cfg)
+        world = build_domains(cfg)
         for seed in (0, 1):
-            sources, split_hash = split_sources(cfg, domains, seed, heldout=0)
+            sources, split_hash = split_sources(cfg, world, seed, heldout=0)
             digest = hashlib.sha256()
             for source in sources:
-                for arr in (source.labeled_indices, source.unlabeled_indices, source.labels):
+                labels = world.domain(source.domain)[1]
+                for arr in (source.labeled_indices, source.unlabeled_indices, labels):
                     digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
             assert (split_hash, digest.hexdigest()[:16]) == self.PINNED[longtail, seed]
 
@@ -303,28 +320,30 @@ class TestWorldPin:
 
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_world_is_pinned(self, shape):
-        digests = []
-        for domain in build_domains(ExperimentConfig(**self.SHAPES[shape])):
-            digest = hashlib.sha256(np.ascontiguousarray(domain.features).tobytes())
-            digest.update(np.ascontiguousarray(domain.labels, dtype=np.int64).tobytes())
+        config = ExperimentConfig(**self.SHAPES[shape])
+        world, digests = build_domains(config), []
+        for features, labels in map(world.domain, range(config.num_domains)):
+            digest = hashlib.sha256(np.ascontiguousarray(features).tobytes())
+            digest.update(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
             digests.append(digest.hexdigest()[:16])
         assert tuple(digests) == self.PINNED[shape]
 
 
 class TestWorldBuild:
     def test_domains_adopt_their_rows_without_a_copy(self):
-        """The world's rows are built in one buffer whose slices the datasets
-        adopt, so the build holds at most about one domain's rows beyond the
-        world it keeps (a copy per domain peaks at twice that)."""
+        """The world's rows are built in one buffer, each domain's drawn into its
+        block, and the World adopts it, so the build holds at most about one
+        domain's rows beyond the world it keeps (a copy per domain peaks at
+        twice that)."""
         config = ExperimentConfig(**TestWorldPin.SHAPES["wide-classes"])
         build_domains(config)  # warm: first-call allocations are not the build's
         tracemalloc.start()
         try:
-            domains = build_domains(config)
+            world = build_domains(config)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - retained < 1.5 * domains[0].features.nbytes
+        assert peak - retained < 1.5 * world.domain(0)[0].nbytes
 
 
 class TestCopyFreeRun:
@@ -335,24 +354,61 @@ class TestCopyFreeRun:
         """train gathers its batches from the world's own buffer, by row ids that
         pick out each source's labeled and unlabeled rows in source order."""
         config = ExperimentConfig()
-        domains = build_domains(config)
-        sources, _ = split_sources(config, domains, seed=0, heldout=0)
+        world = build_domains(config)
+        sources, _ = split_sources(config, world, seed=0, heldout=0)
         rows, lab_ids, lab_y, unl_ids, k = _pool_sources(sources)
-        assert k == config.num_classes
-        assert all(np.shares_memory(rows, d.features) for d in domains)
-        np.testing.assert_array_equal(rows[lab_ids],
-                                      np.concatenate([d.labeled()[0] for d in sources]))
-        np.testing.assert_array_equal(lab_y, np.concatenate([d.labeled()[1] for d in sources]))
-        np.testing.assert_array_equal(rows[unl_ids],
-                                      np.concatenate([d.unlabeled() for d in sources]))
+        assert k == config.num_classes and rows is world.features
+        domains = [world.domain(d.domain) for d in sources]
+        np.testing.assert_array_equal(rows[lab_ids], np.concatenate(
+            [x[d.labeled_indices] for (x, _), d in zip(domains, sources)]))
+        np.testing.assert_array_equal(lab_y, np.concatenate(
+            [y[d.labeled_indices] for (_, y), d in zip(domains, sources)]))
+        np.testing.assert_array_equal(rows[unl_ids], np.concatenate(
+            [x[d.unlabeled_indices] for (x, _), d in zip(domains, sources)]))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_thinned_split_pools_the_world_rows_and_hashes_like_the_unthinned(self, seed):
+        """A longtail_unlabeled run's pooled rows are the world's, and its labeled
+        draw, and so its split_hash, is the unthinned run's."""
+        config = ExperimentConfig()
+        world = build_domains(config)
+        full, full_hash = split_sources(config, world, seed, heldout=0)
+        thinned, thinned_hash = split_sources(replace(config, longtail_unlabeled=True), world,
+                                              seed, heldout=0)
+        assert np.shares_memory(_pool_sources(thinned)[0], world.features)
+        assert thinned_hash == full_hash
+        assert (sum(len(d.unlabeled_indices) for d in thinned)
+                < sum(len(d.unlabeled_indices) for d in full))
+
+    def test_splits_of_two_worlds_are_not_pooled(self):
+        config = ExperimentConfig()
+        sources = [split_sources(config, build_domains(config), 0, heldout=0)[0][0]
+                   for _ in range(2)]
+        with pytest.raises(ValueError, match="share one world"):
+            _pool_sources(sources)
+
+    def test_pickled_world_is_read_only_and_trains_the_same_bits(self):
+        """A pool worker under spawn or forkserver unpickles the world: the copy is
+        rebuilt through World's constructor, so it is read-only as well."""
+        config = ExperimentConfig(epochs=2)
+        world = build_domains(config)
+        copy = pickle.loads(pickle.dumps(world))
+        np.testing.assert_array_equal(copy.features, world.features)
+        np.testing.assert_array_equal(copy.labels, world.labels)
+        np.testing.assert_array_equal(copy.bounds, world.bounds)
+        assert not world.features.flags.writeable and not copy.features.flags.writeable
+        assert not copy.labels.flags.writeable
+        states = [train(config, split_sources(config, w, 0, heldout=1)[0], seed=0)
+                  for w in (world, copy)]
+        assert np.array_equal(states[0].model.flat, states[1].model.flat)
 
     def test_wide_run_holds_less_than_its_unlabeled_rows(self):
         """Beyond the model, velocity, grads and scratch buffers, a wide run's
         training peak stays below the bytes of the unlabeled rows it trains on
         (2.23 MiB): a run that copies its pool holds them all at once."""
         config = ExperimentConfig(**self.WIDE)
-        domains = build_domains(config)
-        sources, _ = split_sources(config, domains, seed=0, heldout=0)
+        world = build_domains(config)
+        sources, _ = split_sources(config, world, seed=0, heldout=0)
         train(config, sources, seed=0)  # warm: first-call allocations are not the run's
         tracemalloc.start()
         try:
@@ -425,8 +481,8 @@ class TestAblation:
     def test_variant_with_a_different_split_rejected(self, tmp_path, monkeypatch):
         original = experiments.split_sources
 
-        def skewed(config, domains, seed, heldout):
-            sources, split_hash = original(config, domains, seed, heldout)
+        def skewed(config, world, seed, heldout):
+            sources, split_hash = original(config, world, seed, heldout)
             return sources, (split_hash + "x" if config.alpha == 1.0 else split_hash)
 
         monkeypatch.setattr(experiments, "split_sources", skewed)
@@ -515,7 +571,7 @@ class TestConfig:
         # build_domains reads only the world's fields, so any m_l and gamma do
         world = build_domains(SimpleNamespace(**{**asdict(ExperimentConfig()), **overrides}))
         try:
-            split_labeled_unlabeled(world[0], LongTailSpec(k, m_l, gamma), seed=0,
+            split_labeled_unlabeled(world, 0, LongTailSpec(k, m_l, gamma), seed=0,
                                     longtail_unlabeled=longtail)
             split_error = None
         except ValueError as exc:

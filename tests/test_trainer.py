@@ -9,8 +9,8 @@ import pytest
 
 import ltinfomax.trainer as trainer_module
 from ltinfomax.data import (
-    DomainDataset,
     LongTailSpec,
+    World,
     augment_pair,
     domain_rotation,
     split_labeled_unlabeled,
@@ -33,20 +33,27 @@ from ltinfomax.trainer import (
 
 def toy_sources(k=3, d=8, n_per_class=30, noise=0.4, gamma=1.0, m_l=5,
                 num_domains=3, shift=0.5, seed0=100):
+    """One Split per domain of a ``num_domains``-domain World of blobs."""
     rng = np.random.default_rng(0)
     centroids = 3.0 * rng.standard_normal((k, d))
     labels = np.repeat(np.arange(k), n_per_class)
-    domains = []
+    blocks = []
     for i in range(num_domains):
         moved = (centroids + shift * rng.standard_normal(d)) @ domain_rotation(d, 50 + i, 0.1).T
         noise_draw = np.random.default_rng(seed0 + i).standard_normal((len(labels), d))
-        data = DomainDataset(moved[labels] + noise * noise_draw, labels,
-                             labeled_indices=np.empty(0, dtype=int),
-                             unlabeled_indices=np.arange(len(labels)), num_classes=k,
-                             domain_id=i)
-        domains.append(split_labeled_unlabeled(data, LongTailSpec(k, m_l, gamma),
-                                               seed=seed0 + 10 + i))
-    return domains
+        blocks.append(moved[labels] + noise * noise_draw)
+    world = World(np.concatenate(blocks), np.tile(labels, num_domains),
+                  np.arange(num_domains + 1) * len(labels), k)
+    return [split_labeled_unlabeled(world, i, LongTailSpec(k, m_l, gamma), seed=seed0 + 10 + i)
+            for i in range(num_domains)]
+
+
+def pooled(sources):
+    """(labeled rows, their labels, unlabeled rows) of ``sources``, in source order."""
+    domains = [(*s.world.domain(s.domain), s) for s in sources]
+    return (np.concatenate([x[s.labeled_indices] for x, _, s in domains]),
+            np.concatenate([y[s.labeled_indices] for _, y, s in domains]),
+            np.concatenate([x[s.unlabeled_indices] for x, _, s in domains]))
 
 
 class TestForward:
@@ -317,10 +324,8 @@ def reference_step(state, lab_x, lab_y, unl_x):
 
 def reference_train(config, sources, seed, supervised_only=False):
     """Straight-line train(): labeled indices drawn per step, reference_step."""
-    lab_x = np.concatenate([d.labeled()[0] for d in sources])
-    lab_y = np.concatenate([d.labeled()[1] for d in sources])
-    unl_x = np.concatenate([d.unlabeled() for d in sources])
-    state = make_state(config, sources[0].dim, sources[0].num_classes, seed)
+    lab_x, lab_y, unl_x = pooled(sources)
+    state = make_state(config, lab_x.shape[1], sources[0].world.num_classes, seed)
     steps, batch = len(unl_x) // config.unlabeled_batch, config.unlabeled_batch
     history = []
     for epoch in range(config.epochs):
@@ -351,13 +356,11 @@ class TestStepParity:
         per-branch reference after three epochs of steps."""
         objective, supervised = PARITY_CASES[name]
         sources = toy_sources()
-        lab_x = np.concatenate([d.labeled()[0] for d in sources])
-        lab_y = np.concatenate([d.labeled()[1] for d in sources])
-        unl_x = np.concatenate([d.unlabeled() for d in sources])
+        lab_x, lab_y, unl_x = pooled(sources)
         cfg = ExperimentConfig(hidden=(16, 16), learning_rate=0.1, labeled_batch=12,
                                unlabeled_batch=24, **objective)
-        fused = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
-        reference = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=5)
+        fused = make_state(cfg, lab_x.shape[1], sources[0].world.num_classes, seed=5)
+        reference = make_state(cfg, lab_x.shape[1], sources[0].world.num_classes, seed=5)
         rng = np.random.default_rng(6)
         accepted = []
         for _ in range(3 * (len(unl_x) // cfg.unlabeled_batch)):
@@ -382,12 +385,10 @@ class TestStepParity:
         The wide-classes benchmark's shapes (K=40, 64 features, hidden
         256x256) take BLAS's large-matrix kernels (M*N*K above 10^6)."""
         sources = toy_sources(k=k, d=dim, n_per_class=40, seed0=200)
-        lab_x = np.concatenate([d.labeled()[0] for d in sources])
-        lab_y = np.concatenate([d.labeled()[1] for d in sources])
-        unl_x = np.concatenate([d.unlabeled() for d in sources])
+        lab_x, lab_y, unl_x = pooled(sources)
         cfg = ExperimentConfig(hidden=hidden, tau=tau)
-        fused = make_state(cfg, sources[0].dim, k, seed=3)
-        reference = make_state(cfg, sources[0].dim, k, seed=3)
+        fused = make_state(cfg, dim, k, seed=3)
+        reference = make_state(cfg, dim, k, seed=3)
         rng = np.random.default_rng(8)
         accepted = []
         for _ in range(steps):
@@ -492,7 +493,7 @@ class TestTrain:
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=0)
         state = train(cfg, sources, seed=9)
-        fresh = make_state(cfg, sources[0].dim, sources[0].num_classes, seed=9)
+        fresh = make_state(cfg, 8, 3, seed=9)  # toy_sources' d and k
         np.testing.assert_array_equal(state.model.flat, fresh.model.flat)
         assert state.history == []
 
@@ -516,7 +517,7 @@ class TestTrain:
         sources = toy_sources(k=3, d=8, n_per_class=30, noise=0.3, m_l=5)
         cfg = ExperimentConfig(hidden=(32,), epochs=20)
         state = train(cfg, sources, seed=11)
-        report = evaluate(state.model, sources[0])
+        report = evaluate(state.model, sources[0].world, 0)
         assert report.accuracy > 0.9
 
     def test_supervised_reduction_bit_identical(self):
@@ -541,7 +542,7 @@ class TestTrain:
     def test_divergence_on_the_last_update_raises(self):
         """One step whose update overflows: no later logits check sees it."""
         sources = toy_sources()
-        assert sum(len(d.unlabeled()) for d in sources) < 1000  # a single step
+        assert sum(len(d.unlabeled_indices) for d in sources) < 1000  # a single step
         cfg = ExperimentConfig(hidden=(32,), epochs=1, learning_rate=1e308, unlabeled_batch=1000)
         with pytest.raises(DivergenceError, match=r"epoch 0 \(seed 4\).*non-finite param"):
             train(cfg, sources, seed=4)
@@ -556,25 +557,25 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         sources = toy_sources(k=2, noise=1e-6, n_per_class=10, m_l=1,
                               shift=0.0)
-        target = sources[0]
+        features, labels = sources[0].world.domain(0)
         # nearest-centroid behaviour via a wide trained model is overkill;
         # construct logits directly from a linear map that separates the blobs
-        x0 = target.features[target.labels == 0].mean(axis=0)
-        x1 = target.features[target.labels == 1].mean(axis=0)
+        x0 = features[labels == 0].mean(axis=0)
+        x1 = features[labels == 1].mean(axis=0)
         w = np.stack([x0, x1], axis=1)
         b = -0.5 * np.array([x0 @ x0, x1 @ x1])
         model = MlpModel([w], [b])
-        report = evaluate(model, target)
+        report = evaluate(model, sources[0].world, 0)
         assert report.accuracy == 1.0
         assert np.all(report.confusion == np.diag(np.diag(report.confusion)))
 
     def test_constant_predictor_matches_frequency(self):
         sources = toy_sources(k=3, n_per_class=20, m_l=2)
-        target = sources[1]
-        model = MlpModel([np.zeros((target.dim, 3))],
+        world = sources[1].world
+        model = MlpModel([np.zeros((world.features.shape[1], 3))],
                          [np.array([10.0, 0.0, 0.0])])
-        report = evaluate(model, target)
-        freq = np.mean(target.labels == 0)
+        report = evaluate(model, world, 1)
+        freq = np.mean(world.domain(1)[1] == 0)
         assert report.accuracy == pytest.approx(freq, abs=1e-12)
 
     def test_ten_sample_hand_tally(self):
@@ -585,43 +586,37 @@ class TestEvaluate:
         labels = np.array([0, 0, 1, 0, 1, 1, 0, 0, 1, 0])
         model = MlpModel([np.array([[1.0, -1.0]])], [np.zeros(2)])
         # predictions: 0,0,0,0,1,1,1,0,1,1 -> matches at rows 0,1,3,4,5,7,8
-        from ltinfomax.data import DomainDataset
-        target = DomainDataset(feats, labels, np.arange(10), np.empty(0, dtype=int),
-                               num_classes=2)
-        # DomainDataset requires a partition; indices above: all labeled
-        report = evaluate(model, target)
+        report = evaluate(model, World(feats, labels, [0, 10], num_classes=2), 0)
         assert report.accuracy == pytest.approx(0.7, abs=1e-12)
 
     def test_side_effect_free(self):
-        sources = toy_sources()
-        model = init_mlp([sources[0].dim, 8, sources[0].num_classes],
-                         np.random.default_rng(0))
+        world = toy_sources()[0].world
+        model = init_mlp([8, 8, 3], np.random.default_rng(0))
         before = model.flat.copy()
-        r1 = evaluate(model, sources[0])
-        r2 = evaluate(model, sources[0])
+        r1 = evaluate(model, world, 0)
+        r2 = evaluate(model, world, 0)
         np.testing.assert_array_equal(model.flat, before)
         assert r1.accuracy == r2.accuracy
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
 
     def test_overflowing_logits_are_a_divergence(self):
         """Finite but huge parameters overflow the target logits."""
-        sources = toy_sources()
-        model = init_mlp([sources[0].dim, 8, sources[0].num_classes], np.random.default_rng(1))
+        world = toy_sources()[0].world
+        model = init_mlp([8, 8, 3], np.random.default_rng(1))
         model.flat *= 1e200
         with pytest.raises(DivergenceError, match="target"):
-            evaluate(model, sources[0])
+            evaluate(model, world, 0)
 
     def test_memory_is_bounded_by_blocks(self):
         """20000 rows through one 512-wide layer: one product would hold 82 MB
         of activations plus 10 MB of masks; the blocks hold about 1 MB."""
         rng = np.random.default_rng(0)
         n = 20000
-        target = DomainDataset(rng.standard_normal((n, 4)), rng.integers(2, size=n),
-                               np.arange(n), np.empty(0, dtype=int), num_classes=2)
+        target = World(rng.standard_normal((n, 4)), rng.integers(2, size=n), [0, n], 2)
         model = init_mlp([4, 512, 2], rng)
         tracemalloc.start()
         try:
-            evaluate(model, target)
+            evaluate(model, target, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,10 +629,9 @@ class TestEvaluate:
         the row sums take numpy's >= 8-wide pairwise path, and 2 * 256 + 1 rows
         end on a 257-row block."""
         rng = np.random.default_rng(k)
-        target = DomainDataset(rng.standard_normal((n, 6)), rng.integers(k, size=n),
-                               np.arange(n), np.empty(0, dtype=int), num_classes=k)
+        target = World(rng.standard_normal((n, 6)), rng.integers(k, size=n), [0, n], k)
         model = init_mlp([6, 16, k], rng)
-        report = evaluate(model, target)
+        report = evaluate(model, target, 0)
         logits = forward(model, target.features)
         preds = np.argmax(logits, axis=-1)
         confusion = np.zeros((k, k), dtype=np.int64)
@@ -650,12 +644,11 @@ class TestEvaluate:
         assert np.array_equal(report.predicted_marginal, softmax(logits).mean(axis=0))
 
     def test_report_invariants(self):
-        sources = toy_sources()
-        model = init_mlp([sources[0].dim, 8, sources[0].num_classes],
-                         np.random.default_rng(1))
-        report = evaluate(model, sources[0])
+        world = toy_sources()[0].world
+        model = init_mlp([8, 8, 3], np.random.default_rng(1))
+        report = evaluate(model, world, 0)
         assert report.accuracy == pytest.approx(
             np.trace(report.confusion) / report.confusion.sum(), abs=1e-15
         )
         np.testing.assert_allclose(report.predicted_marginal.sum(), 1.0, atol=1e-9)
-        assert report.confusion.sum() == sources[0].n_samples
+        assert report.confusion.sum() == len(world.domain(0)[1])
