@@ -19,9 +19,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ltinfomax import ExperimentConfig, ablation, run_suite, sweep
+from ltinfomax import ExperimentConfig, ablation, run_suites, sweep
 
 SEEDS = (0, 1, 2)
+GAMMAS = (1.0, 10.0, 50.0)
 
 with tempfile.TemporaryDirectory() as tmp:
     config = ExperimentConfig(seeds=SEEDS, out_dir=tmp)
@@ -37,12 +38,11 @@ with tempfile.TemporaryDirectory() as tmp:
     print("=" * 70)
     print("b. Imbalance sweep: gap (full objective - baseline) per gamma")
     print("=" * 70)
-    for gamma in (1.0, 10.0, 50.0):
-        cfg_g = replace(config, gamma=gamma)
-        full = np.mean([r.accuracy for r in
-                        run_suite(replace(cfg_g, marginal_weight=1.0), write=False)])
-        base = np.mean([r.accuracy for r in
-                        run_suite(replace(cfg_g, marginal_weight=0.0), write=False)])
+    # the six (gamma, marginal_weight) suites share one world: one run_suites call
+    suites = run_suites([replace(config, gamma=g, marginal_weight=w)
+                         for g in GAMMAS for w in (1.0, 0.0)], write=False)
+    means = [np.mean([r.accuracy for r in records]) for records in suites]
+    for gamma, full, base in zip(GAMMAS, means[::2], means[1::2]):
         bar = "#" * max(0, int(round((full - base) * 400)))
         print(f"gamma={gamma:4g}  baseline={base:.4f}  full={full:.4f}  "
               f"gap={full - base:+.4f} {bar}")

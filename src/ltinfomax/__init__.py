@@ -4,7 +4,7 @@ harness on synthetic multi-domain data."""
 
 from .data import LongTailSpec, long_tail_counts, split_labeled_unlabeled
 from .errors import ConfigError, DivergenceError
-from .experiments import ExperimentConfig, ablation, build_domains, run_suite, sweep
+from .experiments import ExperimentConfig, ablation, build_domains, run_suite, run_suites, sweep
 from .numerics import finite_diff_gradient, relative_error
 from .objectives import (
     branch_rows,

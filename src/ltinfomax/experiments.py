@@ -3,12 +3,13 @@
 A suite is |seeds| x |hold-outs| runs. Every run is a pure function of
 (config, seed, held-out domain): the synthetic world (build_domains:
 Gaussian class blobs, moved and axis-mixed per domain) depends only on the
-config's data fields and is built once per sweep/ablation, one pool for
-all its suites (once per suite when run_suite is called directly); the
-long-tail split is drawn from the run seed with one class order shared
-across that run's source domains, and training uses isolated per-run RNG
-streams. Results land in runs.csv (one row per run), aggregate.csv (mean
-and population std) and one JSON log per run with the per-epoch loss
+config's WORLD_FIELDS. run_suites runs any list of suites that share one
+world on one build of it and, with jobs > 1, one pool; sweep and ablation
+are run_suites calls, and run_suite alone builds its own. The long-tail
+split is drawn from the run seed with one class order shared across that
+run's source domains, and training uses isolated per-run RNG streams.
+Results land in runs.csv (one row per run), aggregate.csv (mean and
+population std) and one JSON log per run with the per-epoch loss
 breakdown.
 """
 
@@ -41,6 +42,8 @@ from .trainer import EVAL_ROWS, evaluate, train
 RUNS_CSV_COLUMNS = ["seed", "heldout", "alpha", "tau", "gamma", "m_l", "accuracy", "wall_s"]
 AGGREGATE_COLUMNS = ["alpha", "tau", "gamma", "m_l", "n_runs", "mean_accuracy", "std_accuracy"]
 SWEEP_AXES = {"alpha": "alpha", "gamma": "gamma", "ml": "m_l"}  # axis -> config field
+# the config fields build_domains reads: configs equal on them share one world
+WORLD_FIELDS = ("num_domains", "num_classes", "feature_dim", "n_per_class", "data_seed")
 MAX_RUN_VALUES = 10**8  # float64 values one run may allocate (800 MB)
 # the synthetic world's scales: class centroid spread, per-domain mean shift,
 # within-class noise and per-domain axis mixing
@@ -293,48 +296,46 @@ def _init_worker(world):
     _worker_world = world
 
 
-def _run_worker(args):
-    config, seed, heldout = args
-    return execute_run(config, seed, heldout, _worker_world)
-
-
-def _suite_tasks(config):
-    """A suite's runs as (config, seed, heldout), by seed, then held-out id."""
-    heldouts = range(config.num_domains) if config.held_out is None else [config.held_out]
-    return [(config, s, h) for s in config.seeds for h in heldouts]
+def _run_worker(task):  # task: (config, seed, heldout)
+    return execute_run(*task, _worker_world)
 
 
 @contextmanager
-def open_runner(config, queued):
-    """Build the world once and yield a runner: tasks -> RunRecords.
+def _open_runner(configs, write):
+    """Build the world of ``configs`` once and yield a runner: a config of
+    ``configs`` in, its suite's RunRecords out.
 
-    A task is (config, seed, heldout), and a runner call takes each of the
-    ``queued`` tasks at most once; every task's config must share
-    ``config``'s data fields, since all of them run on its world. With
-    config.jobs == 1 a runner call runs its tasks serially in this process.
-    Otherwise the tasks go to one process pool of at most one worker per
-    ``queued`` task, whose workers receive the world once at start-up
-    (inherited under fork, else unpickled through World's constructor,
-    which makes the copy read-only). The pool starts on the queued
-    tasks at once, so its workers keep busy while the caller writes one
-    suite's results; a runner call collects the records of its queued
-    tasks. On exit the pool is shut down and, after an error, its pending
-    tasks are cancelled.
+    Configs whose WORLD_FIELDS differ from the first one's raise
+    ConfigError, naming the fields, before any output directory is made
+    (each config's out_dir, when ``write``) or any world built. With the
+    first config's jobs == 1 a runner call runs its suite serially in this
+    process. Otherwise every suite's runs are queued at once (by config,
+    then seed, then held-out id) on one process pool of at most one worker
+    per run, whose workers receive the world once at start-up (inherited
+    under fork, else unpickled through World's constructor, which makes the
+    copy read-only), so they keep busy while the caller writes one suite's
+    results. On exit the pool is shut down and, after an error, its
+    pending runs are cancelled.
     """
-    world = build_domains(config)
-    if config.jobs == 1:
-        yield lambda tasks: [execute_run(c, s, h, world) for c, s, h in tasks]
+    first = configs[0]
+    differ = [f for f in WORLD_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
+    if differ:
+        raise ConfigError(f"suites run together must share one world; these fields "
+                          f"differ: {', '.join(differ)}")
+    tasks = {c: [(c, s, h) for s in c.seeds for h in (
+        range(c.num_domains) if c.held_out is None else [c.held_out])] for c in configs}
+    for config in tasks if write else ():
+        ensure_writable(config.out_dir)
+    world = build_domains(first)
+    if first.jobs == 1:
+        yield lambda config: [execute_run(*task, world) for task in tasks[config]]
         return
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
-    pool = ProcessPoolExecutor(max_workers=min(config.jobs, len(queued)),
+    pool = ProcessPoolExecutor(max_workers=min(first.jobs, sum(map(len, tasks.values()))),
                                initializer=_init_worker, initargs=(world,))
     try:
-        submitted = {task: pool.submit(_run_worker, task) for task in queued}
-
-        def run(tasks):
-            return [submitted.pop(t).result() for t in tasks]
-
-        yield run
+        futures = {c: [pool.submit(_run_worker, t) for t in ts] for c, ts in tasks.items()}
+        yield lambda config: [f.result() for f in futures[config]]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -346,29 +347,41 @@ def ensure_writable(out_dir):
     probe = out / ".write_probe"
     probe.write_text("ok")
     probe.unlink()
-    return out
 
 
 def run_suite(config, write=True, *, runner=None):
     """Execute |seeds| x |hold-outs| runs and persist the results.
 
-    The world is built once and shared by every run. ``runner`` comes
-    from open_runner: sweep and ablation open one per sweep/ablation, one
-    pool for all its suites. Without it the suite opens and closes its own.
+    The world is built once and shared by every run. ``runner`` is the
+    one run_suites opens for all its suites (see _open_runner), which has
+    already made config.out_dir; without it the suite opens and closes
+    its own.
 
     Returns the list of RunRecords (ordered by seed, then held-out id).
     """
-    out = ensure_writable(config.out_dir) if write else None
-    tasks = _suite_tasks(config)
-    with (nullcontext(runner) if runner else open_runner(config, tasks)) as run:
-        records = run(tasks)
-    records.sort(key=lambda r: (r.seed, r.heldout))
+    with nullcontext(runner) if runner else _open_runner([config], write) as run:
+        records = sorted(run(config), key=lambda r: (r.seed, r.heldout))
     if write:
+        out = Path(config.out_dir)
         write_runs_csv(records, out / "runs.csv")
         write_aggregate_csv([suite_aggregate(config, records)], out / "aggregate.csv")
         for rec in records:
             write_run_json(rec, out / f"run_s{rec.seed}_h{rec.heldout}.json")
     return records
+
+
+def run_suites(configs, write=True):
+    """run_suite per config, all on one world and one runner (see _open_runner,
+    which also makes every out_dir before any run when ``write``). A config
+    listed twice runs once and its records come back in both places.
+    Returns one list of RunRecords per config, in order.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    with _open_runner(configs, write) as runner:
+        records = {c: run_suite(c, write, runner=runner) for c in dict.fromkeys(configs)}
+    return [records[c] for c in configs]
 
 
 def suite_aggregate(config, records):
@@ -378,43 +391,27 @@ def suite_aggregate(config, records):
                                         len(records), float(acc.mean()), float(acc.std()))))
 
 
-def _run_variants(config, variants):
-    """run_suite per (subdir, overrides) of ``variants``, into that subdir of
-    config.out_dir, on one world and one runner (see open_runner).
-
-    Every variant's config is built, and so validated, before the output
-    directory is made. Returns [(variant config, records), ...] in order.
-    """
-    out = Path(config.out_dir)
-    configs = [replace(config, **kw, out_dir=str(out / subdir)) for subdir, kw in variants]
-    ensure_writable(out)
-    with open_runner(config, [t for c in configs for t in _suite_tasks(c)]) as runner:
-        return [(c, run_suite(c, runner=runner)) for c in configs]
-
-
 def sweep(config, axis, values):
-    """run_suite per value of one axis; returns [(value, mean, std), ...].
+    """run_suites over one axis's values; returns [(value, mean, std), ...].
 
-    Axis is one of 'alpha', 'gamma', 'ml'. No axis changes the world, so
-    every value's suite runs on one world and one runner. Values that would
-    share an ``<axis>_<value:g>`` directory are rejected before any run.
+    Axis is one of 'alpha', 'gamma', 'ml', none of which changes the world.
+    Each value's suite goes to its ``<axis>_<value:g>`` directory; values
+    that would share one are rejected before any run.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    field, subdirs = SWEEP_AXES[axis], [f"{axis}_{v:g}" for v in values]
+    out, subdirs = Path(config.out_dir), [f"{axis}_{v:g}" for v in values]
     repeated = sorted({d for d in subdirs if subdirs.count(d) > 1})
     if repeated:
         raise ConfigError(f"sweep values {values} share the output directories {repeated}")
-    suites = _run_variants(config, [(d, {field: v}) for d, v in zip(subdirs, values)])
-    table = []
-    for v, (cfg, records) in zip(values, suites):
-        agg = suite_aggregate(cfg, records)
-        table.append((float(v), agg["mean_accuracy"], agg["std_accuracy"]))
-    emit_plot_data(table, Path(config.out_dir) / f"sweep_{axis}.dat",
-                   header=(axis, "mean", "std"))
+    configs = [replace(config, **{SWEEP_AXES[axis]: v}, out_dir=str(out / d))
+               for d, v in zip(subdirs, values)]
+    aggs = [suite_aggregate(c, records) for c, records in zip(configs, run_suites(configs))]
+    table = [(float(v), a["mean_accuracy"], a["std_accuracy"]) for v, a in zip(values, aggs)]
+    emit_plot_data(table, out / f"sweep_{axis}.dat", header=(axis, "mean", "std"))
     return table
 
 
@@ -428,26 +425,27 @@ def ablation(config):
     +marginal_entropy: Shannon marginal term (alpha = 1);
     +alpha_marginal_entropy: the configured alpha.
 
-    The variants share one world and one runner (see open_runner).
+    The variants are one run_suites call, on one world and one runner.
 
     Returns rows of (label, mean, std, delta_vs_baseline).
     """
     overrides = ({"marginal_weight": 0.0}, {"marginal_weight": 1.0, "alpha": 1.0},
                  {"marginal_weight": 1.0})
-    suites = _run_variants(config, [(label.replace("+", "plus_"), kw)
-                                    for label, kw in zip(ABLATION_VARIANTS, overrides)])
+    out = Path(config.out_dir)
+    configs = [replace(config, **kw, out_dir=str(out / label.replace("+", "plus_")))
+               for label, kw in zip(ABLATION_VARIANTS, overrides)]
+    suites = run_suites(configs)
 
     # identical splits across variants: protocol fields are shared
-    base = suites[0][1]
-    for label, (_, records) in zip(ABLATION_VARIANTS[1:], suites[1:]):
-        if any(a.split_hash != b.split_hash for a, b in zip(base, records)):
+    for label, records in zip(ABLATION_VARIANTS[1:], suites[1:]):
+        if any(a.split_hash != b.split_hash for a, b in zip(suites[0], records)):
             raise RuntimeError(f"variant {label} saw a different data split")
 
-    aggs = [suite_aggregate(cfg, records) for cfg, records in suites]
+    aggs = [suite_aggregate(c, records) for c, records in zip(configs, suites)]
     rows = [(label, a["mean_accuracy"], a["std_accuracy"],
              a["mean_accuracy"] - aggs[0]["mean_accuracy"])
             for label, a in zip(ABLATION_VARIANTS, aggs)]
-    _write_csv(Path(config.out_dir) / "ablation.csv",
+    _write_csv(out / "ablation.csv",
                ["variant", "mean_accuracy", "std_accuracy", "delta_vs_baseline"], rows)
     return rows
 

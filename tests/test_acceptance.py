@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from ltinfomax.data import LongTailSpec, augment_pair, long_tail_counts
-from ltinfomax.experiments import ExperimentConfig, _suite_tasks, open_runner, run_suite
+from ltinfomax.experiments import ExperimentConfig, run_suite, run_suites
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
     infomax_loss_and_grad,
@@ -238,17 +238,15 @@ TREND_SUITES = ([dict(marginal_weight=0.0), dict(marginal_weight=1.0, alpha=1.0)
 
 @pytest.fixture(scope="module")
 def trend_suites():
-    """Criteria 6 and 7's suites on seeds 0-9, each distinct config run once
-    through one runner. Returns (accuracies, elapsed): accuracies(**overrides)
-    is that suite's per-run accuracies by seed, then held-out id, and elapsed
-    the wall time of all of them."""
+    """Criteria 6 and 7's suites on seeds 0-9, in one run_suites call (which
+    runs a repeated config once). Returns (accuracies, elapsed):
+    accuracies(**overrides) is that suite's per-run accuracies by seed, then
+    held-out id, and elapsed the wall time of all of them."""
     base = ExperimentConfig(seeds=tuple(range(10)), jobs=min(2, os.cpu_count() or 1))
-    # a runner keys its queued runs by task, so each config is queued once
-    configs = list(dict.fromkeys(replace(base, **kw) for kw in TREND_SUITES))
+    configs = [replace(base, **kw) for kw in TREND_SUITES]
     start = time.perf_counter()
-    with open_runner(base, [t for c in configs for t in _suite_tasks(c)]) as runner:
-        accuracies = {c: np.array([r.accuracy for r in run_suite(c, write=False, runner=runner)])
-                      for c in configs}
+    accuracies = {c: np.array([r.accuracy for r in records])
+                  for c, records in zip(configs, run_suites(configs, write=False))}
     elapsed = time.perf_counter() - start
     return (lambda **kw: accuracies[replace(base, **kw)]), elapsed
 

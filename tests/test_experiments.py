@@ -30,6 +30,7 @@ from ltinfomax.experiments import (
     execute_run,
     parse_config_file,
     run_suite,
+    run_suites,
     split_sources,
     suite_aggregate,
     sweep,
@@ -191,16 +192,20 @@ class TestRunSuite:
 
 
 class TestSharedRunner:
-    """sweep and ablation open one runner: one world and, with jobs > 1, one
-    pool for all their suites."""
+    """run_suites, and so sweep and ablation, open one runner: one world and,
+    with jobs > 1, one pool for all their suites."""
 
     @staticmethod
     def _run(entry, cfg):
         if entry == "sweep":
             return sweep(cfg, "gamma", [1.0, 10.0])
+        if entry == "run_suites":
+            configs = [replace(cfg, alpha=a, out_dir=str(Path(cfg.out_dir) / str(a)))
+                       for a in (1.0, 2.0)]
+            return [[replace(r, wall_s=0.0) for r in records] for records in run_suites(configs)]
         return ablation(cfg)
 
-    @pytest.mark.parametrize("entry", ["sweep", "ablation"])
+    @pytest.mark.parametrize("entry", ["sweep", "ablation", "run_suites"])
     def test_one_pool_and_one_world_with_the_serial_records(self, tmp_path, monkeypatch,
                                                              entry):
         pools, worlds, suites = [], [], []
@@ -248,6 +253,32 @@ class TestSharedRunner:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         records = run_suite(fast_config(tmp_path, seeds=(0, 1), held_out=0, jobs=8))
         assert pools == [2] and len(records) == 2
+
+    def test_suites_of_another_world_rejected_before_any_build(self, tmp_path, monkeypatch):
+        builds = []
+        monkeypatch.setattr(experiments, "build_domains", builds.append)
+        cfg = fast_config(tmp_path, seeds=(0,), held_out=0, jobs=2)
+        other = replace(cfg, data_seed=8, n_per_class=30, gamma=2.0,
+                        out_dir=str(tmp_path / "other"))
+        with pytest.raises(ConfigError, match=r"differ: n_per_class, data_seed$"):
+            run_suites([cfg, replace(cfg, gamma=2.0), other])
+        assert builds == [] and not (tmp_path / "out").exists()
+        assert not (tmp_path / "other").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_repeated_config_runs_once_and_returns_its_records_again(self, tmp_path,
+                                                                     monkeypatch, jobs):
+        suites, original = [], experiments.run_suite
+        monkeypatch.setattr(experiments, "run_suite",
+                            lambda c, *a, **kw: suites.append(c) or original(c, *a, **kw))
+        a = fast_config(tmp_path, seeds=(0,), held_out=0, jobs=jobs)
+        b = replace(a, alpha=2.0, out_dir=str(tmp_path / "b"))
+        got = run_suites([a, b, a], write=False)
+        assert suites == [a, b] and len(got) == 3 and got[2] == got[0] != got[1]
+
+    def test_no_suites_no_world(self, monkeypatch):
+        monkeypatch.setattr(experiments, "build_domains", None)
+        assert run_suites([]) == []
 
 
 class TestExecuteRun:
