@@ -65,8 +65,8 @@ class World:
     """Every domain's rows in one read-only (rows, d) float64 buffer, one label
     in [0, num_classes) per row; domain d is rows bounds[d]:bounds[d + 1].
     ``features`` are adopted if a C-contiguous, read-only float64 array that
-    owns its buffer, else copied, as are the labels and bounds. Unpickling
-    runs this constructor, so a pool worker's copy is checked and read-only."""
+    owns its buffer or views bytes, else copied, as are the labels and bounds.
+    Unpickling adopts the rows' bytes: one checked copy that no one can write."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -75,8 +75,8 @@ class World:
 
     def __post_init__(self):
         feats = self.features
-        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.base is None
-                and feats.flags.c_contiguous and not feats.flags.writeable):
+        if not (type(feats) is np.ndarray and feats.dtype == np.float64 and feats.flags.c_contiguous
+                and not feats.flags.writeable and isinstance(feats.base, (bytes, type(None)))):
             feats = np.array(feats, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError("features must be (N, d)")
@@ -97,7 +97,12 @@ class World:
         return self.features[rows], self.labels[rows]
 
     def __reduce__(self):
-        return World, (self.features, self.labels, self.bounds, self.num_classes)
+        return _world_from_bytes, (self.features.tobytes(), self.features.shape,
+                                   self.labels, self.bounds, self.num_classes)
+
+
+def _world_from_bytes(rows, shape, labels, bounds, num_classes):
+    return World(np.ndarray(shape, np.float64, rows), labels, bounds, num_classes)
 
 
 @dataclass(frozen=True, eq=False)

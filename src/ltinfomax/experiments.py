@@ -267,8 +267,7 @@ def execute_run(config, seed, heldout, world):
         state = train(config, sources, seed)
         report = evaluate(state.model, world, heldout)
     except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
-        seed_note = "" if f"(seed {seed})" in str(exc) else f"seed {seed}, "
-        raise DivergenceError(f"{exc} ({seed_note}held-out domain {heldout})") from None
+        raise DivergenceError(f"{exc} (seed {seed}, held-out domain {heldout})") from None
     wall = time.perf_counter() - t0
     return RunRecord(
         config_hash=config.hash(),
@@ -312,8 +311,8 @@ def _open_runner(configs, write):
     process. Otherwise every suite's runs are queued at once (by config,
     then seed, then held-out id) on one process pool of at most one worker
     per run, whose workers receive the world once at start-up (inherited
-    under fork, else unpickled through World's constructor, which makes the
-    copy read-only), so they keep busy while the caller writes one suite's
+    under fork, else unpickled without a second copy into a World whose rows
+    cannot be written), so they keep busy while the caller writes one suite's
     results. On exit the pool is shut down and, after an error, its
     pending runs are cancelled.
     """

@@ -3,9 +3,9 @@
 The network is rectifier-activated, trained by SGD with momentum on
 mixed labeled/unlabeled mini-batches under the composite InfoMax
 objective. Four independent RNG streams are derived from the run seed
-(init, labeled sampling, unlabeled ordering, augmentation), so dropping
-the unlabeled side of training leaves every other draw untouched; that
-is what makes the supervised-only reduction bit-identical.
+(init, labeled sampling, unlabeled ordering, augmentation). The unlabeled
+draws leave all others untouched, so a run with marginal_weight = 0 and
+tau > 1 lands on a labeled-only loop's parameters bit for bit.
 """
 
 import math
@@ -66,7 +66,6 @@ class TrainState:
 
     model: MlpModel
     config: object
-    seed: int
     epoch: int = 0
     velocity: MlpModel = None
     grads: MlpModel = None
@@ -140,7 +139,7 @@ def make_state(config, input_dim, num_classes, seed):
     model = init_mlp(sizes, rngs["init"])
     velocity = model.copy()
     velocity.flat.fill(0.0)
-    return TrainState(model=model, config=config, seed=int(seed), velocity=velocity,
+    return TrainState(model=model, config=config, velocity=velocity,
                       grads=model.copy(), scratch=model.copy(), rngs=rngs)
 
 
@@ -187,11 +186,10 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         if np.isfinite(logits).all():
             raise
         peak = float(np.abs(model.flat).max())
-        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): non-finite "
-                              f"logits; max |param| = {peak:.3g}") from None
+        raise DivergenceError(f"at epoch {state.epoch}: non-finite logits; "
+                              f"max |param| = {peak:.3g}") from None
     if not math.isfinite(breakdown.total):
-        raise DivergenceError(f"at epoch {state.epoch} (seed {state.seed}): "
-                              f"non-finite loss: {breakdown.to_dict()}")
+        raise DivergenceError(f"at epoch {state.epoch}: non-finite loss: {breakdown.to_dict()}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
@@ -224,18 +222,18 @@ def _pool_sources(sources):
     return world.features, lab_ids, world.labels[lab_ids], unl_ids, world.num_classes
 
 
-def train(config, sources, seed, supervised_only=False):
+def train(config, sources, seed):
     """Train on pooled source domains; deterministic given the seed.
 
     Per step a labeled mini-batch is resampled with replacement and an
     unlabeled mini-batch is taken from a per-epoch shuffle of the pooled
     unlabeled rows; ``sources`` are Splits of one world, and each batch is
-    gathered by row id from its buffer (see _pool_sources). ``supervised_only``
-    skips the unlabeled side entirely but keeps the same step schedule and
-    labeled draws, so a run with marginal_weight = 0 and tau > 1 lands on
-    bit-identical parameters. Overflow warnings are silenced: non-finite logits, loss
-    or final parameters, or an epoch-mean total loss above DIVERGED_LOSS,
-    raise DivergenceError instead. Of ``config``, an ExperimentConfig, it
+    gathered by row id from its buffer (see _pool_sources). A supervised
+    baseline is marginal_weight = 0 and tau > 1: no unlabeled row then
+    contributes a gradient, and the parameters are those of a labeled-only
+    loop. Overflow warnings are silenced: non-finite logits, loss or final
+    parameters, or an epoch-mean total loss above DIVERGED_LOSS, raise
+    DivergenceError naming the epoch instead. Of ``config``, an ExperimentConfig, it
     reads epochs and the two batch sizes; make_state and train_step the rest.
     """
     if len(sources) < 2:
@@ -253,29 +251,24 @@ def train(config, sources, seed, supervised_only=False):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             state.epoch = epoch
-            if n_unl and not supervised_only:
-                unl_order = unl_ids[state.rngs["unlabeled"].permutation(n_unl)]
+            unl_order = unl_ids[state.rngs["unlabeled"].permutation(n_unl)]
             # one call draws what a call per step of size labeled_batch would
             # (the same draws as choice(len(lab_ids), size, replace=True))
             lab_idx = state.rngs["labeled"].integers(len(lab_ids),
                                                      size=(steps, config.labeled_batch))
             lab_order = lab_ids[lab_idx]
             for s in range(steps):
-                if n_unl and not supervised_only:
-                    chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
-                    batch_unl = rows[chunk]
-                else:
-                    batch_unl = None
-                breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]], batch_unl)
+                chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
+                breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]], rows[chunk])
                 terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
             state.history.append({**means, "epoch": epoch})
             if means["total"] > DIVERGED_LOSS:
-                raise DivergenceError(f"at epoch {epoch} (seed {state.seed}): epoch-mean "
-                                      f"loss {means['total']:.3g} above {DIVERGED_LOSS:g}")
+                raise DivergenceError(f"at epoch {epoch}: epoch-mean loss "
+                                      f"{means['total']:.3g} above {DIVERGED_LOSS:g}")
             state.epoch = epoch + 1
     if not np.isfinite(state.model.flat).all():
-        raise DivergenceError(f"at epoch {state.epoch - 1} (seed {state.seed}): "
+        raise DivergenceError(f"at epoch {state.epoch - 1}: "
                               "non-finite parameters after the last update")
     return state
 

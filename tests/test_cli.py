@@ -229,8 +229,8 @@ class TestExitCodes:
                            "--set", "learning_rate=1e150", "run")
         assert code == EXIT_DIVERGENCE
         err = capsys.readouterr().err
-        assert err.startswith("run diverged: at epoch 0 (seed 0): ")
-        assert err.endswith(" (held-out domain 0)\n") and err.count("seed") == 1
+        assert err.startswith("run diverged: at epoch 0: ")
+        assert err.endswith(" (seed 0, held-out domain 0)\n") and err.count("seed") == 1
         assert err.count("\n") == 1
 
     @staticmethod

@@ -433,6 +433,25 @@ class TestCopyFreeRun:
                   for w in (world, copy)]
         assert np.array_equal(states[0].model.flat, states[1].model.flat)
 
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_unpickling_a_wide_world_copies_its_rows_once(self, protocol):
+        """A worker started by spawn or forkserver unpickles the world: the peak
+        stays within a quarter of the rows' bytes above them, and numpy refuses
+        to make the unpickled rows writeable again."""
+        world = build_domains(ExperimentConfig(**self.WIDE))
+        data = pickle.dumps(world, protocol=protocol)
+        pickle.loads(data)  # warm: first-call allocations are not the copy's
+        tracemalloc.start()
+        try:
+            copy = pickle.loads(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * world.features.nbytes, (peak, world.features.nbytes)
+        np.testing.assert_array_equal(copy.features, world.features)
+        with pytest.raises(ValueError):
+            copy.features.flags.writeable = True
+
     def test_wide_run_holds_less_than_its_unlabeled_rows(self):
         """Beyond the model, velocity, grads and scratch buffers, a wide run's
         training peak stays below the bytes of the unlabeled rows it trains on
