@@ -265,7 +265,9 @@ def execute_run(config, seed, heldout, world):
     t0 = time.perf_counter()
     try:
         state = train(config, sources, seed)
-        report = evaluate(state.model, world, heldout)
+        model, history = state.model, state.history
+        del state  # free the optimizer's velocity, grads and scratch before evaluate
+        report = evaluate(model, world, heldout)
     except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
         raise DivergenceError(f"{exc} (seed {seed}, held-out domain {heldout})") from None
     wall = time.perf_counter() - t0
@@ -280,7 +282,7 @@ def execute_run(config, seed, heldout, world):
         accuracy=report.accuracy,
         wall_s=wall,
         split_hash=split_hash,
-        epochs=tuple(state.history),
+        epochs=tuple(history),
         report=report.to_dict(),
     )
 

@@ -84,8 +84,9 @@ def init_mlp(layer_sizes, rng):
 
 
 def forward(model, x):
-    """Logits for a (N, d) batch, run in blocks of EVAL_ROWS rows with no
-    cache, so memory is O(EVAL_ROWS x width). Blocks start at multiples of
+    """Logits for a (N, d) batch, run in blocks of EVAL_ROWS rows through
+    training's _forward_cached, each block's cache dropped before the next,
+    so memory is O(EVAL_ROWS x width). Blocks start at multiples of
     EVAL_ROWS and a 1-row remainder joins the block before it (one row
     would take BLAS's gemv path), so each row meets the kernel of one full
     product."""
@@ -95,25 +96,23 @@ def forward(model, x):
     ends = [*range(EVAL_ROWS, len(x) - 1, EVAL_ROWS), len(x)]  # no 1-row last block
     logits = np.empty((len(x), model.num_classes))
     for lo, hi in zip([0, *ends], ends):
-        logits[lo:hi] = _forward_cached(model, x[lo:hi], keep=False)[0]
+        logits[lo:hi] = _forward_cached(model, x[lo:hi])[0]
     return logits
 
 
-def _forward_cached(model, x, keep=True):
-    """Forward pass; ``keep`` keeps every layer's input and every hidden ReLU
-    mask for _backprop, else no mask is taken and the cache comes back empty.
+def _forward_cached(model, x):
+    """Forward pass that keeps every layer's input and every hidden ReLU mask
+    for _backprop: the one pass of training and evaluation.
 
     The bias add and the ReLU run in place on each product, and each mask
     is taken once for all stacked rows."""
     z, acts, masks = np.asarray(x, dtype=np.float64), [], []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if keep:
-            acts.append(z)
+        acts.append(z)
         z = z @ w
         z += b
         if i < len(model.weights) - 1:
-            if keep:
-                masks.append(z > 0)
+            masks.append(z > 0)
             np.maximum(z, 0.0, out=z)
     return z, (acts, masks)
 

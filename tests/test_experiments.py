@@ -469,6 +469,27 @@ class TestCopyFreeRun:
         unlabeled = sum(len(d.unlabeled_indices) for d in sources) * config.feature_dim * 8
         assert peak - 4 * state.model.flat.nbytes < unlabeled, (peak, unlabeled)
 
+    def test_wide_run_peaks_in_training_not_in_evaluate(self):
+        """execute_run frees the optimizer's velocity, grads and scratch before
+        evaluate, so evaluate's blocks and (N, K) logits fit in the room they
+        leave: a run peaks within 3% of its training alone. A run that holds the
+        whole TrainState through evaluate peaks 8.8% above it."""
+        config = ExperimentConfig(**self.WIDE)
+        world = build_domains(config)
+        sources, _ = split_sources(config, world, seed=1, heldout=0)
+        execute_run(config, 0, 0, world)  # warm: first-call allocations are not the run's
+        peaks = []
+        for phase in (lambda: train(config, sources, seed=1),
+                      lambda: execute_run(config, 1, 0, world)):
+            tracemalloc.start()
+            try:
+                phase()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        train_peak, run_peak = peaks
+        assert run_peak <= 1.03 * train_peak, (run_peak, train_peak)
+
 
 class TestSweep:
     def test_degenerate_sweep_matches_run_suite(self, tmp_path):
