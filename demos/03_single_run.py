@@ -28,17 +28,17 @@ n_lab = sum(len(s.labeled_indices) for s in sources)
 n_unl = sum(len(s.unlabeled_indices) for s in sources)
 print(f"pooled sources: {n_lab} labeled / {n_unl} unlabeled (split {split_hash})\n")
 
-state = train(config, sources, seed=0)
+model, history = train(config, sources, seed=0)
 
 print(f"{'epoch':>5} {'-H_a(pi)':>9} {'labeled_ce':>11} {'pseudo_ce':>10} "
       f"{'total':>8} {'accepted':>9}")
-for h in state.history:
+for h in history:
     if h["epoch"] % 2 == 0 or h["epoch"] == config.epochs - 1:
         print(f"{h['epoch']:>5} {h['neg_marginal_entropy']:>9.4f} "
               f"{h['labeled_ce']:>11.4f} {h['pseudo_ce']:>10.4f} "
               f"{h['total']:>8.4f} {h['accepted_fraction']:>9.2f}")
 
-report = evaluate(state.model, world, HELD_OUT)
+report = evaluate(model, world, HELD_OUT)
 print(f"\nheld-out accuracy: {report.accuracy:.4f}")
 print(f"per-class accuracy: {np.round(report.per_class_accuracy, 3).tolist()}")
 print(f"predicted marginal: {np.round(report.predicted_marginal, 3).tolist()}")

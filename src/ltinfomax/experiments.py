@@ -264,9 +264,7 @@ def execute_run(config, seed, heldout, world):
     sources, split_hash = split_sources(config, world, seed, heldout)
     t0 = time.perf_counter()
     try:
-        state = train(config, sources, seed)
-        model, history = state.model, state.history
-        del state  # free the optimizer's velocity, grads and scratch before evaluate
+        model, history = train(config, sources, seed)
         report = evaluate(model, world, heldout)
     except DivergenceError as exc:  # name the run: a suite has |seeds| x |held-out| of them
         raise DivergenceError(f"{exc} (seed {seed}, held-out domain {heldout})") from None

@@ -1,11 +1,11 @@
 """Small fully-connected classifier with self-contained backpropagation.
 
-The network is rectifier-activated, trained by SGD with momentum on
-mixed labeled/unlabeled mini-batches under the composite InfoMax
-objective. Four independent RNG streams are derived from the run seed
-(init, labeled sampling, unlabeled ordering, augmentation). The unlabeled
-draws leave all others untouched, so a run with marginal_weight = 0 and
-tau > 1 lands on a labeled-only loop's parameters bit for bit.
+The network is rectifier-activated, trained by SGD with momentum on mixed
+labeled/unlabeled mini-batches under the composite InfoMax objective; train
+returns the model and its loss history. Four independent RNG streams come
+from the run seed (init, labeled sampling, unlabeled ordering, augmentation).
+The unlabeled draws leave the others untouched, so marginal_weight = 0 and
+tau > 1 land on a labeled-only loop's parameters bit for bit.
 """
 
 import math
@@ -60,17 +60,15 @@ class MlpModel:
 
 @dataclass
 class TrainState:
-    """Mutable state of one training run (single-writer) under ``config``,
+    """What one training step reads and writes (single-writer) under ``config``,
     an ExperimentConfig; ``velocity`` and the work buffers ``grads`` and
     ``scratch`` are shaped like the model, and make_state allocates all three."""
 
     model: MlpModel
     config: object
-    epoch: int = 0
     velocity: MlpModel = None
     grads: MlpModel = None
     scratch: MlpModel = None
-    history: list = field(default_factory=list)
     rngs: dict = field(default_factory=dict)
 
 
@@ -101,32 +99,29 @@ def forward(model, x):
 
 
 def _forward_cached(model, x):
-    """Forward pass that keeps every layer's input and every hidden ReLU mask
-    for _backprop: the one pass of training and evaluation.
+    """Forward pass that returns the logits and every layer's input, the
+    activations _backprop reads: the one pass of training and evaluation.
 
-    The bias add and the ReLU run in place on each product, and each mask
-    is taken once for all stacked rows."""
-    z, acts, masks = np.asarray(x, dtype=np.float64), [], []
+    The bias add and the ReLU run in place on each product."""
+    z, acts = np.asarray(x, dtype=np.float64), []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         acts.append(z)
         z = z @ w
         z += b
         if i < len(model.weights) - 1:
-            masks.append(z > 0)
             np.maximum(z, 0.0, out=z)
-    return z, (acts, masks)
+    return z, acts
 
 
-def _backprop(model, cache, rows, dlogits, out):
+def _backprop(model, acts, rows, dlogits, out):
     """Write the parameter gradients of the cached ``rows`` into ``out``."""
-    acts, masks = cache
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[i][rows].T, delta, out=out.weights[i])
         np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].T
-            delta *= masks[i - 1][rows]
+            delta *= acts[i][rows] > 0  # max(z, 0) > 0 is z > 0: ReLU'(0) = 0, NaN fails
 
 
 def make_state(config, input_dim, num_classes, seed):
@@ -161,7 +156,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     the forward LossBreakdown. Raises ValueError, before any state changes,
     unless both batches have the model's input width and one integer label
     in [0, K) per labeled row, and DivergenceError on non-finite logits or
-    loss.
+    loss (train adds the epoch to its message).
     """
     cfg, model, grads = state.config, state.model, state.grads
     n_lab = len(labeled_x) if labeled_x is not None else 0
@@ -177,7 +172,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         x[:n_lab] = labeled_x
     if n_unl:
         augment_pair(unlabeled_x, state.rngs["augment"], out=x[n_lab:])
-    logits, cache = _forward_cached(model, x)
+    logits, acts = _forward_cached(model, x)
     try:
         breakdown, dlogits = infomax_loss_and_grad(logits, labels, n_unl, cfg)
     except ValueError:
@@ -185,20 +180,19 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         if np.isfinite(logits).all():
             raise
         peak = float(np.abs(model.flat).max())
-        raise DivergenceError(f"at epoch {state.epoch}: non-finite logits; "
-                              f"max |param| = {peak:.3g}") from None
+        raise DivergenceError(f"non-finite logits; max |param| = {peak:.3g}") from None
     if not math.isfinite(breakdown.total):
-        raise DivergenceError(f"at epoch {state.epoch}: non-finite loss: {breakdown.to_dict()}")
+        raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
     # product over one branch's rows, which would change the trained bits.
     branches = [(rows, dlogits[rows]) for rows in branch_rows(n_lab, n_unl)
                 if rows.stop > rows.start]
-    _backprop(model, cache, *branches[0], grads)
+    _backprop(model, acts, *branches[0], grads)
     for rows, branch in branches[1:]:
         if branch.any():
-            _backprop(model, cache, rows, branch, state.scratch)
+            _backprop(model, acts, rows, branch, state.scratch)
             grads.flat += state.scratch.flat
 
     velocity, step = state.velocity.flat, state.scratch.flat
@@ -222,7 +216,9 @@ def _pool_sources(sources):
 
 
 def train(config, sources, seed):
-    """Train on pooled source domains; deterministic given the seed.
+    """Train on pooled source domains; deterministic given the seed. Returns
+    ``(model, history)``, history one dict per epoch of the per-step mean of
+    each loss term and ``epoch``; the optimizer's buffers die with the call.
 
     Per step a labeled mini-batch is resampled with replacement and an
     unlabeled mini-batch is taken from a per-epoch shuffle of the pooled
@@ -247,29 +243,32 @@ def train(config, sources, seed):
                 else len(lab_ids) // config.labeled_batch)
 
     terms = np.empty((len(_LOSS_TERMS), steps))
+    history = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            state.epoch = epoch
             unl_order = unl_ids[state.rngs["unlabeled"].permutation(n_unl)]
             # one call draws what a call per step of size labeled_batch would
             # (the same draws as choice(len(lab_ids), size, replace=True))
             lab_idx = state.rngs["labeled"].integers(len(lab_ids),
                                                      size=(steps, config.labeled_batch))
             lab_order = lab_ids[lab_idx]
-            for s in range(steps):
-                chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
-                breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]], rows[chunk])
-                terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
+            try:
+                for s in range(steps):
+                    chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
+                    breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]],
+                                           rows[chunk])
+                    terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
+            except DivergenceError as exc:
+                raise DivergenceError(f"at epoch {epoch}: {exc}") from None
             means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
-            state.history.append({**means, "epoch": epoch})
+            history.append({**means, "epoch": epoch})
             if means["total"] > DIVERGED_LOSS:
                 raise DivergenceError(f"at epoch {epoch}: epoch-mean loss "
                                       f"{means['total']:.3g} above {DIVERGED_LOSS:g}")
-            state.epoch = epoch + 1
     if not np.isfinite(state.model.flat).all():
-        raise DivergenceError(f"at epoch {state.epoch - 1}: "
+        raise DivergenceError(f"at epoch {config.epochs - 1}: "
                               "non-finite parameters after the last update")
-    return state
+    return state.model, history
 
 
 @dataclass(frozen=True)

@@ -429,9 +429,9 @@ class TestCopyFreeRun:
         np.testing.assert_array_equal(copy.bounds, world.bounds)
         assert not world.features.flags.writeable and not copy.features.flags.writeable
         assert not copy.labels.flags.writeable
-        states = [train(config, split_sources(config, w, 0, heldout=1)[0], seed=0)
+        models = [train(config, split_sources(config, w, 0, heldout=1)[0], seed=0)[0]
                   for w in (world, copy)]
-        assert np.array_equal(states[0].model.flat, states[1].model.flat)
+        assert np.array_equal(models[0].flat, models[1].flat)
 
     @pytest.mark.parametrize("protocol", [4, 5])
     def test_unpickling_a_wide_world_copies_its_rows_once(self, protocol):
@@ -462,18 +462,19 @@ class TestCopyFreeRun:
         train(config, sources, seed=0)  # warm: first-call allocations are not the run's
         tracemalloc.start()
         try:
-            state = train(config, sources, seed=1)
+            model, _ = train(config, sources, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         unlabeled = sum(len(d.unlabeled_indices) for d in sources) * config.feature_dim * 8
-        assert peak - 4 * state.model.flat.nbytes < unlabeled, (peak, unlabeled)
+        assert peak - 4 * model.flat.nbytes < unlabeled, (peak, unlabeled)
 
     def test_wide_run_peaks_in_training_not_in_evaluate(self):
-        """execute_run frees the optimizer's velocity, grads and scratch before
-        evaluate, so evaluate's blocks and (N, K) logits fit in the room they
-        leave: a run peaks within 3% of its training alone. A run that holds the
-        whole TrainState through evaluate peaks 8.8% above it."""
+        """train returns only the model and its history, so the optimizer's
+        velocity, grads and scratch are gone before execute_run calls evaluate,
+        whose blocks and (N, K) logits fit in the room they leave: a run peaks
+        within 3% of its training alone. A run that holds the whole TrainState
+        through evaluate peaks 8.8% above it."""
         config = ExperimentConfig(**self.WIDE)
         world = build_domains(config)
         sources, _ = split_sources(config, world, seed=1, heldout=0)

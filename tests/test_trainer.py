@@ -182,10 +182,28 @@ class TestTrainStep:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, 8)
-        with pytest.raises(DivergenceError, match="epoch"):
+        with pytest.raises(DivergenceError, match="^non-finite") as info:
             with np.errstate(all="ignore"):
                 for _ in range(60):
                     train_step(state, x, y, rng.normal(size=(8, 4)))
+        assert "epoch" not in str(info.value)  # train names the epoch, not a step
+
+    def test_zero_pre_activation_gets_no_gradient(self):
+        """ReLU'(0) = 0: a hidden unit whose pre-activation is exactly 0 (zero
+        weights and bias 0.0 or -0.0) passes no gradient to its weights, its
+        bias or the next layer's row for it."""
+        cfg = ExperimentConfig(hidden=(6, 5), tau=0.5)
+        state = make_state(cfg, 4, 3, seed=1)
+        w0, b0, w1 = state.model.weights[0], state.model.biases[0], state.model.weights[1]
+        w0[:, [1, 4]] = 0.0
+        b0[1], b0[4] = 0.0, -0.0
+        w1[[1, 4]] = 1.0  # a non-zero path back to the dead units
+        rng = np.random.default_rng(5)
+        train_step(state, rng.normal(size=(8, 4)), rng.integers(0, 3, 8),
+                   rng.normal(size=(8, 4)))
+        g0, gb0, g1 = state.grads.weights[0], state.grads.biases[0], state.grads.weights[1]
+        assert not g0[:, [1, 4]].any() and not gb0[[1, 4]].any() and not g1[[1, 4]].any()
+        assert g0[:, [0, 2, 3, 5]].all() and g1[[0, 2, 3, 5]].any()
 
 
 # labels a K=3 model must reject: out of [0, K), not integers, or not one per labeled row
@@ -413,13 +431,13 @@ class TestTrainParity:
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(16, 16), epochs=3, learning_rate=0.1, labeled_batch=12,
                                unlabeled_batch=24, **objective)
-        state = train(cfg, sources, seed=5)
+        model, trained_history = train(cfg, sources, seed=5)
         reference, history = reference_train(cfg, sources, seed=5)
-        assert np.array_equal(state.model.flat, reference.model.flat)
-        assert state.history == history
+        assert np.array_equal(model.flat, reference.model.flat)
+        assert trained_history == history
         if supervised:
             labeled_only, _ = reference_train(cfg, sources, seed=5, supervised_only=True)
-            assert np.array_equal(state.model.flat, labeled_only.model.flat)
+            assert np.array_equal(model.flat, labeled_only.model.flat)
         else:
             assert max(h["accepted_fraction"] for h in history) > 0
 
@@ -482,47 +500,47 @@ class TestFlatLayout:
 
         monkeypatch.setattr(trainer_module, "train_step", recording_step)
         sources = toy_sources()
-        state = train(ExperimentConfig(hidden=(8,), epochs=3, unlabeled_batch=40, tau=0.6),
-                      sources, seed=4)
+        _, history = train(ExperimentConfig(hidden=(8,), epochs=3, unlabeled_batch=40, tau=0.6),
+                           sources, seed=4)
         steps = len(records) // 3
         assert steps > 1 and len(records) == 3 * steps
-        for epoch, history in enumerate(state.history):
+        for epoch, mean in enumerate(history):
             epoch_records = records[epoch * steps:(epoch + 1) * steps]
             want = {k: float(np.mean([r[k] for r in epoch_records])) for k in records[0]}
-            assert history == {**want, "epoch": epoch}
-        assert any(h["accepted_fraction"] > 0 for h in state.history)
+            assert mean == {**want, "epoch": epoch}
+        assert any(h["accepted_fraction"] > 0 for h in history)
 
 
 class TestTrain:
     def test_zero_epochs_returns_initial_state(self):
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=0)
-        state = train(cfg, sources, seed=9)
+        model, history = train(cfg, sources, seed=9)
         fresh = make_state(cfg, 8, 3, seed=9)  # toy_sources' d and k
-        np.testing.assert_array_equal(state.model.flat, fresh.model.flat)
-        assert state.history == []
+        np.testing.assert_array_equal(model.flat, fresh.model.flat)
+        assert history == []
 
     def test_deterministic_given_seed(self):
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=3)
-        a = train(cfg, sources, seed=13)
-        b = train(cfg, sources, seed=13)
-        np.testing.assert_array_equal(a.model.flat, b.model.flat)
-        assert a.history == b.history
+        a, a_history = train(cfg, sources, seed=13)
+        b, b_history = train(cfg, sources, seed=13)
+        np.testing.assert_array_equal(a.flat, b.flat)
+        assert a_history == b_history
 
     def test_different_seed_differs(self):
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=1)
-        a = train(cfg, sources, seed=1)
-        b = train(cfg, sources, seed=2)
-        assert not np.array_equal(a.model.flat, b.model.flat)
+        a, _ = train(cfg, sources, seed=1)
+        b, _ = train(cfg, sources, seed=2)
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_heldin_accuracy_on_separated_domains(self):
         """20 epochs on 3 well-separated sources learns the task."""
         sources = toy_sources(k=3, d=8, n_per_class=30, noise=0.3, m_l=5)
         cfg = ExperimentConfig(hidden=(32,), epochs=20)
-        state = train(cfg, sources, seed=11)
-        report = evaluate(state.model, sources[0].world, 0)
+        model, _ = train(cfg, sources, seed=11)
+        report = evaluate(model, sources[0].world, 0)
         assert report.accuracy > 0.9
 
     def test_supervised_reduction_bit_identical(self):
@@ -530,17 +548,17 @@ class TestTrain:
         loop that never touches the unlabeled data."""
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=4, marginal_weight=0.0, tau=1.0 + 1e-9)
-        full = train(cfg, sources, seed=17)
+        full, _ = train(cfg, sources, seed=17)
         labeled_only, _ = reference_train(cfg, sources, seed=17, supervised_only=True)
-        np.testing.assert_array_equal(full.model.flat, labeled_only.model.flat)
+        np.testing.assert_array_equal(full.flat, labeled_only.model.flat)
 
     def test_history_length_matches_epochs(self):
         sources = toy_sources()
         cfg = ExperimentConfig(hidden=(8,), epochs=5)
-        state = train(cfg, sources, seed=3)
-        assert len(state.history) == 5
-        assert [h["epoch"] for h in state.history] == list(range(5))
-        for h in state.history:
+        _, history = train(cfg, sources, seed=3)
+        assert len(history) == 5
+        assert [h["epoch"] for h in history] == list(range(5))
+        for h in history:
             assert set(h) >= {"neg_marginal_entropy", "labeled_ce", "pseudo_ce",
                               "total", "accepted_fraction"}
 
