@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -290,9 +291,29 @@ def execute_run(config, seed, heldout, world):
 _worker_world = None
 
 
-def _init_worker(world):
+def _init_worker(world, blas_threads):
+    """Keep the world for _run_worker, and cap every OpenBLAS this process has
+    loaded (named in /proc/self/maps, where that exists) at ``blas_threads``
+    threads, never raising it, so the workers share the CPUs."""
     global _worker_world
     _worker_world = world
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:  # address perms offset device inode [path]
+            paths = {r[5].strip() for r in (line.split(maxsplit=5) for line in fh) if len(r) == 6}
+    except OSError:
+        return
+    for lib in (ctypes.CDLL(p) for p in sorted(paths) if "openblas" in Path(p).name.lower()):
+        setter = next((n for n in ("scipy_openblas_set_num_threads64_",
+                                   "openblas_set_num_threads64_", "openblas_set_num_threads")
+                       if hasattr(lib, n)), None)
+        if setter:
+            get = getattr(lib, setter.replace("_set_", "_get_"))
+            getattr(lib, setter)(min(blas_threads, get()))
+            # the setter starts OpenBLAS's thread server, whose idle threads spin
+            # for about 0.1 s; stop it, as fork left it, until a product threads
+            if hasattr(lib, "blas_thread_shutdown_"):
+                lib.blas_thread_shutdown_()
 
 
 def _run_worker(task):  # task: (config, seed, heldout)
@@ -313,8 +334,10 @@ def _open_runner(configs, write):
     per run, whose workers receive the world once at start-up (inherited
     under fork, else unpickled without a second copy into a World whose rows
     cannot be written), so they keep busy while the caller writes one suite's
-    results. On exit the pool is shut down and, after an error, its
-    pending runs are cancelled.
+    results. Each worker caps OpenBLAS at its share of this process's CPUs,
+    cpus // workers threads; the caller's BLAS is left as it is. On exit
+    the pool is shut down and, after an error, its pending runs are
+    cancelled.
     """
     first = configs[0]
     differ = [f for f in WORLD_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
@@ -330,8 +353,10 @@ def _open_runner(configs, write):
         yield lambda config: [execute_run(*task, world) for task in tasks[config]]
         return
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
-    pool = ProcessPoolExecutor(max_workers=min(first.jobs, sum(map(len, tasks.values()))),
-                               initializer=_init_worker, initargs=(world,))
+    workers = min(first.jobs, sum(map(len, tasks.values())))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(world, max(1, (cpus or 1) // workers)))
     try:
         futures = {c: [pool.submit(_run_worker, t) for t in ts] for c, ts in tasks.items()}
         yield lambda config: [f.result() for f in futures[config]]

@@ -83,6 +83,16 @@ def branch_rows(n_lab, n_unl):
             slice(n_lab + n_unl, n_lab + 2 * n_unl))
 
 
+def _cross_entropy(probs, logp, rows, targets, mask, grad):
+    """-sum(mask * logp[rows][i, targets]) / n over the n ``rows``; adds its
+    logit gradient mask * (p - onehot) / n into grad[rows]."""
+    n, idx = len(targets), np.arange(len(targets))
+    g = probs[rows].copy()
+    g[idx, targets] -= 1.0
+    grad[rows] += (mask[:, None] * g) / n
+    return float(-np.add.reduce(logp[rows][idx, targets] * mask) / n)
+
+
 def infomax_loss_and_grad(logits, labels, n_unl, cfg):
     """The composite objective and its gradient w.r.t. stacked logits.
 
@@ -134,28 +144,17 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
         coef = cfg.marginal_weight / n_marg
         np.multiply(coef * probs[:n_marg], g_pi[None, :] - inner[:, None], out=grad[:n_marg])
 
-    # labeled cross-entropy: (p - onehot) / L
-    labeled_ce = 0.0
+    # conditional terms: labeled rows on labels, strong rows on accepted pseudo-labels
+    labeled_ce = pseudo_ce = accepted_fraction = 0.0
     if n_lab:
-        rows = np.arange(n_lab)
-        labeled_ce = -float(np.add.reduce(logp[rows, labels])) / n_lab
-        g = probs[lab].copy()
-        g[rows, labels] -= 1.0
-        grad[lab] += g / n_lab
-
-    # pseudo cross-entropy: mask * (p_strong - onehot(yhat)) / U, strong only
-    pseudo_ce = accepted_fraction = 0.0
+        labeled_ce = _cross_entropy(probs, logp, lab, labels, np.ones(n_lab, bool), grad)
     if n_unl:
         # the value at the argmax is the row max, so it decides acceptance
-        rows, weak_p = np.arange(n_unl), probs[weak]
-        pseudo = np.argmax(weak_p, axis=-1)
-        accepted = weak_p[rows, pseudo] >= cfg.tau
+        pseudo = np.argmax(probs[weak], axis=-1)
+        accepted = probs[weak][np.arange(n_unl), pseudo] >= cfg.tau
         if accepted.any():
-            pseudo_ce = float(-np.add.reduce(logp[strong][rows, pseudo] * accepted) / n_unl)
+            pseudo_ce = _cross_entropy(probs, logp, strong, pseudo, accepted, grad)
             accepted_fraction = np.count_nonzero(accepted) / n_unl
-            g = probs[strong].copy()
-            g[rows, pseudo] -= 1.0
-            grad[strong] += (accepted[:, None] * g) / n_unl
 
     breakdown = LossBreakdown(
         neg_marginal_entropy=neg_marg,

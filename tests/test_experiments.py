@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import csv
+import ctypes
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -279,6 +281,64 @@ class TestSharedRunner:
     def test_no_suites_no_world(self, monkeypatch):
         monkeypatch.setattr(experiments, "build_domains", None)
         assert run_suites([]) == []
+
+
+def worker_threads():
+    """(openblas_threads(), this process's OS thread count or None)."""
+    tasks = Path("/proc/self/task")
+    return openblas_threads(), len(os.listdir(tasks)) if tasks.exists() else None
+
+
+def openblas_threads():
+    """The thread count of each OpenBLAS this process has loaded, read through
+    the library's own get_num_threads; empty where none is loaded."""
+    maps = Path("/proc/self/maps")
+    text = maps.read_text() if maps.exists() else ""
+    counts = []
+    for path in sorted(set(re.findall(r"(/\S*/[^/\s]*openblas[^/\s]*\.so[^/\s]*)$", text, re.M))):
+        lib = ctypes.CDLL(path)
+        getters = [n for n in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                               "openblas_get_num_threads") if hasattr(lib, n)]
+        counts += [getattr(lib, getters[0])()] if getters else []
+    return counts
+
+
+class TestPoolBlasThreads:
+    """Pool workers run OpenBLAS on their share of the CPUs; the caller's
+    BLAS is left as it is."""
+
+    @pytest.mark.skipif(not openblas_threads(), reason="no OpenBLAS loaded")
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs forked workers")
+    @pytest.mark.parametrize("cap", [1, 1000])
+    def test_forked_worker_is_capped_and_never_raised(self, cap):
+        caller = openblas_threads()
+        world = build_domains(ExperimentConfig(**FAST))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork"),
+                initializer=experiments._init_worker, initargs=(world, cap)) as pool:
+            worker, os_threads = pool.submit(worker_threads).result(timeout=60)
+        assert worker == [min(cap, n) for n in caller]
+        assert openblas_threads() == caller
+        # no BLAS thread is left idling (and spinning) in the worker
+        assert os_threads in (1, None)
+
+    @pytest.mark.skipif(not openblas_threads(), reason="no OpenBLAS loaded")
+    def test_caller_threads_unchanged_by_a_pool(self, tmp_path):
+        caller = openblas_threads()
+        cfg = fast_config(tmp_path, seeds=(0, 1), held_out=0, epochs=1, jobs=2)
+        run_suites([cfg, replace(cfg, alpha=1.0)], write=False)
+        assert openblas_threads() == caller
+
+    def test_wide_pool_matches_serial(self, tmp_path):
+        """At the wide shape the products are large enough for BLAS to thread,
+        and the capped workers' records equal the serial ones apart from wall_s."""
+        cfg = ExperimentConfig(num_classes=40, feature_dim=64, hidden=(256, 256), m_l=2,
+                               epochs=1, seeds=(0, 1), held_out=0, out_dir=str(tmp_path))
+        serial = run_suite(cfg, write=False)
+        pooled = run_suite(replace(cfg, jobs=2), write=False)
+        assert [replace(r, wall_s=0.0) for r in pooled] == [replace(r, wall_s=0.0)
+                                                           for r in serial]
 
 
 class TestExecuteRun:

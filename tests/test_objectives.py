@@ -201,6 +201,18 @@ class TestPseudoCrossEntropy:
         loss, frac, _ = pseudo_cross_entropy(weak, strong, tau=1.0 + 1e-9)
         assert loss == 0.0 and frac == 0.0
 
+    def test_every_row_accepted_is_the_labeled_term(self):
+        """With every strong row accepted, the pseudo term is the labeled
+        cross-entropy of the strong rows against the pseudo-labels, in value
+        and in gradient, bit for bit."""
+        rng = np.random.default_rng(11)
+        weak, strong = rng.normal(size=(9, 4)) * 3, rng.normal(size=(9, 4))
+        loss, frac, grad = pseudo_cross_entropy(weak, strong, tau=0.25)  # max p >= 1/K
+        labeled, labeled_grad = infomax_loss_and_grad(
+            strong, np.argmax(weak, axis=-1), 0, ExperimentConfig(marginal_weight=0.0))
+        assert frac == 1.0 and loss == labeled.labeled_ce
+        assert np.array_equal(grad[branch_rows(0, 9)[2]], labeled_grad)
+
     def test_gradient_stop_on_weak_branch(self):
         rng = np.random.default_rng(10)
         weak, strong = rng.normal(size=(6, 4)) * 3, rng.normal(size=(6, 4))

@@ -634,7 +634,7 @@ class TestEvaluate:
 
     def test_memory_is_bounded_by_blocks(self):
         """20000 rows through one 512-wide layer: one product would hold 82 MB
-        of activations plus 10 MB of masks; the blocks hold about 1 MB."""
+        of activations; the blocks hold about 1 MB."""
         rng = np.random.default_rng(0)
         n = 20000
         target = World(rng.standard_normal((n, 4)), rng.integers(2, size=n), [0, n], 2)
