@@ -69,9 +69,9 @@ for cfg in (ExperimentConfig(alpha=1.0, tau=0.9),
             ExperimentConfig(alpha=1.5, tau=0.9, marginal_weight=0.0)):
     b, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
     tag = f"alpha={cfg.alpha}, w={cfg.marginal_weight}"
-    print(f"{tag:22s} -H_a(pi)={b.neg_marginal_entropy:+.4f} "
-          f"ce={b.labeled_ce:.4f} pseudo={b.pseudo_ce:.4f} "
-          f"total={b.total:+.4f} accepted={b.accepted_fraction:.2f}")
+    print(f"{tag:22s} -H_a(pi)={b['neg_marginal_entropy']:+.4f} "
+          f"ce={b['labeled_ce']:.4f} pseudo={b['pseudo_ce']:.4f} "
+          f"total={b['total']:+.4f} accepted={b['accepted_fraction']:.2f}")
 
 print()
 print("=" * 70)
@@ -80,7 +80,7 @@ print("=" * 70)
 cfg = ExperimentConfig(alpha=1.5, tau=0.9)
 _, grad = infomax_loss_and_grad(logits, labels, n_unl, cfg)
 fd = finite_diff_gradient(
-    lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, n_unl, cfg)[0].total,
+    lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, n_unl, cfg)[0]["total"],
     logits.ravel())
 print(f"relative error over all 18 logits: {relative_error(grad, fd):.2e}")
 print("note the weak-branch gradient flows only through the marginal term:")

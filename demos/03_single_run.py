@@ -39,8 +39,8 @@ for h in history:
               f"{h['total']:>8.4f} {h['accepted_fraction']:>9.2f}")
 
 report = evaluate(model, world, HELD_OUT)
-print(f"\nheld-out accuracy: {report.accuracy:.4f}")
-print(f"per-class accuracy: {np.round(report.per_class_accuracy, 3).tolist()}")
-print(f"predicted marginal: {np.round(report.predicted_marginal, 3).tolist()}")
+print(f"\nheld-out accuracy: {report['accuracy']:.4f}")
+print(f"per-class accuracy: {np.round(report['per_class_accuracy'], 3).tolist()}")
+print(f"predicted marginal: {np.round(report['predicted_marginal'], 3).tolist()}")
 print("confusion matrix (rows = true class):")
-print(report.confusion)
+print(np.array(report["confusion"]))

@@ -261,7 +261,8 @@ def split_sources(config, world, seed, heldout):
 
 def execute_run(config, seed, heldout, world):
     """One leave-one-domain-out run on ``world`` (build_domains); pure
-    function of its arguments."""
+    function of its arguments. The RunRecord's epochs are train's history
+    and its report is evaluate's dict, the run JSON's ``final``."""
     sources, split_hash = split_sources(config, world, seed, heldout)
     t0 = time.perf_counter()
     try:
@@ -278,11 +279,11 @@ def execute_run(config, seed, heldout, world):
         tau=config.tau,
         gamma=config.gamma,
         m_l=config.m_l,
-        accuracy=report.accuracy,
+        accuracy=report["accuracy"],
         wall_s=wall,
         split_hash=split_hash,
         epochs=tuple(history),
-        report=report.to_dict(),
+        report=report,
     )
 
 
@@ -326,18 +327,19 @@ def _open_runner(configs, write):
     ``configs`` in, its suite's RunRecords out.
 
     Configs whose WORLD_FIELDS differ from the first one's raise
-    ConfigError, naming the fields, before any output directory is made
-    (each config's out_dir, when ``write``) or any world built. With the
-    first config's jobs == 1 a runner call runs its suite serially in this
-    process. Otherwise every suite's runs are queued at once (by config,
-    then seed, then held-out id) on one process pool of at most one worker
-    per run, whose workers receive the world once at start-up (inherited
-    under fork, else unpickled without a second copy into a World whose rows
-    cannot be written), so they keep busy while the caller writes one suite's
-    results. Each worker caps OpenBLAS at its share of this process's CPUs,
-    cpus // workers threads; the caller's BLAS is left as it is. On exit
-    the pool is shut down and, after an error, its pending runs are
-    cancelled.
+    ConfigError, naming the fields, and so, when ``write``, do distinct
+    configs whose out_dirs resolve to one directory, naming it; both before
+    any output directory is made (each config's out_dir, when ``write``) or
+    any world built. With the first config's jobs == 1 a runner call runs
+    its suite serially in this process. Otherwise every suite's runs are
+    queued at once (by config, then seed, then held-out id) on one process
+    pool of at most one worker per run, whose workers receive the world once
+    at start-up (inherited under fork, else unpickled without a second copy
+    into a World whose rows cannot be written), so they keep busy while the
+    caller writes one suite's results. Each worker caps OpenBLAS at its
+    share of this process's CPUs, cpus // workers threads; the caller's BLAS
+    is left as it is. On exit the pool is shut down and, after an error,
+    its pending runs are cancelled.
     """
     first = configs[0]
     differ = [f for f in WORLD_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
@@ -346,8 +348,14 @@ def _open_runner(configs, write):
                           f"differ: {', '.join(differ)}")
     tasks = {c: [(c, s, h) for s in c.seeds for h in (
         range(c.num_domains) if c.held_out is None else [c.held_out])] for c in configs}
-    for config in tasks if write else ():
-        ensure_writable(config.out_dir)
+    if write:
+        dirs = Counter(Path(c.out_dir).resolve() for c in tasks)
+        shared = sorted(str(d) for d, n in dirs.items() if n > 1)
+        if shared:
+            raise ConfigError(f"suites run together must write to distinct directories; "
+                              f"they share {', '.join(shared)}")
+        for config in tasks:
+            ensure_writable(config.out_dir)
     world = build_domains(first)
     if first.jobs == 1:
         yield lambda config: [execute_run(*task, world) for task in tasks[config]]
@@ -396,8 +404,9 @@ def run_suite(config, write=True, *, runner=None):
 
 def run_suites(configs, write=True):
     """run_suite per config, all on one world and one runner (see _open_runner,
-    which also makes every out_dir before any run when ``write``). A config
-    listed twice runs once and its records come back in both places.
+    which, when ``write``, refuses distinct configs that share an out_dir and
+    makes every out_dir before any run). A config listed twice runs once and
+    its records come back in both places.
     Returns one list of RunRecords per config, in order.
     """
     configs = list(configs)
@@ -449,12 +458,16 @@ def ablation(config):
     +marginal_entropy: Shannon marginal term (alpha = 1);
     +alpha_marginal_entropy: the configured alpha.
 
-    The variants are one run_suites call, on one world and one runner.
+    Both marginal variants run at the configured marginal_weight, which
+    must be above 0 (else all three are the baseline: ConfigError before
+    any directory is made). The variants are one run_suites call, on one
+    world and one runner.
 
     Returns rows of (label, mean, std, delta_vs_baseline).
     """
-    overrides = ({"marginal_weight": 0.0}, {"marginal_weight": 1.0, "alpha": 1.0},
-                 {"marginal_weight": 1.0})
+    if config.marginal_weight == 0:
+        raise ConfigError("ablate needs marginal_weight > 0: at 0 every variant is the baseline")
+    overrides = ({"marginal_weight": 0.0}, {"alpha": 1.0}, {})
     out = Path(config.out_dir)
     configs = [replace(config, **kw, out_dir=str(out / label.replace("+", "plus_")))
                for label, kw in zip(ABLATION_VARIANTS, overrides)]

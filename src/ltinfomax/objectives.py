@@ -14,30 +14,15 @@ a pure function and comes with an analytic gradient with respect to the
 input logits, verified against central finite differences in the tests.
 """
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .numerics import LOG_EPS, check_labels, check_prob_vector, softmax
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """The three loss terms plus their weighted sum.
-
-    ``neg_marginal_entropy`` stores the unweighted -H_alpha(pi);
-    ``total`` applies ``marginal_weight`` to it.
-    """
-
-    neg_marginal_entropy: float
-    labeled_ce: float
-    pseudo_ce: float
-    total: float
-    accepted_fraction: float
-
-    def to_dict(self):
-        return asdict(self)
+# the kernel's loss terms in order: neg_marginal_entropy is the unweighted
+# -H_alpha(pi), total applies marginal_weight to it and adds the two others
+LOSS_TERMS = ("neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total", "accepted_fraction")
 
 
 def shannon_entropy(p, validate=True):
@@ -113,9 +98,10 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
             tau (pseudo-label threshold; above 1 rejects every unlabeled
             sample) and marginal_weight (the weight of -H_alpha(pi)).
 
-    Returns (LossBreakdown, gradient shaped like ``logits``). Raises
-    ValueError, before any arithmetic, unless the arguments are as above,
-    and when both branches are empty or a logit is not finite.
+    Returns (a dict of the LOSS_TERMS in that order, gradient shaped like
+    ``logits``). Raises ValueError, before any arithmetic, unless the
+    arguments are as above, and when both branches are empty or a logit is
+    not finite.
     """
     n_lab = np.size(labels)
     if np.ndim(logits) != 2:
@@ -156,11 +142,6 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
             pseudo_ce = _cross_entropy(probs, logp, strong, pseudo, accepted, grad)
             accepted_fraction = np.count_nonzero(accepted) / n_unl
 
-    breakdown = LossBreakdown(
-        neg_marginal_entropy=neg_marg,
-        labeled_ce=labeled_ce,
-        pseudo_ce=pseudo_ce,
-        total=cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce,
-        accepted_fraction=accepted_fraction,
-    )
-    return breakdown, grad
+    total = cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce
+    terms = (neg_marg, labeled_ce, pseudo_ce, total, accepted_fraction)
+    return dict(zip(LOSS_TERMS, terms)), grad

@@ -9,18 +9,17 @@ tau > 1 land on a labeled-only loop's parameters bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import augment_pair
 from .errors import DivergenceError
 from .numerics import check_labels, softmax
-from .objectives import LossBreakdown, branch_rows, infomax_loss_and_grad
+from .objectives import LOSS_TERMS, branch_rows, infomax_loss_and_grad
 
 # RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
-_LOSS_TERMS = tuple(f.name for f in fields(LossBreakdown))
 MOMENTUM = 0.9  # SGD momentum, as in the FixMatch base
 EVAL_ROWS = 256  # rows per forward block at evaluation
 # an epoch-mean total loss above this is divergence; healthy runs stay below 6
@@ -153,7 +152,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     ``scratch``, ``velocity`` and ``model``.
 
     Pass unlabeled_x=None (or empty) for a purely supervised step. Returns
-    the forward LossBreakdown. Raises ValueError, before any state changes,
+    the forward LOSS_TERMS dict. Raises ValueError, before any state changes,
     unless both batches have the model's input width and one integer label
     in [0, K) per labeled row, and DivergenceError on non-finite logits or
     loss (train adds the epoch to its message).
@@ -181,8 +180,8 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
             raise
         peak = float(np.abs(model.flat).max())
         raise DivergenceError(f"non-finite logits; max |param| = {peak:.3g}") from None
-    if not math.isfinite(breakdown.total):
-        raise DivergenceError(f"non-finite loss: {breakdown.to_dict()}")
+    if not math.isfinite(breakdown["total"]):
+        raise DivergenceError(f"non-finite loss: {breakdown}")
 
     # Backprop stays per branch, summed labeled, weak, strong: BLAS may
     # round a product over the stacked rows differently from the same
@@ -242,7 +241,7 @@ def train(config, sources, seed):
     steps = max(1, n_unl // config.unlabeled_batch if n_unl
                 else len(lab_ids) // config.labeled_batch)
 
-    terms = np.empty((len(_LOSS_TERMS), steps))
+    terms = np.empty((len(LOSS_TERMS), steps))
     history = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
@@ -257,10 +256,10 @@ def train(config, sources, seed):
                     chunk = unl_order[s * config.unlabeled_batch:(s + 1) * config.unlabeled_batch]
                     breakdown = train_step(state, rows[lab_order[s]], lab_y[lab_idx[s]],
                                            rows[chunk])
-                    terms[:, s] = [getattr(breakdown, k) for k in _LOSS_TERMS]
+                    terms[:, s] = [breakdown[k] for k in LOSS_TERMS]
             except DivergenceError as exc:
                 raise DivergenceError(f"at epoch {epoch}: {exc}") from None
-            means = {k: float(np.mean(row)) for k, row in zip(_LOSS_TERMS, terms)}
+            means = {k: float(np.mean(row)) for k, row in zip(LOSS_TERMS, terms)}
             history.append({**means, "epoch": epoch})
             if means["total"] > DIVERGED_LOSS:
                 raise DivergenceError(f"at epoch {epoch}: epoch-mean loss "
@@ -271,26 +270,11 @@ def train(config, sources, seed):
     return state.model, history
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Accuracy, per-class accuracy, confusion counts and predicted marginal."""
-
-    accuracy: float
-    per_class_accuracy: np.ndarray
-    confusion: np.ndarray
-    predicted_marginal: np.ndarray
-
-    def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "per_class_accuracy": self.per_class_accuracy.tolist(),
-            "confusion": self.confusion.tolist(),
-            "predicted_marginal": self.predicted_marginal.tolist(),
-        }
-
-
 def evaluate(model, world, domain):
-    """Argmax evaluation over every row of domain ``domain`` of ``world`` (read-only)."""
+    """Argmax evaluation over every row of domain ``domain`` of ``world`` (read-only).
+
+    Returns the run JSON's ``final`` dict: accuracy, then per_class_accuracy,
+    the (true, predicted) confusion counts and the predicted marginal as lists."""
     features, labels = world.domain(domain)
     if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty target")
@@ -312,9 +296,6 @@ def evaluate(model, world, domain):
     row_sums = confusion.sum(axis=1)
     per_class = np.divide(np.diag(confusion), row_sums,
                           out=np.zeros(k, dtype=np.float64), where=row_sums > 0)
-    return EvalReport(
-        accuracy=float(np.trace(confusion) / confusion.sum()),
-        per_class_accuracy=per_class,
-        confusion=confusion,
-        predicted_marginal=probs.mean(axis=0),
-    )
+    return {"accuracy": float(np.trace(confusion) / confusion.sum()),
+            "per_class_accuracy": per_class.tolist(), "confusion": confusion.tolist(),
+            "predicted_marginal": probs.mean(axis=0).tolist()}

@@ -93,7 +93,7 @@ class TestCriterion1GradientFidelity:
             assert not np.any(grad[:n])
             fd = finite_diff_gradient(
                 lambda flat: infomax_loss_and_grad(
-                    np.concatenate([weak, flat.reshape(n, k)]), [], n, pseudo_cfg)[0].pseudo_ce,
+                    np.concatenate([weak, flat.reshape(n, k)]), [], n, pseudo_cfg)[0]["pseudo_ce"],
                 strong.ravel(),
             )
             err = relative_error(grad[n:].ravel(), fd)
@@ -113,7 +113,7 @@ class TestCriterion1GradientFidelity:
                 _, grad = infomax_loss_and_grad(logits, labels, nu, cfg)
                 fd = finite_diff_gradient(
                     lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, nu,
-                                                       cfg)[0].total,
+                                                       cfg)[0]["total"],
                     logits.ravel())
                 err = relative_error(grad.ravel(), fd)
                 worst = max(worst, err)
@@ -136,7 +136,7 @@ class TestCriterion1GradientFidelity:
                 def f(flat):
                     m = state.model.copy()
                     m.flat[...] = flat
-                    return infomax_loss_and_grad(forward(m, x), lab_y, len(unl_x), cfg)[0].total
+                    return infomax_loss_and_grad(forward(m, x), lab_y, len(unl_x), cfg)[0]["total"]
 
                 fd = finite_diff_gradient(f, before)
                 train_step(state, lab_x, lab_y, unl_x)

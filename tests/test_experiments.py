@@ -192,6 +192,16 @@ class TestRunSuite:
         assert list(log) == ["config_hash", "seed", "heldout", "alpha", "tau", "gamma", "m_l",
                              "split_hash", "accuracy", "wall_s", "epochs", "final"]
 
+    def test_run_json_epoch_and_final_key_order(self, tmp_path):
+        run_suite(fast_config(tmp_path, seeds=(0,), held_out=0))
+        log = json.loads((tmp_path / "out" / "run_s0_h0.json").read_text())
+        assert len(log["epochs"]) == FAST["epochs"]
+        for epoch in log["epochs"]:
+            assert list(epoch) == ["neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total",
+                                   "accepted_fraction", "epoch"]
+        assert list(log["final"]) == ["accuracy", "per_class_accuracy", "confusion",
+                                      "predicted_marginal"]
+
 
 class TestSharedRunner:
     """run_suites, and so sweep and ablation, open one runner: one world and,
@@ -266,6 +276,20 @@ class TestSharedRunner:
             run_suites([cfg, replace(cfg, gamma=2.0), other])
         assert builds == [] and not (tmp_path / "out").exists()
         assert not (tmp_path / "other").exists()
+
+    def test_suites_sharing_an_out_dir_rejected_before_any_build(self, tmp_path, monkeypatch):
+        """Two distinct suites would overwrite each other's files in one directory;
+        unwritten, they may share it."""
+        builds = []
+        monkeypatch.setattr(experiments, "build_domains", builds.append)
+        cfg = fast_config(tmp_path, seeds=(0,), held_out=0, alpha=1.0)
+        same_dir = replace(cfg, alpha=2.0, out_dir=str(tmp_path / "x" / ".." / "out"))
+        with pytest.raises(ConfigError, match=re.escape(str((tmp_path / "out").resolve()))):
+            run_suites([cfg, same_dir])
+        assert builds == [] and not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        first, second = run_suites([cfg, same_dir], write=False)
+        assert first != second and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_repeated_config_runs_once_and_returns_its_records_again(self, tmp_path,
@@ -609,6 +633,29 @@ class TestAblation:
         cfg = fast_config(tmp_path, seeds=(0,), held_out=0, alpha=1.0)
         rows = ablation(cfg)
         assert rows[1][1] == pytest.approx(rows[2][1], abs=1e-15)
+
+    def test_variants_run_at_the_configured_marginal_weight(self, tmp_path, monkeypatch):
+        """The Shannon and alpha variants' records are the suites of the config
+        at alpha 1 and as given, lambda = 0.25 included."""
+        suites, original = [], experiments.run_suite
+
+        def recording_suite(config, *args, **kwargs):
+            suites.append(original(config, *args, **kwargs))
+            return suites[-1]
+
+        monkeypatch.setattr(experiments, "run_suite", recording_suite)
+        cfg = fast_config(tmp_path, seeds=(0,), held_out=0, marginal_weight=0.25)
+        ablation(cfg)
+        for i, config in ((1, replace(cfg, alpha=1.0)), (2, cfg)):
+            direct = original(replace(config, out_dir=str(tmp_path / f"direct{i}")))
+            assert [replace(r, wall_s=0.0) for r in suites[i]] == \
+                [replace(r, wall_s=0.0) for r in direct]
+
+    def test_zero_marginal_weight_rejected_before_any_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "build_domains", None)
+        with pytest.raises(ConfigError, match="marginal_weight"):
+            ablation(fast_config(tmp_path, marginal_weight=0.0))
+        assert not (tmp_path / "out").exists()
 
     def test_variant_with_a_different_split_rejected(self, tmp_path, monkeypatch):
         original = experiments.split_sources

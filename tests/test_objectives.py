@@ -14,6 +14,7 @@ from ltinfomax.errors import ConfigError
 from ltinfomax.experiments import ExperimentConfig
 from ltinfomax.numerics import finite_diff_gradient, relative_error, softmax
 from ltinfomax.objectives import (
+    LOSS_TERMS,
     branch_rows,
     infomax_loss_and_grad,
     shannon_entropy,
@@ -127,7 +128,7 @@ class TestTsallisGradient:
 def cross_entropy(logits, labels):
     """Mean -log softmax(logits)[label]: the labeled term of the objective."""
     cfg = ExperimentConfig(marginal_weight=0.0)
-    return infomax_loss_and_grad(logits, labels, 0, cfg)[0].labeled_ce
+    return infomax_loss_and_grad(logits, labels, 0, cfg)[0]["labeled_ce"]
 
 
 class TestCrossEntropy:
@@ -157,7 +158,7 @@ def pseudo_cross_entropy(weak, strong, tau):
     Returns (loss, accepted_fraction, gradient of the stacked [weak; strong])."""
     b, grad = infomax_loss_and_grad(np.concatenate([weak, strong]), [], len(weak),
                                     ExperimentConfig(tau=tau, marginal_weight=0.0))
-    return b.pseudo_ce, b.accepted_fraction, grad
+    return b["pseudo_ce"], b["accepted_fraction"], grad
 
 
 class TestPseudoCrossEntropy:
@@ -210,7 +211,7 @@ class TestPseudoCrossEntropy:
         loss, frac, grad = pseudo_cross_entropy(weak, strong, tau=0.25)  # max p >= 1/K
         labeled, labeled_grad = infomax_loss_and_grad(
             strong, np.argmax(weak, axis=-1), 0, ExperimentConfig(marginal_weight=0.0))
-        assert frac == 1.0 and loss == labeled.labeled_ce
+        assert frac == 1.0 and loss == labeled["labeled_ce"]
         assert np.array_equal(grad[branch_rows(0, 9)[2]], labeled_grad)
 
     def test_gradient_stop_on_weak_branch(self):
@@ -283,11 +284,19 @@ class TestInfomaxLoss:
         cfg = ExperimentConfig(alpha=1.5, tau=0.9)
         got, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
         total, neg_h, ce, pce = straight_line_total(logits, labels, n_unl, 1.5, 0.9)
-        assert got.total == pytest.approx(total, abs=1e-12)
-        assert got.neg_marginal_entropy == pytest.approx(neg_h, abs=1e-12)
-        assert got.labeled_ce == pytest.approx(ce, abs=1e-12)
-        assert got.pseudo_ce == pytest.approx(pce, abs=1e-12)
-        assert got.accepted_fraction == 0.5
+        assert got["total"] == pytest.approx(total, abs=1e-12)
+        assert got["neg_marginal_entropy"] == pytest.approx(neg_h, abs=1e-12)
+        assert got["labeled_ce"] == pytest.approx(ce, abs=1e-12)
+        assert got["pseudo_ce"] == pytest.approx(pce, abs=1e-12)
+        assert got["accepted_fraction"] == 0.5
+
+    def test_terms_come_in_loss_terms_order(self):
+        """The run JSON's epochs keep this key order."""
+        assert LOSS_TERMS == ("neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total",
+                              "accepted_fraction")
+        logits, labels, n_unl = tiny_fixed_instance()
+        got, _ = infomax_loss_and_grad(logits, labels, n_unl, ExperimentConfig(tau=0.9))
+        assert tuple(got) == LOSS_TERMS
 
     def test_breakdown_sum_invariant(self):
         rng = np.random.default_rng(2)
@@ -296,26 +305,26 @@ class TestInfomaxLoss:
             w = float(rng.uniform(0, 2))
             cfg = ExperimentConfig(alpha=float(rng.uniform(0.3, 3)), tau=0.8, marginal_weight=w)
             b, _ = infomax_loss_and_grad(logits, labels, 5, cfg)
-            assert b.total == pytest.approx(
-                w * b.neg_marginal_entropy + b.labeled_ce + b.pseudo_ce, abs=1e-12
+            assert b["total"] == pytest.approx(
+                w * b["neg_marginal_entropy"] + b["labeled_ce"] + b["pseudo_ce"], abs=1e-12
             )
-            assert b.labeled_ce >= 0 and b.pseudo_ce >= 0
+            assert b["labeled_ce"] >= 0 and b["pseudo_ce"] >= 0
 
     def test_reduces_to_cross_entropy(self):
         logits, labels, n_unl = tiny_fixed_instance()
         cfg = ExperimentConfig(alpha=1.0, tau=0.9, marginal_weight=0.0)
         b, _ = infomax_loss_and_grad(logits[:len(labels)], labels, 0, cfg)
-        assert b.total == b.labeled_ce
-        assert b.labeled_ce == pytest.approx(
+        assert b["total"] == b["labeled_ce"]
+        assert b["labeled_ce"] == pytest.approx(
             straight_line_total(logits, labels, n_unl, 1.0, 0.9)[2], abs=1e-12)
-        assert b.pseudo_ce == 0.0 and b.accepted_fraction == 0.0
+        assert b["pseudo_ce"] == 0.0 and b["accepted_fraction"] == 0.0
 
     def test_alpha_one_marginal_is_shannon(self):
         logits, labels, n_unl = tiny_fixed_instance()
         cfg = ExperimentConfig(alpha=1.0, tau=0.9)
         b, _ = infomax_loss_and_grad(logits, labels, n_unl, cfg)
         pi = softmax(logits[:len(labels) + n_unl]).mean(axis=0)
-        assert b.neg_marginal_entropy == pytest.approx(-shannon_entropy(pi), abs=1e-15)
+        assert b["neg_marginal_entropy"] == pytest.approx(-shannon_entropy(pi), abs=1e-15)
 
     def test_shannon_special_case_of_general_objective(self):
         """The alpha = 1 objective equals the general form at alpha = 1."""
@@ -325,7 +334,7 @@ class TestInfomaxLoss:
             cfg = ExperimentConfig(alpha=1.0, tau=0.9)
             via_alpha, _ = infomax_loss_and_grad(logits, labels, 6, cfg)
             total, neg_h, ce, pce = straight_line_total(logits, labels, 6, 1.0, 0.9)
-            assert via_alpha.total == pytest.approx(total, abs=1e-12)
+            assert via_alpha["total"] == pytest.approx(total, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
@@ -342,7 +351,7 @@ class TestInfomaxLoss:
             np.concatenate([lab_logits[pl], weak[pu], strong[pu]]), labels[pl], 7, cfg)
         for name in ("neg_marginal_entropy", "labeled_ce", "pseudo_ce", "total",
                      "accepted_fraction"):
-            assert getattr(per, name) == pytest.approx(getattr(ref, name), abs=1e-12)
+            assert per[name] == pytest.approx(ref[name], abs=1e-12)
 
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -382,7 +391,7 @@ class TestInfomaxGradients:
             assert grad.shape == logits.shape
             fd = finite_diff_gradient(
                 lambda flat: infomax_loss_and_grad(flat.reshape(logits.shape), labels, 5,
-                                                   cfg)[0].total,
+                                                   cfg)[0]["total"],
                 logits.ravel())
             assert relative_error(grad.ravel(), fd) < 1e-5
 
