@@ -25,6 +25,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -324,7 +325,8 @@ def _run_worker(task):  # task: (config, seed, heldout)
 @contextmanager
 def _open_runner(configs, write):
     """Build the world of ``configs`` once and yield a runner: a config of
-    ``configs`` in, its suite's RunRecords out.
+    ``configs`` in, its suite's RunRecords out. Configs of one hash (equal
+    apart from out_dir and jobs) share one suite of runs, which runs once.
 
     Configs whose WORLD_FIELDS differ from the first one's raise
     ConfigError, naming the fields, and so, when ``write``, do distinct
@@ -346,19 +348,21 @@ def _open_runner(configs, write):
     if differ:
         raise ConfigError(f"suites run together must share one world; these fields "
                           f"differ: {', '.join(differ)}")
-    tasks = {c: [(c, s, h) for s in c.seeds for h in (
+    tasks = {c.hash(): [(c, s, h) for s in c.seeds for h in (
         range(c.num_domains) if c.held_out is None else [c.held_out])] for c in configs}
     if write:
-        dirs = Counter(Path(c.out_dir).resolve() for c in tasks)
+        distinct = dict.fromkeys(configs)
+        dirs = Counter(Path(c.out_dir).resolve() for c in distinct)
         shared = sorted(str(d) for d, n in dirs.items() if n > 1)
         if shared:
             raise ConfigError(f"suites run together must write to distinct directories; "
                               f"they share {', '.join(shared)}")
-        for config in tasks:
+        for config in distinct:
             ensure_writable(config.out_dir)
     world = build_domains(first)
     if first.jobs == 1:
-        yield lambda config: [execute_run(*task, world) for task in tasks[config]]
+        suite = cache(lambda key: [execute_run(*task, world) for task in tasks[key]])
+        yield lambda config: suite(config.hash())
         return
     from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
     workers = min(first.jobs, sum(map(len, tasks.values())))
@@ -366,8 +370,8 @@ def _open_runner(configs, write):
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(world, max(1, (cpus or 1) // workers)))
     try:
-        futures = {c: [pool.submit(_run_worker, t) for t in ts] for c, ts in tasks.items()}
-        yield lambda config: [f.result() for f in futures[config]]
+        futures = {k: [pool.submit(_run_worker, t) for t in ts] for k, ts in tasks.items()}
+        yield lambda config: [f.result() for f in futures[config.hash()]]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -405,8 +409,9 @@ def run_suite(config, write=True, *, runner=None):
 def run_suites(configs, write=True):
     """run_suite per config, all on one world and one runner (see _open_runner,
     which, when ``write``, refuses distinct configs that share an out_dir and
-    makes every out_dir before any run). A config listed twice runs once and
-    its records come back in both places.
+    makes every out_dir before any run). Configs equal apart from out_dir
+    train once, and each writes the shared records into its own out_dir; a
+    config listed twice runs and writes once, its records in both places.
     Returns one list of RunRecords per config, in order.
     """
     configs = list(configs)

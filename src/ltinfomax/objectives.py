@@ -122,11 +122,9 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
 
     grad = np.zeros(probs.shape)
     if cfg.marginal_weight > 0:
-        # d(-H_a)/dpi chained through each labeled and weak softmax row.
-        # The row dot products are taken per branch: BLAS may round one
-        # stacked matrix-vector product differently.
+        # d(-H_a)/dpi chained through each labeled and weak softmax row
         g_pi = -tsallis_entropy_grad(pi, cfg.alpha, validate=False)
-        inner = np.concatenate([probs[lab] @ g_pi, probs[weak] @ g_pi])
+        inner = probs[:n_marg] @ g_pi
         coef = cfg.marginal_weight / n_marg
         np.multiply(coef * probs[:n_marg], g_pi[None, :] - inner[:, None], out=grad[:n_marg])
 
@@ -140,7 +138,7 @@ def infomax_loss_and_grad(logits, labels, n_unl, cfg):
         accepted = probs[weak][np.arange(n_unl), pseudo] >= cfg.tau
         if accepted.any():
             pseudo_ce = _cross_entropy(probs, logp, strong, pseudo, accepted, grad)
-            accepted_fraction = np.count_nonzero(accepted) / n_unl
+            accepted_fraction = float(np.count_nonzero(accepted) / n_unl)
 
     total = cfg.marginal_weight * neg_marg + labeled_ce + pseudo_ce
     terms = (neg_marg, labeled_ce, pseudo_ce, total, accepted_fraction)

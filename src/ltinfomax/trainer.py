@@ -16,7 +16,7 @@ import numpy as np
 from .data import augment_pair
 from .errors import DivergenceError
 from .numerics import check_labels, softmax
-from .objectives import LOSS_TERMS, branch_rows, infomax_loss_and_grad
+from .objectives import LOSS_TERMS, infomax_loss_and_grad
 
 # RNG stream names in stream-number order (init, labeled, unlabeled, augment = 0..3)
 _STREAMS = ("init", "labeled", "unlabeled", "augment")
@@ -112,15 +112,16 @@ def _forward_cached(model, x):
     return z, acts
 
 
-def _backprop(model, acts, rows, dlogits, out):
-    """Write the parameter gradients of the cached ``rows`` into ``out``."""
+def _backprop(model, acts, dlogits, out):
+    """Write the parameter gradients of every cached row into ``out``: one
+    product per layer over all the rows."""
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[i][rows].T, delta, out=out.weights[i])
+        np.matmul(acts[i].T, delta, out=out.weights[i])
         np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ model.weights[i].T
-            delta *= acts[i][rows] > 0  # max(z, 0) > 0 is z > 0: ReLU'(0) = 0, NaN fails
+            delta *= acts[i] > 0  # max(z, 0) > 0 is z > 0: ReLU'(0) = 0, NaN fails
 
 
 def make_state(config, input_dim, num_classes, seed):
@@ -142,9 +143,9 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
 
     Stacks the labeled rows and the weak/strong views drawn from the
     unlabeled features into one batch [labeled; weak; strong], runs one
-    forward pass and one infomax_loss_and_grad call, backpropagates each
-    branch on its rows of the shared cache into ``state.grads`` (skipping
-    an all-zero unlabeled branch once another has contributed) and applies
+    forward pass and one infomax_loss_and_grad call, backpropagates the
+    stacked rows once into ``state.grads`` (each parameter gradient one
+    product over every row, an all-zero unlabeled row included) and applies
     the momentum update in place on the flat buffers. Of ``state.config``
     the kernel reads alpha, tau and marginal_weight, and the update
     learning_rate. After it returns, ``state.grads.flat`` is this step's
@@ -182,17 +183,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         raise DivergenceError(f"non-finite logits; max |param| = {peak:.3g}") from None
     if not math.isfinite(breakdown["total"]):
         raise DivergenceError(f"non-finite loss: {breakdown}")
-
-    # Backprop stays per branch, summed labeled, weak, strong: BLAS may
-    # round a product over the stacked rows differently from the same
-    # product over one branch's rows, which would change the trained bits.
-    branches = [(rows, dlogits[rows]) for rows in branch_rows(n_lab, n_unl)
-                if rows.stop > rows.start]
-    _backprop(model, acts, *branches[0], grads)
-    for rows, branch in branches[1:]:
-        if branch.any():
-            _backprop(model, acts, rows, branch, state.scratch)
-            grads.flat += state.scratch.flat
+    _backprop(model, acts, dlogits, grads)
 
     velocity, step = state.velocity.flat, state.scratch.flat
     velocity *= MOMENTUM

@@ -634,6 +634,27 @@ class TestAblation:
         rows = ablation(cfg)
         assert rows[1][1] == pytest.approx(rows[2][1], abs=1e-15)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_alpha_one_trains_the_shannon_suite_once(self, tmp_path, monkeypatch, jobs):
+        """At alpha = 1 the Shannon and alpha variants are one config apart from
+        out_dir: it trains once, serially or on the pool, and both directories
+        hold its records."""
+        runs, original = [], experiments.execute_run
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                runs.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "execute_run",
+                            lambda *args: runs.append(args) or original(*args))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        ablation(fast_config(tmp_path, seeds=(0,), held_out=0, alpha=1.0, jobs=jobs))
+        assert len(runs) == 2
+        out = tmp_path / "out"
+        assert (out / "plus_marginal_entropy" / "runs.csv").read_bytes() == \
+            (out / "plus_alpha_marginal_entropy" / "runs.csv").read_bytes()
+
     def test_variants_run_at_the_configured_marginal_weight(self, tmp_path, monkeypatch):
         """The Shannon and alpha variants' records are the suites of the config
         at alpha 1 and as given, lambda = 0.25 included."""

@@ -353,6 +353,14 @@ class TestInfomaxLoss:
                      "accepted_fraction"):
             assert per[name] == pytest.approx(ref[name], abs=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.2, 1.5], ids=["accepted", "none-accepted"])
+    def test_every_term_is_a_python_float(self, tau):
+        """At K=4 a tau below 1/4 accepts every unlabeled row, above 1 none."""
+        logits, labels = random_instance(np.random.default_rng(0), 3, 5, 4)
+        got, _ = infomax_loss_and_grad(logits, labels, 5, ExperimentConfig(tau=tau))
+        assert got["accepted_fraction"] == (1.0 if tau < 1 else 0.0)
+        assert all(type(value) is float for value in got.values())
+
     def test_both_empty_rejected(self):
         with pytest.raises(ValueError):
             infomax_loss_and_grad(np.zeros((0, 4)), [], 0, ExperimentConfig())

@@ -18,7 +18,7 @@ from ltinfomax.data import (
 from ltinfomax.errors import DivergenceError
 from ltinfomax.experiments import ExperimentConfig
 from ltinfomax.numerics import LOG_EPS, finite_diff_gradient, relative_error, softmax
-from ltinfomax.objectives import infomax_loss_and_grad
+from ltinfomax.objectives import branch_rows, infomax_loss_and_grad
 from ltinfomax.trainer import (
     MlpModel,
     evaluate,
@@ -187,6 +187,29 @@ class TestTrainStep:
                     train_step(state, x, y, rng.normal(size=(8, 4)))
         assert "epoch" not in str(info.value)  # train names the epoch, not a step
 
+    @pytest.mark.parametrize("tau", [0.3, 1.5], ids=["accepted", "none-accepted"])
+    def test_every_term_is_a_python_float(self, tau):
+        """At K=3 a tau below 1/3 accepts every unlabeled row, above 1 none."""
+        state = make_state(ExperimentConfig(hidden=(6,), tau=tau), 4, 3, seed=1)
+        rng = np.random.default_rng(2)
+        terms = train_step(state, rng.normal(size=(4, 4)), rng.integers(0, 3, 4),
+                           rng.normal(size=(8, 4)))
+        assert terms["accepted_fraction"] == (1.0 if tau < 1 else 0.0)
+        assert all(type(value) is float for value in terms.values())
+
+    def test_non_finite_loss_is_named_with_plain_floats(self):
+        """Logits of +-1e307 are finite, but 16 labeled rows of the class at
+        -1e307 sum a cross-entropy past the float range; every weak row is
+        accepted, so accepted_fraction is 1."""
+        state = make_state(ExperimentConfig(hidden=(), tau=0.7), 1, 3, seed=1)
+        state.model.weights[0][:] = [[2e307, 0.0, -2e307]]
+        x = np.full((16, 1), 0.5)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceError, match="^non-finite loss") as info:
+            train_step(state, x, np.full(16, 2), x)
+        assert "'accepted_fraction': 1.0" in str(info.value)
+        assert "np.float64(" not in str(info.value)
+
     def test_zero_pre_activation_gets_no_gradient(self):
         """ReLU'(0) = 0: a hidden unit whose pre-activation is exactly 0 (zero
         weights and bias 0.0 or -0.0) passes no gradient to its weights, its
@@ -253,8 +276,9 @@ class TestStepLabels:
 
 
 def reference_step(state, lab_x, lab_y, unl_x):
-    """Straight-line SGD step: a forward pass, a softmax and a backprop per
-    branch, with the composite logit gradient written out term by term.
+    """Straight-line SGD step: a forward pass and a softmax per branch, the
+    composite logit gradient written out term by term, and one backprop over
+    the rows of every branch stacked in branch order, as train_step sums them.
 
     Returns the loss terms of the forward pass, as train_step returns them."""
     model, cfg = state.model, state.config
@@ -291,9 +315,10 @@ def reference_step(state, lab_x, lab_y, unl_x):
         d_entropy = -(np.log(p) + 1.0) if a == 1 else -a / (a - 1.0) * p ** (a - 1.0)
         g_pi = -d_entropy
         coef = cfg.marginal_weight / sum(len(probs[name]) for name in marginal)
-        for name in marginal:
-            inner = probs[name] @ g_pi
-            dlogits[name] += coef * probs[name] * (g_pi[None, :] - inner[:, None])
+        # one inner product over the labeled and weak rows, as the kernel takes it
+        inner = np.concatenate([probs[name] for name in marginal]) @ g_pi
+        for name, part in zip(marginal, np.split(inner, [len(lab_y)])):
+            dlogits[name] += coef * probs[name] * (g_pi[None, :] - part[:, None])
     g = probs["labeled"].copy()
     g[np.arange(len(lab_y)), lab_y] -= 1.0
     dlogits["labeled"] += g / len(lab_y)
@@ -315,17 +340,16 @@ def reference_step(state, lab_x, lab_y, unl_x):
             g[np.arange(len(unl_x)), np.argmax(probs["weak"], axis=1)] -= 1.0
             dlogits["strong"] += (accepted[:, None] * g) / len(unl_x)
 
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
-    for name, (pre, acts) in branches.items():
-        delta = dlogits[name]
-        if name != "labeled" and not np.any(delta):
-            continue
-        for i in range(n_layers - 1, -1, -1):
-            grads_w[i] += acts[i].T @ delta
-            grads_b[i] += delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
+    # one backprop over the rows of every branch, stacked in branch order
+    pre = [np.concatenate([p[i] for p, _ in branches.values()]) for i in range(n_layers)]
+    acts = [np.concatenate([a[i] for _, a in branches.values()]) for i in range(n_layers)]
+    delta = np.concatenate(list(dlogits.values()))
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
 
     vel = state.velocity
     for params, velocities, grads in ((model.weights, vel.weights, grads_w),
@@ -366,11 +390,20 @@ PARITY_CASES = {
 }
 
 
+# the default run's shapes at K=5 and K=12, and the wide-classes benchmark's
+BENCHMARK_SHAPES = pytest.mark.parametrize("k,dim,hidden,tau,steps", [
+    (5, 16, (64, 64), 0.7, 40),
+    (12, 16, (64, 64), 0.7, 40),
+    (40, 64, (256, 256), 0.3, 20),
+], ids=["5", "12", "40-wide"])
+
+
 class TestStepParity:
     @pytest.mark.parametrize("name", list(PARITY_CASES))
     def test_bit_identical_to_per_branch_reference(self, name):
-        """The stacked step lands on exactly the parameters of the
-        per-branch reference after three epochs of steps."""
+        """The stacked step lands on exactly the parameters of the stacked
+        oracle (per-branch forward passes and logit gradients, one backprop
+        over the stacked rows) after three epochs of steps."""
         objective, supervised = PARITY_CASES[name]
         sources = toy_sources()
         lab_x, lab_y, unl_x = pooled(sources)
@@ -391,14 +424,11 @@ class TestStepParity:
         if not supervised:
             assert max(accepted) > 0  # the strong branch took part
 
-    @pytest.mark.parametrize("k,dim,hidden,tau,steps", [
-        (5, 16, (64, 64), 0.7, 40),
-        (12, 16, (64, 64), 0.7, 40),
-        (40, 64, (256, 256), 0.3, 20),
-    ], ids=["5", "12", "40-wide"])
+    @BENCHMARK_SHAPES
     def test_bit_identical_at_benchmark_shapes(self, k, dim, hidden, tau, steps):
-        """The default run's shapes (16 features, hidden 64x64, batches
-        16/64); K=12 takes the >= 8-wide pairwise path of row reductions.
+        """Bit-identical to the stacked oracle at the default run's shapes
+        (16 features, hidden 64x64, batches 16/64); K=12 takes the >= 8-wide
+        pairwise path of row reductions.
         The wide-classes benchmark's shapes (K=40, 64 features, hidden
         256x256) take BLAS's large-matrix kernels (M*N*K above 10^6)."""
         sources = toy_sources(k=k, d=dim, n_per_class=40, seed0=200)
@@ -418,12 +448,55 @@ class TestStepParity:
             assert np.array_equal(got, want)
         assert max(accepted) > 0
 
+    @BENCHMARK_SHAPES
+    def test_stacked_gradient_is_the_sum_of_the_branch_gradients(
+            self, monkeypatch, k, dim, hidden, tau, steps):
+        """The one backprop over the stacked rows differs from a backprop per
+        branch only in rounding: after each step, state.grads is the sum of the
+        labeled, weak and strong parameter gradients, each taken on its own
+        rows of the step's cache, to a relative error of 1e-12 in each weight and
+        bias array (an entry's own relative error is larger where the rows'
+        terms cancel)."""
+        step, forward_cached = {}, trainer_module._forward_cached
+
+        def keep_cache(model, x):
+            logits, step["acts"] = forward_cached(model, x)
+            return logits, step["acts"]
+
+        def keep_dlogits(*args):
+            breakdown, step["dlogits"] = infomax_loss_and_grad(*args)
+            return breakdown, step["dlogits"]
+
+        monkeypatch.setattr(trainer_module, "_forward_cached", keep_cache)
+        monkeypatch.setattr(trainer_module, "infomax_loss_and_grad", keep_dlogits)
+        sources = toy_sources(k=k, d=dim, n_per_class=40, seed0=200)
+        lab_x, lab_y, unl_x = pooled(sources)
+        state = make_state(ExperimentConfig(hidden=hidden, tau=tau), dim, k, seed=3)
+        rng = np.random.default_rng(8)
+        accepted = []
+        for _ in range(steps):
+            before = state.model.copy()
+            lab = rng.choice(len(lab_x), size=state.config.labeled_batch)
+            unl = unl_x[rng.choice(len(unl_x), state.config.unlabeled_batch)]
+            accepted.append(train_step(state, lab_x[lab], lab_y[lab], unl)["accepted_fraction"])
+            branch, total = before.copy(), before.copy()
+            total.flat.fill(0.0)
+            for rows in branch_rows(len(lab), len(unl)):
+                trainer_module._backprop(before, [a[rows] for a in step["acts"]],
+                                         step["dlogits"][rows], branch)
+                total.flat += branch.flat
+            for got, want in zip(state.grads.weights + state.grads.biases,
+                                 total.weights + total.biases):
+                assert relative_error(got, want) < 1e-12
+        assert max(accepted) > 0  # the strong branch took part
+
 
 class TestTrainParity:
     @pytest.mark.parametrize("name", list(PARITY_CASES))
     def test_train_matches_the_straight_line_loop(self, name):
         """train() lands on exactly the parameters and history of a loop that
-        draws labeled indices per step and calls reference_step."""
+        draws labeled indices per step and calls reference_step, the stacked
+        oracle."""
         objective, supervised = PARITY_CASES[name]
         if supervised:  # train's supervised baseline: the unlabeled terms off
             objective = dict(marginal_weight=0.0, tau=1.0 + 1e-9)
