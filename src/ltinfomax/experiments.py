@@ -51,15 +51,22 @@ MAX_RUN_VALUES = 10**8  # float64 values one run may allocate (800 MB)
 # within-class noise and per-domain axis mixing
 CENTROID_SCALE, SHIFT_SCALE, NOISE_SCALE, ROTATION_STRENGTH = 2.0, 1.0, 1.5, 0.3
 # what a config field of each type must hold, as its ConfigError names it
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a bool", tuple: "integers"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a bool", tuple: "integers",
+               str: "a path"}
 
 
 def _field_value(kind, value):
     """``value`` as a field of type ``kind``: operator.index for an int field or tuple
-    entry, float of a real number for a float field, a bool for a bool field; TypeError
-    on any other value (a bool for a number too), OverflowError on a huge int."""
+    entry, float of a real number for a float field, a bool for a bool field, the str
+    of a str or os.PathLike for a str field; TypeError on any other value (a bool for
+    a number too), OverflowError on a huge int."""
     if kind is tuple:
         return tuple(_field_value(int, v) for v in value)
+    if kind is str:
+        path = os.fspath(value)  # TypeError unless a str, bytes or os.PathLike
+        if not isinstance(path, str):
+            raise TypeError
+        return path
     if isinstance(value, bool) != (kind is bool) or (
             kind is float and not isinstance(value, numbers.Real)):
         raise TypeError
@@ -99,7 +106,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is not str and not (f.name == "held_out" and value is None):
+            if not (f.name == "held_out" and value is None):
                 try:
                     value = _field_value(f.type, value)
                 except (TypeError, OverflowError):
@@ -108,7 +115,7 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, value)
             if f.type is float and not math.isfinite(value):  # NaN passes `x < bound`
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not str(self.out_dir).strip():
+        if not self.out_dir.strip():
             raise ConfigError("out_dir must not be empty")
         if self.num_domains < 3:
             raise ConfigError(f"need at least 3 domains (two source domains plus the "
@@ -146,11 +153,11 @@ class ExperimentConfig:
                 raise ConfigError(f"every hidden width must be >= 1, got {self.hidden}")
             # float64 values of the world (runs gather from it and copy no rows),
             # the rotation, the confusion matrix, the model, velocity, grads and
-            # scratch buffers, an epoch's labeled draw (its steps bounded by the
-            # whole unlabeled pool), a step's stacked rows and an evaluate block
-            # of EVAL_ROWS rows through every layer, and evaluate's (rows, K)
-            # logits and softmax's four (EVAL_ROWS, K) block arrays, bounded
-            # before anything of size num_classes is made
+            # the update's transient product, an epoch's labeled draw (its steps
+            # bounded by the whole unlabeled pool), a step's stacked rows and an
+            # evaluate block of EVAL_ROWS rows through every layer, and evaluate's
+            # (rows, K) logits and softmax's four (EVAL_ROWS, K) block arrays,
+            # bounded before anything of size num_classes is made
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
             steps = max(1, (self.num_domains - 1) * rows // self.unlabeled_batch)
@@ -329,19 +336,20 @@ def _open_runner(configs, write):
     apart from out_dir and jobs) share one suite of runs, which runs once.
 
     Configs whose WORLD_FIELDS differ from the first one's raise
-    ConfigError, naming the fields, and so, when ``write``, do distinct
-    configs whose out_dirs resolve to one directory, naming it; both before
-    any output directory is made (each config's out_dir, when ``write``) or
-    any world built. With the first config's jobs == 1 a runner call runs
-    its suite serially in this process. Otherwise every suite's runs are
-    queued at once (by config, then seed, then held-out id) on one process
-    pool of at most one worker per run, whose workers receive the world once
-    at start-up (inherited under fork, else unpickled without a second copy
-    into a World whose rows cannot be written), so they keep busy while the
-    caller writes one suite's results. Each worker caps OpenBLAS at its
-    share of this process's CPUs, cpus // workers threads; the caller's BLAS
-    is left as it is. On exit the pool is shut down and, after an error,
-    its pending runs are cancelled.
+    ConfigError, naming the fields, and so, when ``write``, do configs
+    whose out_dirs resolve to one directory (a config listed twice too),
+    naming it; both before any output directory is made (each config's
+    out_dir, when ``write``) or any world built. With the first config's
+    jobs == 1 a runner call runs its suite serially in this process.
+    Otherwise every suite's runs are queued at once (by config, then seed,
+    then held-out id) on one process pool of at most one worker per run,
+    whose workers receive the world once at start-up (inherited under fork,
+    else unpickled without a second copy into a World whose rows cannot be
+    written), so they keep busy while the caller writes one suite's
+    results. Each worker caps OpenBLAS at its share of this process's CPUs,
+    cpus // workers threads; the caller's BLAS is left as it is. On exit
+    the pool is shut down and, after an error, its pending runs are
+    cancelled.
     """
     first = configs[0]
     differ = [f for f in WORLD_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
@@ -351,13 +359,12 @@ def _open_runner(configs, write):
     tasks = {c.hash(): [(c, s, h) for s in c.seeds for h in (
         range(c.num_domains) if c.held_out is None else [c.held_out])] for c in configs}
     if write:
-        distinct = dict.fromkeys(configs)
-        dirs = Counter(Path(c.out_dir).resolve() for c in distinct)
+        dirs = Counter(Path(c.out_dir).resolve() for c in configs)
         shared = sorted(str(d) for d, n in dirs.items() if n > 1)
         if shared:
             raise ConfigError(f"suites run together must write to distinct directories; "
                               f"they share {', '.join(shared)}")
-        for config in distinct:
+        for config in configs:
             ensure_writable(config.out_dir)
     world = build_domains(first)
     if first.jobs == 1:
@@ -408,11 +415,11 @@ def run_suite(config, write=True, *, runner=None):
 
 def run_suites(configs, write=True):
     """run_suite per config, all on one world and one runner (see _open_runner,
-    which, when ``write``, refuses distinct configs that share an out_dir and
-    makes every out_dir before any run). Configs equal apart from out_dir
-    train once, and each writes the shared records into its own out_dir; a
-    config listed twice runs and writes once, its records in both places.
-    Returns one list of RunRecords per config, in order.
+    which, when ``write``, refuses configs that share an out_dir, a config listed
+    twice too, and makes every out_dir before any run). Configs equal apart from
+    out_dir train once, and each writes the shared records into its own out_dir;
+    unwritten, a config listed twice runs once. One list of RunRecords per
+    config, in order.
     """
     configs = list(configs)
     if not configs:
@@ -434,7 +441,7 @@ def sweep(config, axis, values):
 
     Axis is one of 'alpha', 'gamma', 'ml', none of which changes the world.
     Each value's suite goes to its ``<axis>_<value:g>`` directory; values
-    that would share one are rejected before any run.
+    that would share one are rejected before any run (see _open_runner).
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
@@ -442,9 +449,6 @@ def sweep(config, axis, values):
         raise ConfigError("sweep needs at least one value")
 
     out, subdirs = Path(config.out_dir), [f"{axis}_{v:g}" for v in values]
-    repeated = sorted({d for d in subdirs if subdirs.count(d) > 1})
-    if repeated:
-        raise ConfigError(f"sweep values {values} share the output directories {repeated}")
     configs = [replace(config, **{SWEEP_AXES[axis]: v}, out_dir=str(out / d))
                for d, v in zip(subdirs, values)]
     aggs = [suite_aggregate(c, records) for c, records in zip(configs, run_suites(configs))]

@@ -12,8 +12,6 @@ import numpy as np
 SIMPLEX_ATOL = 1e-9     # |sum(p) - 1| tolerance for probability vectors
 LOG_EPS = 1e-12         # floor for log / power arguments
 FD_STEP = 1e-5          # default central-difference step
-# each native signed integer dtype's unsigned dtype of the same width
-_UNSIGNED = {np.dtype(c): np.dtype(c.upper()) for c in "bhilq"}
 
 
 def _as_float_array(z, name="input"):
@@ -45,12 +43,8 @@ def check_labels(labels, num_classes, n_rows):
     """``labels`` as int64; ValueError unless they are one integer in [0, num_classes)
     for each of ``n_rows`` rows. Float and bool labels are rejected, not truncated."""
     labels = np.asarray(labels)
-    dtype = labels.dtype
-    # one reduction bounds the labels: in the same-width unsigned view a negative
-    # label reads as 2**(bits - 1) or more, past every label a signed type holds
-    if labels.shape != (n_rows,) or (n_rows and not (dtype.kind in "iu" and labels.view(
-            _UNSIGNED.get(dtype) or dtype.str.replace("i", "u")).max()
-            < min(num_classes, 1 << (8 * dtype.itemsize - (dtype.kind == "i"))))):
+    if labels.shape != (n_rows,) or (n_rows and not (
+            labels.dtype.kind in "iu" and 0 <= labels.min() <= labels.max() < num_classes)):
         raise ValueError(f"labels must be one integer in [0, {num_classes}) per row "
                          f"({n_rows} rows)")
     return labels.astype(np.int64, copy=False)

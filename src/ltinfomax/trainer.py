@@ -60,15 +60,14 @@ class MlpModel:
 @dataclass
 class TrainState:
     """What one training step reads and writes (single-writer) under ``config``,
-    an ExperimentConfig; ``velocity`` and the work buffers ``grads`` and
-    ``scratch`` are shaped like the model, and make_state allocates all three."""
+    an ExperimentConfig: ``velocity`` is a float64 array shaped like
+    ``model.flat``, the work buffer ``grads`` a model; make_state builds it."""
 
     model: MlpModel
     config: object
-    velocity: MlpModel = None
-    grads: MlpModel = None
-    scratch: MlpModel = None
-    rngs: dict = field(default_factory=dict)
+    velocity: np.ndarray
+    grads: MlpModel
+    rngs: dict
 
 
 def init_mlp(layer_sizes, rng):
@@ -131,10 +130,8 @@ def make_state(config, input_dim, num_classes, seed):
             for stream, name in enumerate(_STREAMS)}
     sizes = [input_dim, *config.hidden, num_classes]
     model = init_mlp(sizes, rngs["init"])
-    velocity = model.copy()
-    velocity.flat.fill(0.0)
-    return TrainState(model=model, config=config, velocity=velocity,
-                      grads=model.copy(), scratch=model.copy(), rngs=rngs)
+    return TrainState(model=model, config=config, velocity=np.zeros_like(model.flat),
+                      grads=model.copy(), rngs=rngs)
 
 
 def train_step(state, labeled_x, labeled_y, unlabeled_x):
@@ -150,7 +147,7 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
     the kernel reads alpha, tau and marginal_weight, and the update
     learning_rate. After it returns, ``state.grads.flat`` is this step's
     parameter gradient, aligned with ``model.flat``: the update writes only
-    ``scratch``, ``velocity`` and ``model``.
+    ``velocity`` and ``model``.
 
     Pass unlabeled_x=None (or empty) for a purely supervised step. Returns
     the forward LOSS_TERMS dict. Raises ValueError, before any state changes,
@@ -185,11 +182,9 @@ def train_step(state, labeled_x, labeled_y, unlabeled_x):
         raise DivergenceError(f"non-finite loss: {breakdown}")
     _backprop(model, acts, dlogits, grads)
 
-    velocity, step = state.velocity.flat, state.scratch.flat
-    velocity *= MOMENTUM
-    np.multiply(grads.flat, cfg.learning_rate, out=step)
-    velocity -= step
-    model.flat += velocity
+    state.velocity *= MOMENTUM
+    state.velocity -= grads.flat * cfg.learning_rate
+    model.flat += state.velocity
     return breakdown
 
 

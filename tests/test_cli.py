@@ -207,8 +207,9 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_model_buffers_too_large(self, tmp_path, capsys):
-        """hidden=(5500, 5500): the model, velocity, grads and scratch hold
-        1.21e8 values between them, though the network alone holds 3.04e7."""
+        """hidden=(5500, 5500): the model, velocity, grads and the update's
+        transient product hold 1.21e8 values between them, though the network
+        alone holds 3.04e7."""
         code = main(["--out", str(tmp_path / "out"), "--seed-list", "0", "--held-out", "0",
                      "--set", "hidden=5500,5500", "run"])
         assert code == EXIT_CONFIG

@@ -7,6 +7,7 @@ import math
 import re
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ def test_finite_tau_above_one_stays_legal():
 
 # values of the wrong type, each once coerced without a word (seed 1.5 ran as
 # seed 1, "12" as seeds 1 and 2, "64" as a 6-4 network, "no" as true) or left
-# to fail later with a raw TypeError (epochs 2.5, num_classes 5.0) or
-# OverflowError (alpha 10**400)
+# to fail later with a raw TypeError (epochs 2.5, num_classes 5.0, an out_dir
+# that is not a path, at Path(out_dir)) or OverflowError (alpha 10**400)
 WRONG_TYPES = {
     "seed-float": ("seeds", (1.5,), "seeds must be integers, got (1.5,)"),
     "seeds-text": ("seeds", "12", "seeds must be integers, got '12'"),
@@ -52,6 +53,9 @@ WRONG_TYPES = {
     "alpha-text": ("alpha", "1.5", "alpha must be a finite number, got '1.5'"),
     "gamma-bool": ("gamma", True, "gamma must be a finite number, got True"),
     "alpha-huge-int": ("alpha", 10**400, f"alpha must be a finite number, got {10**400}"),
+    "out_dir-none": ("out_dir", None, "out_dir must be a path, got None"),
+    "out_dir-int": ("out_dir", 123, "out_dir must be a path, got 123"),
+    "out_dir-bytes": ("out_dir", b"x", "out_dir must be a path, got b'x'"),
 }
 
 
@@ -67,10 +71,11 @@ def test_field_of_wrong_type_rejected(field, value, message):
     ({"gamma": np.float32(10)}, {"gamma": 10.0}),
     ({"seeds": [0, np.int64(1)], "hidden": [np.int32(8)]}, {"seeds": (0, 1), "hidden": (8,)}),
     ({"held_out": np.int64(2)}, {"held_out": 2}),
-], ids=["numpy-int", "int-for-float", "numpy-float", "numpy-entries", "held_out"])
+    ({"out_dir": Path("a/b")}, {"out_dir": "a/b"}),
+], ids=["numpy-int", "int-for-float", "numpy-float", "numpy-entries", "held_out", "out_dir-path"])
 def test_equal_values_give_equal_configs(overrides, same):
-    """Ints, floats and tuples of ints are stored as python values, so the
-    config and its hash do not depend on how an equal value was written."""
+    """Ints, floats, tuples of ints and paths are stored as python values, so
+    the config and its hash do not depend on how an equal value was written."""
     config, reference = ExperimentConfig(**overrides), ExperimentConfig(**same)
     assert config == reference and config.hash() == reference.hash()
     assert all(type(getattr(config, k)) is type(getattr(reference, k)) for k in overrides)

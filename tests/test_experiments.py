@@ -302,6 +302,17 @@ class TestSharedRunner:
         got = run_suites([a, b, a], write=False)
         assert suites == [a, b] and len(got) == 3 and got[2] == got[0] != got[1]
 
+    def test_config_listed_twice_to_write_rejected_before_any_build(self, tmp_path,
+                                                                   monkeypatch):
+        """Written twice, one config would write its files over themselves: it
+        shares its own out_dir, and is refused as two suites sharing one are."""
+        builds = []
+        monkeypatch.setattr(experiments, "build_domains", builds.append)
+        a = fast_config(tmp_path, seeds=(0,), held_out=0)
+        with pytest.raises(ConfigError, match=re.escape(str((tmp_path / "out").resolve()))):
+            run_suites([a, a])
+        assert builds == [] and not (tmp_path / "out").exists()
+
     def test_no_suites_no_world(self, monkeypatch):
         monkeypatch.setattr(experiments, "build_domains", None)
         assert run_suites([]) == []
@@ -537,9 +548,10 @@ class TestCopyFreeRun:
             copy.features.flags.writeable = True
 
     def test_wide_run_holds_less_than_its_unlabeled_rows(self):
-        """Beyond the model, velocity, grads and scratch buffers, a wide run's
-        training peak stays below the bytes of the unlabeled rows it trains on
-        (2.23 MiB): a run that copies its pool holds them all at once."""
+        """Beyond four model-sized arrays (the model, velocity, grads and the
+        update's transient product), a wide run's training peak stays below the
+        bytes of the unlabeled rows it trains on (2.23 MiB): a run that copies
+        its pool holds them all at once."""
         config = ExperimentConfig(**self.WIDE)
         world = build_domains(config)
         sources, _ = split_sources(config, world, seed=0, heldout=0)
@@ -553,9 +565,25 @@ class TestCopyFreeRun:
         unlabeled = sum(len(d.unlabeled_indices) for d in sources) * config.feature_dim * 8
         assert peak - 4 * model.flat.nbytes < unlabeled, (peak, unlabeled)
 
+    def test_wide_training_peaks_below_five_and_a_half_models(self):
+        """A step holds the model, velocity and grads, the update's transient
+        product and the forward pass's activations: a warm wide train peaks at
+        5.22 model.flat.nbytes. A TrainState that also keeps a model-shaped
+        scratch buffer for the product peaks at 6.02."""
+        config = ExperimentConfig(**self.WIDE)
+        sources, _ = split_sources(config, build_domains(config), seed=1, heldout=0)
+        train(config, sources, seed=0)  # warm: first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            model, _ = train(config, sources, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * model.flat.nbytes, (peak, model.flat.nbytes)
+
     def test_wide_run_peaks_in_training_not_in_evaluate(self):
         """train returns only the model and its history, so the optimizer's
-        velocity, grads and scratch are gone before execute_run calls evaluate,
+        velocity and grads are gone before execute_run calls evaluate,
         whose blocks and (N, K) logits fit in the room they leave: a run peaks
         within 3% of its training alone. A run that holds the whole TrainState
         through evaluate peaks 8.8% above it."""

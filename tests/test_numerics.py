@@ -132,8 +132,8 @@ class TestHelpers:
     @pytest.mark.parametrize("dtype", ["int8", "uint8", "int16", "uint16", "int32", "uint32",
                                        "int64", "uint64", ">i2"])
     def test_check_labels_bounds_like_min_and_max(self, dtype):
-        """One reduction over the unsigned view accepts exactly the labels with
-        min >= 0 and max < num_classes, also where a negative int8 label's
+        """check_labels accepts exactly the labels with min >= 0 and max <
+        num_classes at every integer width, also where a negative int8 label's
         unsigned view (128-255) lies below num_classes."""
         info = np.iinfo(dtype)
         values = {-128, -1, 0, 2, 126, 127, 128, 200, 255, 256, 299, 300, int(info.max)}

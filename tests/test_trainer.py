@@ -351,13 +351,11 @@ def reference_step(state, lab_x, lab_y, unl_x):
         if i > 0:
             delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0)
 
-    vel = state.velocity
-    for params, velocities, grads in ((model.weights, vel.weights, grads_w),
-                                      (model.biases, vel.biases, grads_b)):
-        for w, v, g in zip(params, velocities, grads):
-            v *= trainer_module.MOMENTUM
-            v -= cfg.learning_rate * g
-            w += v
+    # one update over every parameter, concatenated weight then bias per layer
+    grad = np.concatenate([g.ravel() for pair in zip(grads_w, grads_b) for g in pair])
+    state.velocity *= trainer_module.MOMENTUM
+    state.velocity -= cfg.learning_rate * grad
+    model.flat += state.velocity
     terms["total"] = cfg.marginal_weight * terms["neg_marginal_entropy"] + \
         terms["labeled_ce"] + terms["pseudo_ce"]
     return terms
@@ -531,10 +529,11 @@ class TestTrainParity:
 class TestFlatLayout:
     def test_parameters_and_velocities_are_views_of_one_buffer(self):
         state = make_state(ExperimentConfig(hidden=(6, 5)), input_dim=4, num_classes=3, seed=0)
-        for owner in (state.model, state.velocity, state.grads, state.scratch):
+        for owner in (state.model, state.grads):
             views = owner.weights + owner.biases
             assert all(v.base is owner.flat for v in views)
             assert sum(v.size for v in views) == owner.flat.size == 24 + 6 + 30 + 5 + 15 + 3
+        assert state.velocity.shape == state.model.flat.shape
 
     def test_copies_do_not_alias_the_source(self):
         model = init_mlp([4, 6, 3], np.random.default_rng(0))
