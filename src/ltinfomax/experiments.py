@@ -155,8 +155,9 @@ class ExperimentConfig:
             # the rotation, the confusion matrix, the model, velocity, grads and
             # the update's transient product, an epoch's labeled draw (its steps
             # bounded by the whole unlabeled pool), a step's stacked rows and an
-            # evaluate block of EVAL_ROWS rows through every layer, and evaluate's
-            # (rows, K) logits and softmax's four (EVAL_ROWS, K) block arrays,
+            # evaluate block of up to EVAL_ROWS + 1 rows (a 1-row remainder joins
+            # the block before it) through every layer, and evaluate's (rows, K)
+            # probabilities and softmax's four (EVAL_ROWS + 1, K) block arrays,
             # bounded before anything of size num_classes is made
             layers = (self.feature_dim, *self.hidden, self.num_classes)
             rows = self.num_classes * self.n_per_class  # per domain
@@ -165,8 +166,8 @@ class ExperimentConfig:
                     + self.feature_dim ** 2 + self.num_classes ** 2
                     + 4 * sum((a + 1) * b for a, b in zip(layers, layers[1:]))
                     + self.labeled_batch * steps
-                    + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS) * sum(layers)
-                    + (rows + 4 * EVAL_ROWS) * self.num_classes)
+                    + (self.labeled_batch + 2 * self.unlabeled_batch + EVAL_ROWS + 1) * sum(layers)
+                    + (rows + 4 * (EVAL_ROWS + 1)) * self.num_classes)
             if size > MAX_RUN_VALUES:
                 raise ValueError(f"a run would hold {size} float64 values, "
                                  f"above the limit of {MAX_RUN_VALUES}")

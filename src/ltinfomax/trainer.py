@@ -79,23 +79,6 @@ def init_mlp(layer_sizes, rng):
     return MlpModel(weights, biases)
 
 
-def forward(model, x):
-    """Logits for a (N, d) batch, run in blocks of EVAL_ROWS rows through
-    training's _forward_cached, each block's cache dropped before the next,
-    so memory is O(EVAL_ROWS x width). Blocks start at multiples of
-    EVAL_ROWS and a 1-row remainder joins the block before it (one row
-    would take BLAS's gemv path), so each row meets the kernel of one full
-    product."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.weights[0].shape[0]:
-        raise ValueError(f"expected a (N, {model.weights[0].shape[0]}) batch, got {x.shape}")
-    ends = [*range(EVAL_ROWS, len(x) - 1, EVAL_ROWS), len(x)]  # no 1-row last block
-    logits = np.empty((len(x), model.num_classes))
-    for lo, hi in zip([0, *ends], ends):
-        logits[lo:hi] = _forward_cached(model, x[lo:hi])[0]
-    return logits
-
-
 def _forward_cached(model, x):
     """Forward pass that returns the logits and every layer's input, the
     activations _backprop reads: the one pass of training and evaluation.
@@ -260,23 +243,32 @@ def evaluate(model, world, domain):
     """Argmax evaluation over every row of domain ``domain`` of ``world`` (read-only).
 
     Returns the run JSON's ``final`` dict: accuracy, then per_class_accuracy,
-    the (true, predicted) confusion counts and the predicted marginal as lists."""
+    the (true, predicted) confusion counts and the predicted marginal as lists.
+    Raises ValueError on an empty target or a model of another K or input
+    width, and DivergenceError on non-finite logits."""
     features, labels = world.domain(domain)
     if len(labels) == 0:
         raise ValueError("cannot evaluate on an empty target")
     k = world.num_classes
     if model.num_classes != k:
         raise ValueError("model and target disagree on the number of classes")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(model, features)
-    if not np.isfinite(logits).all():
-        raise DivergenceError("non-finite logits on the target domain")
-    preds = np.argmax(logits, axis=-1)
-    # softmax is row-wise, so each block's probabilities can overwrite its
-    # logits: the buffer ends up holding softmax(logits) bit for bit
-    probs = logits
-    for lo in range(0, len(probs), EVAL_ROWS):
-        probs[lo:lo + EVAL_ROWS] = softmax(probs[lo:lo + EVAL_ROWS])
+    if features.shape[1] != model.weights[0].shape[0]:
+        raise ValueError(f"model takes {model.weights[0].shape[0]} features, "
+                         f"target has {features.shape[1]}")
+    # blocks start at multiples of EVAL_ROWS and a 1-row remainder joins the
+    # block before it (one row would take BLAS's gemv path), so each row
+    # meets the kernel of one full product; memory is O(EVAL_ROWS x width)
+    ends = [*range(EVAL_ROWS, len(labels) - 1, EVAL_ROWS), len(labels)]
+    probs = np.empty((len(labels), k))
+    preds = np.empty(len(labels), dtype=np.int64)
+    for lo, hi in zip([0, *ends], ends):
+        block = probs[lo:hi]  # a view: no block's logits outlive its softmax
+        with np.errstate(over="ignore", invalid="ignore"):
+            block[...] = _forward_cached(model, features[lo:hi])[0]
+        if not np.isfinite(block).all():
+            raise DivergenceError("non-finite logits on the target domain")
+        preds[lo:hi] = np.argmax(block, axis=-1)
+        block[...] = softmax(block)
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     row_sums = confusion.sum(axis=1)

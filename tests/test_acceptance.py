@@ -38,7 +38,7 @@ from ltinfomax.objectives import (
     tsallis_entropy_grad,
 )
 from ltinfomax.trainer import (
-    forward,
+    _forward_cached,
     init_mlp,
     make_state,
     train,
@@ -136,7 +136,8 @@ class TestCriterion1GradientFidelity:
                 def f(flat):
                     m = state.model.copy()
                     m.flat[...] = flat
-                    return infomax_loss_and_grad(forward(m, x), lab_y, len(unl_x), cfg)[0]["total"]
+                    logits = _forward_cached(m, x)[0]
+                    return infomax_loss_and_grad(logits, lab_y, len(unl_x), cfg)[0]["total"]
 
                 fd = finite_diff_gradient(f, before)
                 train_step(state, lab_x, lab_y, unl_x)

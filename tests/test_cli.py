@@ -185,6 +185,9 @@ class TestExitCodes:
         # an empty output path would be the working directory
         ["--set", "out_dir=", "run"],
         ["--out", "", "run"],
+        # a --set without "=", and a sweep with no values
+        ["--set", "foo", "run"],
+        ["sweep", "--axis", "gamma", "--values", ","],
     ], ids=" ".join)
     def test_bad_flag_value(self, tmp_path, capsys, monkeypatch, args):
         """Global flags and sweep values parse as the --set of their field."""

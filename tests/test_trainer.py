@@ -10,6 +10,7 @@ import pytest
 import ltinfomax.trainer as trainer_module
 from ltinfomax.data import (
     LongTailSpec,
+    Split,
     World,
     augment_pair,
     domain_rotation,
@@ -22,7 +23,6 @@ from ltinfomax.objectives import branch_rows, infomax_loss_and_grad
 from ltinfomax.trainer import (
     MlpModel,
     evaluate,
-    forward,
     init_mlp,
     make_state,
     train,
@@ -58,7 +58,8 @@ def pooled(sources):
 class TestForward:
     def test_zero_parameters_give_zero_logits(self):
         model = MlpModel([np.zeros((4, 3))], [np.zeros(3)])
-        np.testing.assert_array_equal(forward(model, np.ones((1, 4))), np.zeros((1, 3)))
+        np.testing.assert_array_equal(trainer_module._forward_cached(model, np.ones((1, 4)))[0],
+                                      np.zeros((1, 3)))
 
     def test_hand_computed_2_2_2(self):
         """x=(1,2) through fixed weights: logits (0.5, 2.5) by hand."""
@@ -68,42 +69,52 @@ class TestForward:
         )
         # hidden: relu((1+1, -1+4) + (0.5, -1)) = (2.5, 2.0)
         # logits: (2.5 - 2.0, 2.0 + 0.5) = (0.5, 2.5)
-        np.testing.assert_allclose(forward(model, np.array([[1.0, 2.0]])), [[0.5, 2.5]],
-                                   rtol=1e-15)
+        logits = trainer_module._forward_cached(model, np.array([[1.0, 2.0]]))[0]
+        np.testing.assert_allclose(logits, [[0.5, 2.5]], rtol=1e-15)
 
     def test_final_layer_scaling_preserves_argmax(self):
         rng = np.random.default_rng(1)
         model = init_mlp([5, 8, 4], rng)
         x = rng.normal(size=(20, 5))
-        base = forward(model, x)
+        base = trainer_module._forward_cached(model, x)[0]
         scaled = MlpModel([w.copy() for w in model.weights],
                           [b.copy() for b in model.biases])
         scaled.weights[-1] *= 3.0
         scaled.biases[-1] *= 3.0
-        out = forward(scaled, x)
+        out = trainer_module._forward_cached(scaled, x)[0]
         np.testing.assert_allclose(out, 3.0 * base, rtol=1e-12)
         np.testing.assert_array_equal(np.argmax(out, axis=1), np.argmax(base, axis=1))
 
     def test_dimension_mismatch(self):
+        """evaluate names both widths before any row runs."""
         model = init_mlp([4, 3], np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            forward(model, np.ones((1, 5)))
+        target = World(np.ones((2, 5)), [0, 2], [0, 2], 3)
+        with pytest.raises(ValueError, match="model takes 4 features, target has 5"):
+            evaluate(model, target, 0)
 
     @pytest.mark.parametrize("sizes", [(16, 64, 64, 5), (64, 256, 256, 40)],
                              ids=["default", "wide-classes"])
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513, 1600])
     def test_blocks_match_one_product(self, sizes, n):
-        """The row blocks give the bits of one full product per layer; n=257
-        ends on a 1-row remainder, which joins the block before it."""
+        """evaluate's row blocks give the confusion and predicted marginal of
+        one full product per layer, bit for bit; n=257 ends on a 1-row
+        remainder, which joins the block before it."""
+        k = sizes[-1]
         model = init_mlp(list(sizes), np.random.default_rng(3))
-        x = np.random.default_rng(n).standard_normal((n, sizes[0]))
-        assert np.array_equal(forward(model, x), trainer_module._forward_cached(model, x)[0])
+        rng = np.random.default_rng(n)
+        target = World(rng.standard_normal((n, sizes[0])), rng.integers(k, size=n), [0, n], k)
+        report = evaluate(model, target, 0)
+        logits = trainer_module._forward_cached(model, target.features)[0]
+        confusion = np.zeros((k, k), dtype=np.int64)
+        np.add.at(confusion, (target.labels, np.argmax(logits, axis=-1)), 1)
+        np.testing.assert_array_equal(report["confusion"], confusion)
+        assert np.array_equal(report["predicted_marginal"], softmax(logits).mean(axis=0))
 
 
 def step_gradient_and_fd(model, lab_x, lab_y, unl_x, cfg):
     """The parameter gradient one train_step from ``model`` applies, read from
-    ``state.grads``, and its central finite-difference reference: the public
-    forward and infomax_loss_and_grad on the views the step draws. Asserts
+    ``state.grads``, and its central finite-difference reference: the
+    forward pass and infomax_loss_and_grad on the views the step draws. Asserts
     that the step, from zero velocity, moved the parameters by exactly
     -learning_rate times that gradient."""
     state = make_state(cfg, 4, 3, seed=0)
@@ -115,7 +126,8 @@ def step_gradient_and_fd(model, lab_x, lab_y, unl_x, cfg):
     def total(flat):
         m = model.copy()
         m.flat[...] = flat
-        return infomax_loss_and_grad(forward(m, x), lab_y, n_unl, cfg)[0]["total"]
+        return infomax_loss_and_grad(trainer_module._forward_cached(m, x)[0], lab_y, n_unl,
+                                     cfg)[0]["total"]
 
     fd = finite_diff_gradient(total, model.flat.copy())
     train_step(state, lab_x, lab_y, unl_x)
@@ -273,6 +285,20 @@ class TestStepLabels:
                        rng.normal(size=unlabeled_shape))
         np.testing.assert_array_equal(state.model.flat, before)
         assert state.rngs["augment"].bit_generator.state == augment
+
+    @pytest.mark.parametrize("labeled_x, unlabeled_x",
+                             [(None, None), (np.empty((0, 4)), np.empty((0, 4)))],
+                             ids=["none", "zero-rows"])
+    def test_train_step_rejects_empty_batches_before_any_state_changes(
+            self, labeled_x, unlabeled_x):
+        state = make_state(ExperimentConfig(hidden=(6,)), 4, 3, seed=1)
+        before = state.model.flat.copy()
+        streams = {name: rng.bit_generator.state for name, rng in state.rngs.items()}
+        with pytest.raises(ValueError, match="both batches are empty"):
+            train_step(state, labeled_x, (), unlabeled_x)
+        np.testing.assert_array_equal(state.model.flat, before)
+        assert not state.velocity.any()
+        assert {name: rng.bit_generator.state for name, rng in state.rngs.items()} == streams
 
 
 def reference_step(state, lab_x, lab_y, unl_x):
@@ -648,6 +674,31 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ExperimentConfig(), sources, seed=0)
 
+    def test_needs_labeled_rows(self):
+        sources = [Split(s.world, s.domain, [], s.unlabeled_indices) for s in toy_sources()]
+        with pytest.raises(ValueError, match="no labeled samples"):
+            train(ExperimentConfig(hidden=(8,)), sources, seed=0)
+
+    @pytest.mark.parametrize("labeled_batch", [4, 1000], ids=["several-steps", "one-step"])
+    def test_an_empty_unlabeled_pool_steps_through_the_labeled_rows(self, monkeypatch,
+                                                                     labeled_batch):
+        """With no unlabeled row an epoch takes max(1, n_lab // labeled_batch)
+        supervised steps, and nothing is pseudo-labeled."""
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(len(args[3]))
+            return train_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "train_step", counting_step)
+        sources = [Split(s.world, s.domain, s.labeled_indices, []) for s in toy_sources()]
+        n_lab = sum(len(s.labeled_indices) for s in sources)
+        cfg = ExperimentConfig(hidden=(8,), epochs=3, labeled_batch=labeled_batch)
+        _, history = train(cfg, sources, seed=5)
+        assert len(history) == 3
+        assert all(h["accepted_fraction"] == 0 and h["pseudo_ce"] == 0 for h in history)
+        assert calls == [0] * 3 * max(1, n_lab // labeled_batch)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
@@ -729,7 +780,12 @@ class TestEvaluate:
         target = World(rng.standard_normal((n, 6)), rng.integers(k, size=n), [0, n], k)
         model = init_mlp([6, 16, k], rng)
         report = evaluate(model, target, 0)
-        logits = forward(model, target.features)
+        # the same blocks as evaluate's: one product of all 1600 rows at
+        # [6, 16, 40] may take another OpenBLAS kernel
+        step = trainer_module.EVAL_ROWS
+        ends = [*range(step, n - 1, step), n]
+        logits = np.concatenate([trainer_module._forward_cached(model, target.features[lo:hi])[0]
+                                 for lo, hi in zip([0, *ends], ends)])
         preds = np.argmax(logits, axis=-1)
         confusion = np.zeros((k, k), dtype=np.int64)
         np.add.at(confusion, (target.labels, preds), 1)
@@ -739,6 +795,16 @@ class TestEvaluate:
         np.testing.assert_array_equal(report["per_class_accuracy"], np.divide(
             np.diag(confusion), rows, out=np.zeros(k), where=rows > 0))
         assert np.array_equal(report["predicted_marginal"], softmax(logits).mean(axis=0))
+
+    @pytest.mark.parametrize("bounds, k, match",
+                             [([0, 0, 4], 3, "empty target"), ([0, 4], 2, "number of classes")],
+                             ids=["empty-target", "classes"])
+    def test_rejects_a_target_it_cannot_score(self, bounds, k, match):
+        """A model of K=3 on a domain of no rows, or on a K=2 target."""
+        model = init_mlp([2, 3], np.random.default_rng(0))
+        target = World(np.ones((4, 2)), [0, 1, 1, 0], bounds, k)
+        with pytest.raises(ValueError, match=match):
+            evaluate(model, target, 0)
 
     def test_report_invariants(self):
         world = toy_sources()[0].world
