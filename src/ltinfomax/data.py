@@ -5,9 +5,9 @@ is row ids into one of its domains. Labeled subsets follow an
 exponentially decaying per-class count profile with head/tail ratio
 gamma, the class order reshuffled per seed. domain_rotation is the
 seeded axis mixing that makes the synthetic domains (build_domains)
-differ, a matrix exponential taken by numpy-only Pade scaling and
-squaring (_expm); augment_pair draws the weak and strong views that
-training perturbs them with.
+differ, the exponential of a skew-symmetric matrix taken from one
+Hermitian eigendecomposition; augment_pair draws the weak and strong
+views that training perturbs them with.
 """
 
 from dataclasses import dataclass
@@ -21,12 +21,6 @@ MIN_UNLABELED_RATIO = 5.0
 # the weak/strong views: Gaussian noise scales, and the strong view's share
 # of zeroed entries
 SIGMA_WEAK, SIGMA_STRONG, DROPOUT_FRAC = 0.1, 0.5, 0.1
-# the [13/13] Pade coefficients b_0..b_13 of exp, and the 1-norm up to which
-# they hold it to double precision (Higham 2005, table 2.3)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -194,40 +188,17 @@ def domain_rotation(dim, rotation_seed, strength):
 
     exp(strength * pi * S) with S a seeded random skew-symmetric matrix
     whose spectral norm is 1, so strength interpolates smoothly from no
-    mixing toward a generic rotation. The exponential is _expm; at the
-    world's strength each entry is within 4e-16 of scipy.linalg.expm.
+    mixing toward a generic rotation. For the skew A, i*A is Hermitian with
+    eigenpairs (w, V), so exp(A) = V diag(exp(-i*w)) V^H (Moler & Van Loan,
+    SIAM Review 45(1), 2003); at the world's strength each entry is within
+    2e-15 of scipy.linalg.expm.
     """
     rng = np.random.default_rng(rotation_seed)
     g = rng.standard_normal((dim, dim))
     skew = (g - g.T) / 2.0
     skew /= max(np.linalg.norm(skew, 2), 1e-12)
-    return _expm(strength * np.pi * skew)
-
-
-def _expm(a):
-    """Matrix exponential of the square float matrix ``a`` by [13/13] Pade
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
-
-    ``a`` is scaled by 2^-s so its 1-norm is at most _THETA13, the Pade
-    approximant r = (V - U)^-1 (V + U) is formed as I + (V - U)^-1 2U,
-    which is exactly I at a = 0, and r is squared s times.
-    """
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
-    a = a / 2.0 ** s
-    b = _PADE13
-    eye = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = eye + np.linalg.solve(v - u, 2.0 * u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    w, v = np.linalg.eigh(1j * strength * np.pi * skew)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
 def split_labeled_unlabeled(world, domain, spec, seed, longtail_unlabeled=False):

@@ -16,7 +16,6 @@ from ltinfomax.data import (
     LongTailSpec,
     Split,
     World,
-    _expm,
     augment_pair,
     domain_rotation,
     long_tail_counts,
@@ -109,19 +108,23 @@ class TestGenerateDomain:
 
 
 class TestExpm:
-    """_expm, the numpy [13/13] Pade exponential behind domain_rotation."""
+    """The matrix exponential behind domain_rotation, taken from one
+    eigendecomposition of the Hermitian matrix i*A."""
 
     @pytest.mark.parametrize("t", [0.5, 40.0])
     def test_plane_rotation_closed_form(self, t):
-        # at t = 40 the 1-norm is above theta_13, so the squaring loop runs
-        c, s = np.cos(t), np.sin(t)
-        np.testing.assert_allclose(_expm(np.array([[0.0, -t], [t, 0.0]])),
-                                   [[c, -s], [s, c]], rtol=0, atol=1e-14)
+        # at dim 2 the unit-norm skew matrix is +-[[0, -1], [1, 0]], so the
+        # rotation turns the plane by +-pi*t, the sign that of g[1, 0] - g[0, 1]
+        for seed in (0, 1, 9):
+            g = np.random.default_rng(seed).standard_normal((2, 2))
+            c, s = np.cos(np.pi * t), np.sign(g[1, 0] - g[0, 1]) * np.sin(np.pi * t)
+            np.testing.assert_allclose(domain_rotation(2, seed, t), [[c, -s], [s, c]],
+                                       rtol=0, atol=1e-14)
 
     def test_inverse_is_exp_of_negation(self):
-        g = np.random.default_rng(3).standard_normal((64, 64))
-        a = g - g.T
-        np.testing.assert_allclose(_expm(a) @ _expm(-a), np.eye(64), rtol=0, atol=1e-13)
+        for t in (0.3, 1.0, 40.0):
+            np.testing.assert_allclose(domain_rotation(64, 3, t) @ domain_rotation(64, 3, -t),
+                                       np.eye(64), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
     def test_rotation_matches_scipy(self, dim):

@@ -437,10 +437,10 @@ class TestSplitPin:
 class TestWorldPin:
     # world shape -> digest of each domain's features and labels from build_domains
     PINNED = {
-        "default": ("4b8181d1669cec7e", "f4071463aec0012d", "c2b8883372fb6c38",
-                    "3f002141377f19db"),
-        "wide-classes": ("785d4a2883d305d5", "0fe382cb46939990", "7f02cd566c0af3ed",
-                         "54ee896c22780af6"),
+        "default": ("baf721773fd08df7", "23d9c7fb6d80c837", "38fec123383c0934",
+                    "95095fac9b7b6eb1"),
+        "wide-classes": ("c5fb251c1673dd20", "d46e861ae2127aff", "07c8037c7a64b6f0",
+                         "c2e6d65612b54198"),
     }
     SHAPES = {"default": {}, "wide-classes": dict(num_classes=40, feature_dim=64, m_l=2)}
 

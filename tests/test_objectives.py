@@ -95,6 +95,24 @@ class TestTsallisEntropy:
                     p = random_simplex(rng, k)
                     assert tsallis_entropy(p, alpha) <= uniform_val + 1e-12
 
+    @pytest.mark.parametrize("k", [5, 20])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 3.0])
+    def test_curvature_at_uniform_is_a_shannon_weight(self, alpha, k):
+        """Along any direction v in the simplex (sum v = 0), H_alpha's second
+        derivative at uniform pi is -alpha K^(2-alpha) |v|^2 and Shannon's is
+        -K |v|^2, so near uniform the marginal term at weight lambda matches
+        Shannon's at lambda' = lambda alpha K^(1-alpha) (0.6708 at alpha 1.5, K 5)."""
+        v = np.random.default_rng(k).standard_normal(k)
+        v -= v.mean()
+        u, h = np.full(k, 1 / k), 1e-3 / (k * np.abs(v).max())  # steps of 0.1% of 1/K
+
+        def curvature(f):
+            return (f(u + h * v) - 2 * f(u) + f(u - h * v)) / h ** 2
+
+        ratio = (curvature(lambda p: tsallis_entropy(p, alpha, validate=False))
+                 / curvature(lambda p: shannon_entropy(p, validate=False)))
+        assert ratio == pytest.approx(alpha * k ** (1 - alpha), rel=1e-6)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
             tsallis_entropy([0.5, 0.5], 0.0)

@@ -448,16 +448,12 @@ class TestStepParity:
         if not supervised:
             assert max(accepted) > 0  # the strong branch took part
 
-    @BENCHMARK_SHAPES
-    def test_bit_identical_at_benchmark_shapes(self, k, dim, hidden, tau, steps):
-        """Bit-identical to the stacked oracle at the default run's shapes
-        (16 features, hidden 64x64, batches 16/64); K=12 takes the >= 8-wide
-        pairwise path of row reductions.
-        The wide-classes benchmark's shapes (K=40, 64 features, hidden
-        256x256) take BLAS's large-matrix kernels (M*N*K above 10^6)."""
+    @staticmethod
+    def assert_matches_oracle(cfg, k, dim, steps):
+        """``steps`` steps of train_step and of the stacked oracle on the same
+        batches land on the same parameter bits, and the strong branch took part."""
         sources = toy_sources(k=k, d=dim, n_per_class=40, seed0=200)
         lab_x, lab_y, unl_x = pooled(sources)
-        cfg = ExperimentConfig(hidden=hidden, tau=tau)
         fused = make_state(cfg, dim, k, seed=3)
         reference = make_state(cfg, dim, k, seed=3)
         rng = np.random.default_rng(8)
@@ -471,6 +467,24 @@ class TestStepParity:
                              reference.model.weights + reference.model.biases):
             assert np.array_equal(got, want)
         assert max(accepted) > 0
+
+    @BENCHMARK_SHAPES
+    def test_bit_identical_at_benchmark_shapes(self, k, dim, hidden, tau, steps):
+        """Bit-identical to the stacked oracle at the default run's shapes
+        (16 features, hidden 64x64, batches 16/64); K=12 takes the >= 8-wide
+        pairwise path of row reductions.
+        The wide-classes benchmark's shapes (K=40, 64 features, hidden
+        256x256) take BLAS's large-matrix kernels (M*N*K above 10^6)."""
+        self.assert_matches_oracle(ExperimentConfig(hidden=hidden, tau=tau), k, dim, steps)
+
+    @pytest.mark.parametrize("k,n_lab,n_unl", [(20, 7, 9), (13, 3, 5), (40, 7, 9)])
+    def test_bit_identical_at_an_odd_labeled_batch(self, k, n_lab, n_unl):
+        """The kernel takes the marginal's inner products over the labeled and
+        weak rows as one product, as the oracle does. At a labeled batch of 16
+        BLAS rounds that product as it rounds one product per branch; at these
+        odd batches it does not, so a split product changes the step's bits."""
+        cfg = ExperimentConfig(labeled_batch=n_lab, unlabeled_batch=n_unl, tau=0.3)
+        self.assert_matches_oracle(cfg, k, 16, 40)
 
     @BENCHMARK_SHAPES
     def test_stacked_gradient_is_the_sum_of_the_branch_gradients(
