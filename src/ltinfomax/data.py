@@ -5,9 +5,9 @@ is row ids into one of its domains. Labeled subsets follow an
 exponentially decaying per-class count profile with head/tail ratio
 gamma, the class order reshuffled per seed. domain_rotation is the
 seeded axis mixing that makes the synthetic domains (build_domains)
-differ, the exponential of a skew-symmetric matrix taken from one
-Hermitian eigendecomposition; augment_pair draws the weak and strong
-views that training perturbs them with.
+differ, the exponential of a skew-symmetric matrix taken from its one
+real SVD; augment_pair draws the weak and strong views that training
+perturbs them with.
 """
 
 from dataclasses import dataclass
@@ -44,9 +44,9 @@ class LongTailSpec:
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.per_class < 1:
-            raise ValueError("per_class must be >= 1")
+            raise ValueError(f"per_class (m_l) must be >= 1, got {self.per_class}")
         if not (self.gamma >= 1):
-            raise ValueError("gamma must be >= 1")
+            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.class_order is not None:
             order = tuple(int(c) for c in self.class_order)
             if sorted(order) != list(range(self.num_classes)):
@@ -59,8 +59,8 @@ class World:
     """Every domain's rows in one read-only (rows, d) float64 buffer, one label
     in [0, num_classes) per row; domain d is rows bounds[d]:bounds[d + 1].
     ``features`` are adopted if a C-contiguous, read-only float64 array that
-    owns its buffer or views bytes, else copied, as are the labels and bounds.
-    Unpickling adopts the rows' bytes: one checked copy that no one can write."""
+    owns its buffer or views bytes, else copied, as are the integer labels and
+    bounds. Unpickling adopts the rows' bytes: one checked copy that no one can write."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -75,7 +75,7 @@ class World:
         if feats.ndim != 2:
             raise ValueError("features must be (N, d)")
         labels = np.array(check_labels(self.labels, self.num_classes, len(feats)))
-        bounds = np.array(self.bounds, dtype=np.int64)
+        bounds = _int_array(self.bounds, "bounds")
         if not (bounds.ndim == 1 and len(bounds) > 1 and bounds[0] == 0
                 and bounds[-1] == len(feats) and (np.diff(bounds) >= 0).all()):
             raise ValueError(f"bounds must rise from 0 to the {len(feats)} rows")
@@ -99,10 +99,19 @@ def _world_from_bytes(rows, shape, labels, bounds, num_classes):
     return World(np.ndarray(shape, np.float64, rows), labels, bounds, num_classes)
 
 
+def _int_array(values, name):
+    """``values`` copied to int64; ValueError for float or bool values, which are
+    rejected, not truncated, as check_labels rejects them. Empty is legal."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {values.dtype}")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Split:
-    """Labeled and unlabeled row ids, local to domain ``domain`` of ``world``, in
-    range and disjoint (rows in neither set take no part), copied read-only."""
+    """Labeled and unlabeled integer row ids, local to domain ``domain`` of ``world``,
+    in range and disjoint (rows in neither set take no part), copied read-only."""
 
     world: World
     domain: int
@@ -111,8 +120,8 @@ class Split:
 
     def __post_init__(self):
         n = len(self.world.domain(self.domain)[1])
-        lab = np.array(self.labeled_indices, dtype=np.int64)
-        unl = np.array(self.unlabeled_indices, dtype=np.int64)
+        lab = _int_array(self.labeled_indices, "row ids")
+        unl = _int_array(self.unlabeled_indices, "row ids")
         merged = np.concatenate([lab, unl])
         # a range check and a row count, not np.unique, which imports numpy.ma
         if len(merged) and not (merged.min() >= 0 and merged.max() < n):
@@ -186,19 +195,19 @@ def check_split(counts, pool_sizes, longtail_unlabeled):
 def domain_rotation(dim, rotation_seed, strength):
     """Seeded orthogonal mixing matrix, identity at strength 0.
 
-    exp(strength * pi * S) with S a seeded random skew-symmetric matrix
-    whose spectral norm is 1, so strength interpolates smoothly from no
-    mixing toward a generic rotation. For the skew A, i*A is Hermitian with
-    eigenpairs (w, V), so exp(A) = V diag(exp(-i*w)) V^H (Moler & Van Loan,
-    SIAM Review 45(1), 2003); at the world's strength each entry is within
-    2e-15 of scipy.linalg.expm.
+    exp(strength * pi * S / |S|_2) with S a seeded random skew-symmetric
+    matrix, so strength interpolates smoothly from no mixing toward a
+    generic rotation. One SVD S V = U diag(s) gives the norm s[0] and the
+    exponential: a skew A has A^T A = -A^2, so with theta the singular
+    values of A, exp(A) = I + V (cos(theta) - I) V^T + U sin(theta) V^T
+    for any SVD (Gallier & Xu, 2002); at the world's strength each entry
+    is within 2e-15 of scipy.linalg.expm.
     """
     rng = np.random.default_rng(rotation_seed)
     g = rng.standard_normal((dim, dim))
-    skew = (g - g.T) / 2.0
-    skew /= max(np.linalg.norm(skew, 2), 1e-12)
-    w, v = np.linalg.eigh(1j * strength * np.pi * skew)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+    u, s, vt = np.linalg.svd((g - g.T) / 2.0)
+    theta = strength * np.pi * s / max(s[0], 1e-12)
+    return np.eye(dim) + (vt.T * (np.cos(theta) - 1.0) + u * np.sin(theta)) @ vt
 
 
 def split_labeled_unlabeled(world, domain, spec, seed, longtail_unlabeled=False):
@@ -212,8 +221,12 @@ def split_labeled_unlabeled(world, domain, spec, seed, longtail_unlabeled=False)
     keeps all its rows: the dropped rows are in neither id set. Either way
     the Split is row ids into ``world`` and copies no rows.
 
-    Raises ValueError, before any row is drawn, where check_split does.
+    Raises ValueError, before any row is drawn, where check_split does and
+    when spec and world count different classes.
     """
+    if spec.num_classes != world.num_classes:
+        raise ValueError(f"the spec has {spec.num_classes} classes, "
+                         f"the world {world.num_classes}")
     _, labels = world.domain(domain)
     rng = np.random.default_rng(seed)
     if spec.class_order is None:

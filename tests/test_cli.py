@@ -98,9 +98,11 @@ RULE_MESSAGES = [
     (["marginal_weight=-1", "learning_rate=0"], "marginal_weight must be >= 0"),
     (["hidden=0", "epochs=-1", "learning_rate=0"], "learning_rate must be > 0"),
     (["epochs=-1", "labeled_batch=0", "hidden=4,0"], "epochs must be >= 0"),
-    # finiteness and the class count are checked before them
+    # finiteness and the long-tail spec's rules are checked before them
     (["alpha=nan", "tau=0"], "alpha must be finite, got nan"),
     (["hidden=0", "num_classes=1"], "need at least 2 classes"),
+    (["m_l=0"], "per_class (m_l) must be >= 1, got 0"),
+    (["gamma=0.5"], "gamma must be >= 1, got 0.5"),
 ]
 
 

@@ -108,8 +108,8 @@ class TestGenerateDomain:
 
 
 class TestExpm:
-    """The matrix exponential behind domain_rotation, taken from one
-    eigendecomposition of the Hermitian matrix i*A."""
+    """The matrix exponential behind domain_rotation, taken from the one
+    real SVD of the skew matrix that also gives its norm."""
 
     @pytest.mark.parametrize("t", [0.5, 40.0])
     def test_plane_rotation_closed_form(self, t):
@@ -198,6 +198,12 @@ class TestSplit:
         data, _ = small_world(k=3, n_per_class=5)
         with pytest.raises(ValueError, match="spare|class"):
             split_labeled_unlabeled(data, 0, LongTailSpec(3, 5, 10.0), seed=0)
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_spec_must_count_the_worlds_classes(self, k):
+        data, _ = small_world(k=5, n_per_class=60)
+        with pytest.raises(ValueError, match=f"the spec has {k} classes, the world 5"):
+            split_labeled_unlabeled(data, 0, LongTailSpec(k, 5, 10.0), seed=0)
 
     def test_unlabeled_ratio_enforced(self):
         data, _ = small_world(k=3, n_per_class=12)
@@ -314,6 +320,20 @@ class TestDomainDataset:
     def test_bounds_that_miss_the_rows_rejected(self, bounds):
         with pytest.raises(ValueError, match="bounds"):
             World(np.zeros((4, 2)), np.zeros(4, dtype=int), bounds, 2)
+
+    @pytest.mark.parametrize("bounds", [[0, 2.5, 4], [0.0, 4.0]], ids=["fraction", "whole"])
+    def test_bounds_that_are_not_integers_rejected(self, bounds):
+        """Rejected, not truncated: [0, 2.5, 4] would become [0, 2, 4]."""
+        with pytest.raises(ValueError, match="bounds must be integers"):
+            World(np.zeros((4, 2)), np.zeros(4, dtype=int), bounds, 2)
+
+    @pytest.mark.parametrize("labeled,unlabeled",
+                             [([0.7], [1.2, 2.9]), ([True], [2]), ([0], np.array([1.0, 2.0]))],
+                             ids=["fraction", "bool", "whole"])
+    def test_ids_that_are_not_integers_rejected(self, labeled, unlabeled):
+        """Rejected, not truncated: [0.7] would become row 0 and [True] row 1."""
+        with pytest.raises(ValueError, match="row ids must be integers"):
+            Split(self._world(np.zeros((4, 2))), 0, labeled, unlabeled)
 
     @pytest.mark.parametrize("labeled,unlabeled", [([0, 1], [2, 3, 4]), ([-1, 1], [2, 3])])
     def test_index_sets_that_miss_or_leave_the_rows_rejected(self, labeled, unlabeled):

@@ -437,10 +437,10 @@ class TestSplitPin:
 class TestWorldPin:
     # world shape -> digest of each domain's features and labels from build_domains
     PINNED = {
-        "default": ("baf721773fd08df7", "23d9c7fb6d80c837", "38fec123383c0934",
-                    "95095fac9b7b6eb1"),
-        "wide-classes": ("c5fb251c1673dd20", "d46e861ae2127aff", "07c8037c7a64b6f0",
-                         "c2e6d65612b54198"),
+        "default": ("7ae624ef357aa42c", "3e010f0167aa8d53", "ee439f8d0a9fbf50",
+                    "7bbc1183169dcb2b"),
+        "wide-classes": ("502d4851c10e7832", "61207b5923bf8e89", "606723ca8ce000c3",
+                         "ff401782613e1e62"),
     }
     SHAPES = {"default": {}, "wide-classes": dict(num_classes=40, feature_dim=64, m_l=2)}
 
